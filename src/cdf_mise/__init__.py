@@ -54,13 +54,10 @@ from .mise import (
     MISE_METHODS,
     MiseReport,
     isb_fourier,
-    isb_space_oracle,
     iv_fourier,
-    iv_space_oracle,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
-    mise_sinc_fourier,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -97,10 +94,8 @@ __all__ = [
     "estimate_cdf",
     "integrate",
     "isb_fourier",
-    "isb_space_oracle",
     "ise",
     "iv_fourier",
-    "iv_space_oracle",
     "kernel_by_name",
     "limit_bandwidth",
     "make_jdlvp",
@@ -111,7 +106,6 @@ __all__ = [
     "mise",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
-    "mise_sinc_fourier",
     "monte_carlo_mise",
     "optimal_bandwidth",
     "psi_f_fourier",

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from .distributions import TargetDistribution
-from .kernels import Kernel, psi_k
+from .kernels import Kernel
 from .mise import mise
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
@@ -273,8 +273,7 @@ def relative_efficiency(dist: TargetDistribution, kernel: Kernel, n: int,
     return res.mise_at_opt / (dist.psi_f / n)
 
 
-def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel,
-                                   cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> float:
     """Limit of MISE(h_0n)/MISE(0): 1 - psi(K) s_k / {psi(F) d_f}.
 
     Kernels with s_k = 0, or targets with d_f = inf, gain no first-order
@@ -282,10 +281,7 @@ def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel,
     """
     if kernel.s_k == 0.0 or math.isinf(dist.d_f):
         return 1.0
-    pk = kernel.psi_k_analytic
-    if pk is None:
-        pk = psi_k(kernel, cfg)
-    return 1.0 - pk * kernel.s_k / (dist.psi_f * dist.d_f)
+    return 1.0 - kernel.psi_k_analytic * kernel.s_k / (dist.psi_f * dist.d_f)
 
 
 def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values,
@@ -303,7 +299,7 @@ def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values,
         n_values=ns,
         h_opt=tuple(hs),
         rel_eff=tuple(rel),
-        asymptote=asymptotic_relative_efficiency(dist, kernel, cfg),
+        asymptote=asymptotic_relative_efficiency(dist, kernel),
     )
 
 

@@ -503,7 +503,7 @@ def cmd_constants(cfg: RunConfig) -> int:
           f"{'|diff|':>12}{'s_k':>8}{'t_k':>8}")
     for kernel in kernels:
         quad = psi_k(kernel)
-        analytic = kernel.psi_k_analytic if kernel.psi_k_analytic is not None else quad
+        analytic = kernel.psi_k_analytic
         print(f"{kernel.name:<18}{analytic:>20.12g}{quad:>20.12g}"
               f"{abs(quad - analytic):>12.2e}{kernel.s_k:>8g}{kernel.t_k:>8g}")
 

@@ -260,14 +260,19 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     Replication r draws its sample from the stream keyed by (seed, r), so
     the estimate is deterministic for a fixed seed.  Replications run
     concurrently across fork-based worker processes (defaulting to the
-    machine's CPU count); results are placed by replication index and
-    reduced in fixed order, so the aggregate is independent of worker
-    count and completion order.
+    CPUs this process may run on); results are placed by replication
+    index and reduced in fixed order, so the aggregate is independent of
+    worker count and completion order.
     """
     if replications < 2:
         raise ValueError("replications must be >= 2")
     if workers is None:
-        workers = os.cpu_count() or 1
+        # The affinity mask (taskset, cgroup cpusets) can be narrower
+        # than the machine, and os.cpu_count() ignores it.
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     workers = max(1, min(int(workers), replications))
     if workers > 1:
         try:

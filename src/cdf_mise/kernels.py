@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +46,10 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 class Kernel:
     """Immutable kernel descriptor.
 
-    kernel_fn may be None only when the pointwise density is not usable
-    as a Lebesgue-integrable function; the built-ins all provide it
-    (the sinc density exists pointwise, it just is not integrable, which
-    ``integrable=False`` records).  integrated_fn is K; for the
-    trapezoidal and sinc kernels K is not monotone but still has limits
-    0 and 1 at -/+ infinity.
+    kernel_fn is the pointwise density k; the sinc density exists
+    pointwise but is not Lebesgue integrable, which ``integrable=False``
+    records.  integrated_fn is K; for the trapezoidal and sinc kernels K
+    is not monotone but still has limits 0 and 1 at -/+ infinity.
 
     ft_knots lists the points where phi_k is not smooth, ft_support_end
     is the frequency beyond which phi_k vanishes identically (inf when
@@ -63,7 +61,7 @@ class Kernel:
     """
 
     name: str
-    kernel_fn: Optional[Callable[[np.ndarray], np.ndarray]]
+    kernel_fn: Callable[[np.ndarray], np.ndarray]
     integrated_fn: Callable[[np.ndarray], np.ndarray]
     ft: Callable[[np.ndarray], np.ndarray]
     s_k: float

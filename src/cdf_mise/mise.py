@@ -9,17 +9,18 @@ the mean integrated squared error decomposes as MISE = IV + ISB with
 Every computation path below evaluates these identities or an exact
 reduction of them:
 
-* ``fourier``: direct quadrature of both displays (works for all pairs,
-  including sinc through its indicator transform);
-* ``sinc_fourier``: the sinc kernel's split form, IV carried by
-  [0, 1/h] and ISB by (1/h, inf);
+* ``fourier``: direct quadrature of both displays, for every pair.  The
+  kernel factor is taken as 1 on t h <= s_k and 0 on t h >= the end of
+  its transform's support, so the sinc kernel's indicator transform
+  needs no route of its own;
 * ``linear_segment``: for a superkernel (s_k > 0) and a band-limited
   target (d_f < inf), MISE(h) = {psi(F) - psi(K) h}/n exactly on
   0 <= h <= s_k/d_f, with ISB identically zero;
 * ``closed_form_normal_normal`` / ``closed_form_normal_sinc``: the
-  N(0, sigma^2) closed forms;
-* ``space_domain_oracle``: low-accuracy direct quadratures of the
-  space-side IV/ISB integrals, kept as an independent cross-check.
+  N(0, sigma^2) closed forms.
+
+Low-accuracy space-domain oracles for cross-checking live with the
+tests, in ``tests/oracles.py``.
 
 h = 0 is a first-class input: the estimator degenerates to the
 empirical CDF and MISE(0) = psi(F)/n.
@@ -30,18 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+import scipy.special
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
 from .numerics import (
     DEFAULT_QUADRATURE,
-    _GK15_NODES,
-    _GK15_WEIGHTS,
     QuadratureConfig,
-    gauss_kronrod_panels,
+    QuadratureResult,
     integrate,
-    std_normal_cdf,
 )
 
 __all__ = [
@@ -49,11 +47,8 @@ __all__ = [
     "iv_fourier",
     "isb_fourier",
     "mise",
-    "mise_sinc_fourier",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
-    "iv_space_oracle",
-    "isb_space_oracle",
     "MISE_METHODS",
 ]
 
@@ -61,10 +56,7 @@ MISE_METHODS = (
     "fourier",
     "closed_form_normal_normal",
     "closed_form_normal_sinc",
-    "sinc_fourier",
     "linear_segment",
-    "space_domain_oracle",
-    "monte_carlo",
 )
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -72,7 +64,11 @@ _SQRT_PI = math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class MiseReport:
-    """One exact MISE evaluation, split into variance and bias parts."""
+    """One exact MISE evaluation, split into variance and bias parts.
+
+    error_estimate is the quadrature's absolute error bound on ``mise``
+    for the ``fourier`` route and 0.0 for the exact routes.
+    """
 
     h: float
     n: int
@@ -103,6 +99,60 @@ def _validate_h_n(h: float, n: int) -> None:
         raise ValueError("sample size n must be >= 1")
 
 
+def _phi_k(kernel: Kernel, u: float) -> float:
+    # phi_k(u) for u >= 0: the kernel's constants fix it outside
+    # (s_k, ft_support_end), so its transform is only called in between.
+    if u <= kernel.s_k:
+        return 1.0
+    if u >= kernel.ft_support_end:
+        return 0.0
+    return float(kernel.ft(u))
+
+
+def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float,
+             cfg: QuadratureConfig) -> QuadratureResult:
+    # pi n IV(h) for h > 0, over (0, ft_support_end/h).
+    var = dist.variance
+
+    def integrand(t: float) -> float:
+        if t == 0.0:
+            return var
+        p = _phi_k(kernel, t * h)
+        q = float(dist.cf(t))
+        return p * p * (1.0 - q * q) / (t * t)
+
+    upper = kernel.ft_support_end / h
+    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
+    if math.isfinite(dist.d_f):
+        pts.append(dist.d_f)
+    res = integrate(integrand, 0.0, upper, cfg, points=pts)
+    if not res.converged:
+        raise RuntimeError("iv_fourier quadrature failed to converge")
+    return res
+
+
+def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float,
+              cfg: QuadratureConfig) -> QuadratureResult:
+    # pi ISB(h) for h > 0.  The integrand vanishes identically below
+    # s_k/h and beyond d_f, so the ISB is exactly zero (no quadrature)
+    # while h d_f <= s_k and the flat segment stays noise-free.
+    if h * dist.d_f <= kernel.s_k:
+        return QuadratureResult(0.0, 0.0, 0, True)
+
+    def integrand(t: float) -> float:
+        if t == 0.0:
+            return 0.0
+        p = _phi_k(kernel, t * h)
+        q = float(dist.cf(t))
+        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
+
+    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
+    res = integrate(integrand, kernel.s_k / h, dist.d_f, cfg, points=pts)
+    if not res.converged:
+        raise RuntimeError("isb_fourier quadrature failed to converge")
+    return res
+
+
 def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Integrated variance by Fourier quadrature.
@@ -115,24 +165,7 @@ def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     _validate_h_n(h, n)
     if h == 0.0:
         return dist.psi_f / n
-
-    var = dist.variance
-
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return var
-        p = float(kernel.ft(t * h))
-        q = float(dist.cf(t))
-        return p * p * (1.0 - q * q) / (t * t)
-
-    upper = kernel.ft_support_end / h
-    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    if math.isfinite(dist.d_f):
-        pts.append(dist.d_f)
-    res = integrate(integrand, 0.0, upper, cfg, points=pts)
-    if not res.converged:
-        raise RuntimeError("iv_fourier quadrature failed to converge")
-    return res.value / (math.pi * n)
+    return _iv_quad(dist, kernel, h, cfg).value / (math.pi * n)
 
 
 def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float,
@@ -145,38 +178,9 @@ def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float,
     """
     _check_pair(dist, kernel)
     _validate_h_n(h, 1)
-    if h == 0.0 or h * dist.d_f <= kernel.s_k:
+    if h == 0.0:
         return 0.0
-
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        p = float(kernel.ft(t * h))
-        q = float(dist.cf(t))
-        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
-
-    # The integrand vanishes identically below s_k/h and beyond d_f.
-    lower = kernel.s_k / h
-    upper = dist.d_f
-    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    res = integrate(integrand, lower, upper, cfg, points=pts)
-    if not res.converged:
-        raise RuntimeError("isb_fourier quadrature failed to converge")
-    return res.value / math.pi
-
-
-def _report_h0(dist: TargetDistribution, n: int, method: str = "fourier") -> MiseReport:
-    v = dist.psi_f / n
-    return MiseReport(h=0.0, n=n, iv=v, isb=0.0, mise=v, method=method)
-
-
-def _linear_segment_applicable(dist: TargetDistribution, kernel: Kernel,
-                               h: float) -> bool:
-    return (
-        kernel.s_k > 0.0
-        and math.isfinite(dist.d_f)
-        and h * dist.d_f <= kernel.s_k
-    )
+    return _isb_quad(dist, kernel, h, cfg).value / math.pi
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -193,10 +197,14 @@ def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
 
 
 def _normal_normal_parts(sigma: float, h: float, n: int):
-    s2 = sigma * sigma
-    a = math.sqrt(h * h + s2)
-    iv = (a - h) / (_SQRT_PI * n)
-    isb = (math.sqrt(2.0 * h * h + 4.0 * s2) - a - sigma) / _SQRT_PI
+    # Both differences in the display are rationalized so that no O(s)
+    # terms cancel: with a = sqrt(h^2+s^2), a - h = s^2/(a+h) and
+    # sqrt(2h^2+4s^2) - a - s = (a-s)^2/(sqrt(2h^2+4s^2)+a+s),
+    # where a - s = h^2/(a+s).
+    a = math.sqrt(h * h + sigma * sigma)
+    iv = sigma * sigma / (_SQRT_PI * n * (a + h))
+    c = a + sigma
+    isb = h ** 4 / (_SQRT_PI * c * c * (math.sqrt(2.0 * h * h + 4.0 * sigma * sigma) + c))
     return iv, isb
 
 
@@ -211,81 +219,23 @@ def mise_normal_sinc_closed(sigma: float, h: float, n: int) -> float:
     if h <= 0.0:
         raise ValueError("the closed form requires h > 0 (h = 0 is the "
                          "empirical branch, MISE = psi_f/n)")
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
+    _validate_h_n(h, n)
     iv, isb = _normal_sinc_parts(sigma, h, n)
     return iv + isb
 
 
 def _normal_sinc_parts(sigma: float, h: float, n: int):
-    # B(h) = pi ISB(h) = h e^{-s^2/h^2} - 2 s sqrt(pi) {1 - Phi(s sqrt(2)/h)}
-    # and pi n IV(h) = s sqrt(pi) - h + B(h); their sum reproduces the
-    # display in mise_normal_sinc_closed.
-    b = (h * math.exp(-(sigma / h) ** 2)
-         - 2.0 * sigma * _SQRT_PI * (1.0 - std_normal_cdf(sigma * math.sqrt(2.0) / h)))
+    # B(h) = pi ISB(h) = h e^{-y^2} - 2 s sqrt(pi) {1 - Phi(y sqrt(2))}
+    # with y = s/h; since 1 - Phi(y sqrt(2)) = erfc(y)/2 = e^{-y^2}
+    # erfcx(y)/2, B = h e^{-y^2} {1 - sqrt(pi) y erfcx(y)}, which keeps
+    # the common factor e^{-y^2} out of the difference.  pi n IV(h) =
+    # s sqrt(pi) - h + B(h); their sum reproduces the display in
+    # mise_normal_sinc_closed.
+    y = sigma / h
+    b = h * math.exp(-y * y) * (1.0 - _SQRT_PI * y * float(scipy.special.erfcx(y)))
     iv = (sigma * _SQRT_PI - h + b) / (math.pi * n)
     isb = b / math.pi
     return iv, isb
-
-
-def mise_sinc_fourier(dist: TargetDistribution, h: float, n: int,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> MiseReport:
-    """Exact sinc-kernel MISE with the split at t = 1/h.
-
-    MISE(h) = (n pi)^-1 int_0^{1/h} t^-2 {1 - |phi_f|^2} dt
-              + pi^-1 int_{1/h}^inf t^-2 |phi_f|^2 dt;
-    the first term is the IV and the second the ISB, because the sinc
-    transform is the indicator of [-1, 1].  h <= 0 routes to the
-    empirical branch (MISE = psi_f/n).
-    """
-    if not dist.square_integrable or not dist.abs_first_moment_finite:
-        raise ValueError("the sinc MISE formula requires a square-integrable "
-                         "target with finite mean")
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
-    if h <= 0.0:
-        return _report_h0(dist, n, method="sinc_fourier")
-
-    split = 1.0 / h
-    var = dist.variance
-    err = 0.0
-
-    def iv_integrand(t: float) -> float:
-        if t == 0.0:
-            return var
-        q = float(dist.cf(t))
-        return (1.0 - q * q) / (t * t)
-
-    # IV part: quadrature up to min(split, d_f); beyond d_f the
-    # integrand is exactly t^-2, integrated in closed form.
-    iv_upper = min(split, dist.d_f)
-    pts = [p for p in dist.cf_knots if p < iv_upper]
-    res = integrate(iv_integrand, 0.0, iv_upper, cfg, points=pts)
-    if not res.converged:
-        raise RuntimeError("sinc IV quadrature failed to converge")
-    a_val = res.value
-    err += res.error_estimate
-    if split > dist.d_f:
-        a_val += 1.0 / dist.d_f - h
-    iv = a_val / (math.pi * n)
-
-    # ISB part: |phi_f|^2 t^-2 beyond the split; zero once 1/h >= d_f.
-    if split >= dist.d_f:
-        isb = 0.0
-    else:
-        def isb_integrand(t: float) -> float:
-            q = float(dist.cf(t))
-            return q * q / (t * t)
-
-        pts = [p for p in dist.cf_knots if p > split]
-        res = integrate(isb_integrand, split, dist.d_f, cfg, points=pts)
-        if not res.converged:
-            raise RuntimeError("sinc ISB quadrature failed to converge")
-        isb = res.value / math.pi
-        err += res.error_estimate
-
-    return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                      method="sinc_fourier", error_estimate=err)
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
@@ -294,159 +244,40 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     """MISE(h) for a (target, kernel) pair, with automatic fast paths.
 
     method="auto" picks the cheapest exact route (linear segment, normal
-    closed forms, sinc split, otherwise Fourier quadrature); every fast
-    path agrees with method="fourier" to well below 1e-9 relative, which
-    the test suite pins.
+    closed forms, otherwise Fourier quadrature); every fast path agrees
+    with method="fourier" to well below 1e-9 relative, which the test
+    suite pins.
     """
     _check_pair(dist, kernel)
     _validate_h_n(h, n)
-
-    if h == 0.0:
-        return _report_h0(dist, n)
-
-    if method == "fourier":
-        iv = iv_fourier(dist, kernel, h, n, cfg)
-        isb = isb_fourier(dist, kernel, h, cfg)
-        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                          method="fourier")
-    if method != "auto":
+    if method not in ("auto", "fourier"):
         raise ValueError("method must be 'auto' or 'fourier'")
 
-    if _linear_segment_applicable(dist, kernel, h):
-        v = (dist.psi_f - kernel.psi_k_analytic * h) / n
-        return MiseReport(h=h, n=n, iv=v, isb=0.0, mise=v,
-                          method="linear_segment")
+    if h == 0.0:
+        v = dist.psi_f / n
+        return MiseReport(h=0.0, n=n, iv=v, isb=0.0, mise=v, method="fourier")
 
-    if dist.family == "normal" and kernel.name == "normal":
-        iv, isb = _normal_normal_parts(dist.sigma, h, n)
-        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                          method="closed_form_normal_normal")
+    if method == "auto":
+        # with h > 0, only a superkernel and a band-limited target pass
+        if h * dist.d_f <= kernel.s_k:
+            v = (dist.psi_f - kernel.psi_k_analytic * h) / n
+            return MiseReport(h=h, n=n, iv=v, isb=0.0, mise=v,
+                              method="linear_segment")
 
-    if dist.family == "normal" and not kernel.integrable:
-        iv, isb = _normal_sinc_parts(dist.sigma, h, n)
-        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                          method="closed_form_normal_sinc")
+        if dist.family == "normal" and kernel.name == "normal":
+            iv, isb = _normal_normal_parts(dist.sigma, h, n)
+            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
+                              method="closed_form_normal_normal")
 
-    if not kernel.integrable:
-        return mise_sinc_fourier(dist, h, n, cfg)
+        if dist.family == "normal" and not kernel.integrable:
+            iv, isb = _normal_sinc_parts(dist.sigma, h, n)
+            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
+                              method="closed_form_normal_sinc")
 
-    iv = iv_fourier(dist, kernel, h, n, cfg)
-    isb = isb_fourier(dist, kernel, h, cfg)
+    a = _iv_quad(dist, kernel, h, cfg)
+    b = _isb_quad(dist, kernel, h, cfg)
+    iv = a.value / (math.pi * n)
+    isb = b.value / math.pi
+    err = a.error_estimate / (math.pi * n) + b.error_estimate / math.pi
     return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                      method="fourier")
-
-
-# ---------------------------------------------------------------------------
-# Space-domain oracles (direct quadrature of the pre-Fourier displays)
-# ---------------------------------------------------------------------------
-
-def _kernel_truncation_radius(kernel: Kernel) -> float:
-    # The inner y-integrals run over [-B, B] plus exact boundary terms.
-    # The normal density is below 1e-15 past 8.5; for the trapezoidal
-    # kernel B is a multiple of 2 pi and the boundary completion leaves
-    # a residual of order |K(B) - 1| ~ 1/(pi B^2) ~ 3e-5.
-    return 8.5 if kernel.name == "normal" else 32.0 * math.pi
-
-
-def _panel_edges(lo: float, hi: float, width: float) -> np.ndarray:
-    m = max(8, int(math.ceil((hi - lo) / width)))
-    return np.linspace(lo, hi, m + 1)
-
-
-def _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight: bool):
-    """int F(x - h y) w(y) dy for w = k (or w = 2 K k when squared_weight).
-
-    Gauss-Kronrod panels on [-B, B], completed by the exact boundary
-    terms of integration by parts: with W the antiderivative of w
-    (W = K, or K^2), the tails contribute F(x - hB){1 - W(B)} and
-    F(x + hB) W(-B) up to a remainder carrying a factor of the density
-    mass beyond the window.
-    """
-    b_hi = float(y_edges[-1])
-    b_lo = float(y_edges[0])
-    a = y_edges[:-1]
-    b = y_edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ys = (mid[:, None] + half[:, None] * _GK15_NODES[None, :]).ravel()
-    w = kernel.kernel_fn(ys)
-    if squared_weight:
-        w = 2.0 * kernel.integrated_fn(ys) * w
-    vals = dist.cdf(xs[:, None] - h * ys[None, :]) * w[None, :]
-    vals = vals.reshape(xs.size, a.size, 15)
-    core = (vals @ _GK15_WEIGHTS) @ half
-
-    k_hi = float(kernel.integrated_fn(b_hi))
-    k_lo = float(kernel.integrated_fn(b_lo))
-    w_hi = k_hi * k_hi if squared_weight else k_hi
-    w_lo = k_lo * k_lo if squared_weight else k_lo
-    return core + dist.cdf(xs - h * b_hi) * (1.0 - w_hi) + dist.cdf(xs + h * b_hi) * w_lo
-
-
-def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """ISB by direct space-domain quadrature (cross-check oracle).
-
-    Evaluates int b_h(x)^2 dx with the pointwise bias
-    b_h(x) = int {F(x - h y) - F(x)} k(y) dy, which is the expanded form
-    of the double dK-integral of the bias product.  Low accuracy
-    (~1e-4); integrable kernels only.
-    """
-    if not kernel.integrable:
-        raise ValueError("space-domain oracle requires an integrable kernel "
-                         "(dK must be a finite measure)")
-    _check_pair(dist, kernel)
-    _validate_h_n(h, 1)
-    if h == 0.0:
-        return 0.0
-
-    b_k = _kernel_truncation_radius(kernel)
-    y_edges = _panel_edges(-b_k, b_k, min(math.pi, b_k / 16.0))
-    l_x = dist.tail_radius(1e-6) + h * b_k
-    x_edges = _panel_edges(-l_x, l_x, 1.0)
-
-    def bias_sq(xs: np.ndarray) -> np.ndarray:
-        smoothed = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=False)
-        b = smoothed - dist.cdf(xs)
-        return b * b
-
-    val, _ = gauss_kronrod_panels(bias_sq, x_edges, chunk=24)
-    return val
-
-
-def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """IV by direct space-domain quadrature (cross-check oracle).
-
-    n IV(h) = int [ int F(x - h m) d(K^2)(m) - { int F(x - h y) dK(y) }^2 ] dx,
-    where K^2 is the distribution function of y v z = max(y, z) under
-    dK x dK, so d(K^2)(m) = 2 K(m) k(m) dm.  Low accuracy (~1e-3);
-    integrable kernels only.
-    """
-    if not kernel.integrable:
-        raise ValueError("space-domain oracle requires an integrable kernel "
-                         "(dK must be a finite measure)")
-    _check_pair(dist, kernel)
-    _validate_h_n(h, n)
-
-    b_k = _kernel_truncation_radius(kernel)
-    l_x = dist.tail_radius(1e-6) + h * b_k
-    x_edges = _panel_edges(-l_x, l_x, 1.0)
-
-    if h == 0.0:
-        def integrand0(xs: np.ndarray) -> np.ndarray:
-            fx = dist.cdf(xs)
-            return fx * (1.0 - fx)
-
-        val, _ = gauss_kronrod_panels(integrand0, x_edges, chunk=24)
-        return val / n
-
-    y_edges = _panel_edges(-b_k, b_k, min(math.pi, b_k / 16.0))
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        mean_smooth = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=False)
-        max_smooth = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=True)
-        return max_smooth - mean_smooth * mean_smooth
-
-    val, _ = gauss_kronrod_panels(integrand, x_edges, chunk=24)
-    return val / n
+                      method="fourier", error_estimate=err)

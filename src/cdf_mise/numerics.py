@@ -214,27 +214,22 @@ _GK15_WEIGHTS = np.array([
     0.063092092629978553290700663189204,
     0.022935322010529224963732008058970,
 ])
-_G7_WEIGHTS = np.array([
-    0.0,
-    0.129484966168869693270611432679082,
-    0.0,
-    0.279705391489276667901467771423780,
-    0.0,
-    0.381830050505118944950369775488975,
-    0.0,
-    0.417959183673469387755102040816327,
-    0.0,
-    0.381830050505118944950369775488975,
-    0.0,
-    0.279705391489276667901467771423780,
-    0.0,
-    0.129484966168869693270611432679082,
-    0.0,
-])
 
-
+# The embedded 7-point Gauss rule sits on the odd-indexed Kronrod nodes;
+# _G7_WEIGHTS spreads its weights over all 15 nodes for the K15 - G7
+# error estimate.
 _G7_NODES = _GK15_NODES[1::2].copy()
-_G7_ONLY_WEIGHTS = _G7_WEIGHTS[1::2].copy()
+_G7_ONLY_WEIGHTS = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975,
+    0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+])
+_G7_WEIGHTS = np.zeros(15)
+_G7_WEIGHTS[1::2] = _G7_ONLY_WEIGHTS
 
 
 def gauss_panels(fvec, edges: np.ndarray, chunk: int | None = None) -> float:

@@ -4,7 +4,9 @@ Every helper recomputes a quantity by a route different from the
 library's own: power series instead of scipy's sici, the stdlib erf
 instead of ndtr, a triangle self-convolution instead of the closed
 piecewise transform, and QUADPACK with analytic oscillatory tails
-instead of fixed Gauss panels.  Agreement between routes is then
+instead of fixed Gauss panels.  The space-domain IV/ISB oracles
+integrate the pre-Fourier displays directly, sharing no transform code
+with the library's Fourier route.  Agreement between routes is then
 evidence, not tautology.
 """
 
@@ -14,6 +16,17 @@ import math
 
 import numpy as np
 import scipy.integrate
+
+from cdf_mise.distributions import TargetDistribution
+from cdf_mise.kernels import Kernel
+from cdf_mise.mise import _check_pair, _validate_h_n
+from cdf_mise.numerics import (
+    DEFAULT_QUADRATURE,
+    _GK15_NODES,
+    _GK15_WEIGHTS,
+    QuadratureConfig,
+    gauss_kronrod_panels,
+)
 
 
 def si_classical(x: float) -> float:
@@ -264,3 +277,119 @@ def jdlvp_sinc_critical_points(n: int) -> list[float]:
                 hi = mid
         roots.append(0.5 * (lo + hi))
     return sorted(1.0 / u for u in roots)
+
+
+# ---------------------------------------------------------------------------
+# Space-domain oracles (direct quadrature of the pre-Fourier displays)
+# ---------------------------------------------------------------------------
+
+def _kernel_truncation_radius(kernel: Kernel) -> float:
+    # The inner y-integrals run over [-B, B] plus exact boundary terms.
+    # The normal density is below 1e-15 past 8.5; for the trapezoidal
+    # kernel B is a multiple of 2 pi and the boundary completion leaves
+    # a residual of order |K(B) - 1| ~ 1/(pi B^2) ~ 3e-5.
+    return 8.5 if kernel.name == "normal" else 32.0 * math.pi
+
+
+def _panel_edges(lo: float, hi: float, width: float) -> np.ndarray:
+    m = max(8, int(math.ceil((hi - lo) / width)))
+    return np.linspace(lo, hi, m + 1)
+
+
+def _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight: bool):
+    """int F(x - h y) w(y) dy for w = k (or w = 2 K k when squared_weight).
+
+    Gauss-Kronrod panels on [-B, B], completed by the exact boundary
+    terms of integration by parts: with W the antiderivative of w
+    (W = K, or K^2), the tails contribute F(x - hB){1 - W(B)} and
+    F(x + hB) W(-B) up to a remainder carrying a factor of the density
+    mass beyond the window.
+    """
+    b_hi = float(y_edges[-1])
+    b_lo = float(y_edges[0])
+    a = y_edges[:-1]
+    b = y_edges[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    ys = (mid[:, None] + half[:, None] * _GK15_NODES[None, :]).ravel()
+    w = kernel.kernel_fn(ys)
+    if squared_weight:
+        w = 2.0 * kernel.integrated_fn(ys) * w
+    vals = dist.cdf(xs[:, None] - h * ys[None, :]) * w[None, :]
+    vals = vals.reshape(xs.size, a.size, 15)
+    core = (vals @ _GK15_WEIGHTS) @ half
+
+    k_hi = float(kernel.integrated_fn(b_hi))
+    k_lo = float(kernel.integrated_fn(b_lo))
+    w_hi = k_hi * k_hi if squared_weight else k_hi
+    w_lo = k_lo * k_lo if squared_weight else k_lo
+    return core + dist.cdf(xs - h * b_hi) * (1.0 - w_hi) + dist.cdf(xs + h * b_hi) * w_lo
+
+
+def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float,
+                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """ISB by direct space-domain quadrature (cross-check oracle).
+
+    Evaluates int b_h(x)^2 dx with the pointwise bias
+    b_h(x) = int {F(x - h y) - F(x)} k(y) dy, which is the expanded form
+    of the double dK-integral of the bias product.  Low accuracy
+    (~1e-4); integrable kernels only.
+    """
+    if not kernel.integrable:
+        raise ValueError("space-domain oracle requires an integrable kernel "
+                         "(dK must be a finite measure)")
+    _check_pair(dist, kernel)
+    _validate_h_n(h, 1)
+    if h == 0.0:
+        return 0.0
+
+    b_k = _kernel_truncation_radius(kernel)
+    y_edges = _panel_edges(-b_k, b_k, min(math.pi, b_k / 16.0))
+    l_x = dist.tail_radius(1e-6) + h * b_k
+    x_edges = _panel_edges(-l_x, l_x, 1.0)
+
+    def bias_sq(xs: np.ndarray) -> np.ndarray:
+        smoothed = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=False)
+        b = smoothed - dist.cdf(xs)
+        return b * b
+
+    val, _ = gauss_kronrod_panels(bias_sq, x_edges, chunk=24)
+    return val
+
+
+def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
+                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """IV by direct space-domain quadrature (cross-check oracle).
+
+    n IV(h) = int [ int F(x - h m) d(K^2)(m) - { int F(x - h y) dK(y) }^2 ] dx,
+    where K^2 is the distribution function of y v z = max(y, z) under
+    dK x dK, so d(K^2)(m) = 2 K(m) k(m) dm.  Low accuracy (~1e-3);
+    integrable kernels only.
+    """
+    if not kernel.integrable:
+        raise ValueError("space-domain oracle requires an integrable kernel "
+                         "(dK must be a finite measure)")
+    _check_pair(dist, kernel)
+    _validate_h_n(h, n)
+
+    b_k = _kernel_truncation_radius(kernel)
+    l_x = dist.tail_radius(1e-6) + h * b_k
+    x_edges = _panel_edges(-l_x, l_x, 1.0)
+
+    if h == 0.0:
+        def integrand0(xs: np.ndarray) -> np.ndarray:
+            fx = dist.cdf(xs)
+            return fx * (1.0 - fx)
+
+        val, _ = gauss_kronrod_panels(integrand0, x_edges, chunk=24)
+        return val / n
+
+    y_edges = _panel_edges(-b_k, b_k, min(math.pi, b_k / 16.0))
+
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        mean_smooth = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=False)
+        max_smooth = _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight=True)
+        return max_smooth - mean_smooth * mean_smooth
+
+    val, _ = gauss_kronrod_panels(integrand, x_edges, chunk=24)
+    return val / n

@@ -26,15 +26,13 @@ from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, resca
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
     isb_fourier,
-    isb_space_oracle,
     iv_fourier,
-    iv_space_oracle,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
 )
 
-from oracles import psi_space_quad
+from oracles import isb_space_oracle, iv_space_oracle, psi_space_quad
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)

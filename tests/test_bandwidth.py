@@ -21,7 +21,7 @@ from cdf_mise.bandwidth import (
 )
 from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise, mise_sinc_fourier
+from cdf_mise.mise import mise
 
 from oracles import jdlvp_sinc_critical_points
 
@@ -181,9 +181,9 @@ class TestSincCriticalBandwidths:
     def test_derivative_vanishes_at_roots(self, dist, n):
         delta = 1e-5
         for h in sinc_critical_bandwidths(dist, n, (0.1, 20.0)):
-            up = mise_sinc_fourier(dist, h + delta, n).mise
-            down = mise_sinc_fourier(dist, h - delta, n).mise
-            value = mise_sinc_fourier(dist, h, n).mise
+            up = mise(dist, SINC, h + delta, n, method="fourier").mise
+            down = mise(dist, SINC, h - delta, n, method="fourier").mise
+            value = mise(dist, SINC, h, n, method="fourier").mise
             assert abs(up - down) / (2.0 * delta) <= 1e-6 * value
 
     def test_bracket_filters_roots(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from cdf_mise import estimator
 from cdf_mise.distributions import make_jdlvp, make_normal
 from cdf_mise.estimator import (
     MonteCarloMise,
@@ -245,6 +246,19 @@ class TestMonteCarloMise:
         duo = monte_carlo_mise(JDLVP, TRAP, 0.3, 25, 8, seed=3, workers=2)
         assert lone.estimate == duo.estimate
         assert lone.std_error == duo.std_error
+
+    def test_default_workers_follow_affinity_mask(self, monkeypatch):
+        # one allowed CPU means one worker, however many the machine has
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(estimator.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(estimator.multiprocessing, "get_context", no_pool)
+        run = monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 6, seed=5)
+        assert run.estimate == monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 6, seed=5,
+                                                workers=1).estimate
 
     @pytest.mark.slow
     def test_empirical_case_matches_exact_mise(self):

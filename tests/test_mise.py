@@ -12,14 +12,13 @@ from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
     MiseReport,
     isb_fourier,
-    isb_space_oracle,
     iv_fourier,
-    iv_space_oracle,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
-    mise_sinc_fourier,
 )
+
+from oracles import isb_space_oracle, iv_space_oracle
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
@@ -184,7 +183,7 @@ class TestClosedFormNormalSinc:
     @pytest.mark.parametrize("sigma,h,n", [(1.0, 0.4, 100), (2.0, 0.7, 25), (0.5, 1.5, 10)])
     def test_matches_sinc_fourier(self, sigma, h, n):
         closed = mise_normal_sinc_closed(sigma, h, n)
-        report = mise_sinc_fourier(make_normal(sigma), h, n)
+        report = mise(make_normal(sigma), SINC, h, n, method="fourier")
         assert closed == pytest.approx(report.mise, rel=1e-9)
 
     def test_auto_routes_to_closed_form(self):
@@ -193,30 +192,71 @@ class TestClosedFormNormalSinc:
         assert r.mise == pytest.approx(mise_normal_sinc_closed(1.0, 0.4, 100), rel=1e-14)
 
 
+class TestClosedFormsAgainstMpmath:
+    """The normal-target closed forms against 50-digit evaluations of
+    their displays, where double-precision cancellation would show."""
+
+    RATIOS = np.logspace(-2.0, 1.5, 120)  # h / sigma
+
+    @staticmethod
+    def exact_parts(mpmath, kernel_name, sigma, h):
+        # (n IV, ISB) straight from the displays in cdf_mise.mise
+        with mpmath.workdps(50):
+            s, hh = mpmath.mpf(sigma), mpmath.mpf(h)
+            a = mpmath.sqrt(hh * hh + s * s)
+            if kernel_name == "normal":
+                root_pi = mpmath.sqrt(mpmath.pi)
+                iv = (a - hh) / root_pi
+                isb = (mpmath.sqrt(2 * hh * hh + 4 * s * s) - a - s) / root_pi
+            else:
+                y = s / hh
+                b = hh * mpmath.exp(-y * y) - s * mpmath.sqrt(mpmath.pi) * mpmath.erfc(y)
+                iv = (s * mpmath.sqrt(mpmath.pi) - hh + b) / mpmath.pi
+                isb = b / mpmath.pi
+            return float(iv), float(isb)
+
+    @pytest.mark.parametrize("kernel", [NORMAL_K, SINC], ids=lambda k: k.name)
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    def test_isb_nonnegative_and_accurate(self, kernel, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        dist = make_normal(sigma)
+        for ratio in self.RATIOS:
+            h = float(sigma * ratio)
+            r = mise(dist, kernel, h, 1)
+            assert r.method.startswith("closed_form_normal_")
+            iv, isb = self.exact_parts(mpmath, kernel.name, sigma, h)
+            assert r.isb >= 0.0, f"h={h!r}"
+            if isb > 1e-300:
+                assert r.isb == pytest.approx(isb, rel=1e-12), f"h={h!r}"
+            assert r.iv == pytest.approx(iv, rel=1e-12), f"h={h!r}"
+
+
 class TestSincFourier:
+    # The sinc kernel has no route of its own: its indicator transform
+    # runs through the same Fourier integrals as every other kernel.
     def test_zero_bandwidth_is_empirical(self):
-        r = mise_sinc_fourier(JDLVP, 0.0, 100)
+        r = mise(JDLVP, SINC, 0.0, 100, method="fourier")
         assert r.mise == pytest.approx(JDLVP.psi_f / 100.0, rel=1e-14)
 
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.5])
     def test_band_limited_target_collapses_to_segment(self, h):
         # past 1/h >= d_f the bias integral vanishes identically
         n = 60
-        r = mise_sinc_fourier(JDLVP, h, n)
+        r = mise(JDLVP, SINC, h, n, method="fourier")
         assert r.mise == pytest.approx((JDLVP.psi_f - h / math.pi) / n, rel=1e-10)
         assert r.isb == 0.0
 
     def test_reports_split_and_error(self):
-        r = mise_sinc_fourier(JDLVP, 0.9, 100)
-        assert r.method == "sinc_fourier"
+        r = mise(JDLVP, SINC, 0.9, 100, method="fourier")
+        assert r.method == "fourier"
         assert r.isb > 0.0
         assert r.iv + r.isb == pytest.approx(r.mise, abs=1e-12)
         assert 0.0 <= r.error_estimate < 1e-10
 
     def test_auto_routing_for_wide_bandwidth(self):
-        assert mise(JDLVP, SINC, 0.9, 100).method == "sinc_fourier"
-        f = mise(JDLVP, SINC, 0.9, 100, method="fourier")
-        assert f.mise == pytest.approx(mise_sinc_fourier(JDLVP, 0.9, 100).mise, rel=1e-9)
+        auto = mise(JDLVP, SINC, 0.9, 100)
+        assert auto.method == "fourier"
+        assert auto == mise(JDLVP, SINC, 0.9, 100, method="fourier")
 
 
 class TestPathAgreement:
@@ -239,6 +279,14 @@ class TestPathAgreement:
             assert r.isb >= 0.0
             assert r.mise == pytest.approx(r.iv + r.isb, abs=1e-12)
 
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_fourier_reports_quadrature_error(self, dist, kernel):
+        # h = 0.8 is past jdlvp's linear segment (s_k/d_f = 0.5), so both
+        # integrals run and their QUADPACK estimates are carried over
+        r = mise(dist, kernel, 0.8, 50, method="fourier")
+        assert 0.0 < r.error_estimate < 1e-9 * r.mise
+
 
 class TestAsymptotics:
     @pytest.mark.parametrize("dist,kernel", [(JDLVP, TRAP), (NORMAL1, NORMAL_K)],
@@ -251,17 +299,21 @@ class TestAsymptotics:
 
     def test_iv_scales_exactly_as_one_over_n(self):
         h = 0.8
-        base = iv_fourier(JDLVP, TRAP, h, 1)
-        for n in (10, 1000, 10**6):
-            assert n * iv_fourier(JDLVP, TRAP, h, n) == pytest.approx(base, rel=1e-12)
+        for dist, kernel in ALL_PAIRS:
+            base = mise(dist, kernel, h, 1, method="fourier").iv
+            for n in (10, 1000, 10**6):
+                iv = mise(dist, kernel, h, n, method="fourier").iv
+                assert n * iv == pytest.approx(base, rel=1e-12), (dist.name, kernel.name)
 
     def test_mise_tends_to_isb_at_rate_n(self):
         # n * (MISE_n - ISB) is the fixed IV coefficient, bounded in n
         h = 0.8
-        isb = isb_fourier(JDLVP, TRAP, h)
-        gaps = [n * (mise(JDLVP, TRAP, h, n).mise - isb) for n in (10, 10**3, 10**6)]
-        assert gaps[0] == pytest.approx(gaps[1], rel=1e-9)
-        assert gaps[1] == pytest.approx(gaps[2], rel=1e-9)
+        for dist, kernel in ALL_PAIRS:
+            isb = isb_fourier(dist, kernel, h)
+            gaps = [n * (mise(dist, kernel, h, n, method="fourier").mise - isb)
+                    for n in (10, 10**3, 10**6)]
+            assert gaps[0] == pytest.approx(gaps[1], rel=1e-9), (dist.name, kernel.name)
+            assert gaps[1] == pytest.approx(gaps[2], rel=1e-9), (dist.name, kernel.name)
 
 
 class TestValidationAndErrors:
@@ -275,8 +327,9 @@ class TestValidationAndErrors:
 
     def test_method_override_is_fourier_or_auto(self):
         for bad in ("nope", "linear_segment", "monte_carlo"):
-            with pytest.raises(ValueError):
-                mise(JDLVP, TRAP, 0.1, 10, method=bad)
+            for h in (0.0, 0.1):
+                with pytest.raises(ValueError):
+                    mise(JDLVP, TRAP, h, 10, method=bad)
 
     def test_report_rejects_unknown_method(self):
         with pytest.raises(ValueError):
