@@ -21,6 +21,7 @@ from .bandwidth import (
     efficiency_curve,
     limit_bandwidth,
     optimal_bandwidth,
+    optimal_bandwidths,
     relative_efficiency,
     sinc_critical_bandwidths,
 )
@@ -53,11 +54,13 @@ from .kernels import (
 from .mise import (
     MISE_METHODS,
     MiseReport,
+    MiseTerms,
     isb_fourier,
     iv_fourier,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
+    mise_terms,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
@@ -79,6 +82,7 @@ __all__ = [
     "Kernel",
     "MISE_METHODS",
     "MiseReport",
+    "MiseTerms",
     "MonteCarloMise",
     "QuadratureConfig",
     "QuadratureResult",
@@ -106,8 +110,10 @@ __all__ = [
     "mise",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
+    "mise_terms",
     "monte_carlo_mise",
     "optimal_bandwidth",
+    "optimal_bandwidths",
     "psi_f_fourier",
     "psi_k",
     "relative_efficiency",

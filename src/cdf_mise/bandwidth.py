@@ -7,6 +7,14 @@ the best grid cell.  The scan guards against multi-modal MISE profiles:
 the sinc kernel's stationary points are the solutions of
 |phi_f(1/h)|^2 = 1/(n + 1) and need not be unique.
 
+The scan is the expensive part of a search, and most of it does not
+depend on n: MISE(h, n) = A(h)/n + B(h), where A = n IV and B = ISB are
+n-free.  ``optimal_bandwidths`` therefore computes the grid's terms
+(``mise_terms``) once and reuses them for every sample size of a sweep;
+only the golden-section refinement is done per n.  Every sweep
+(``efficiency_curve``, ``bandwidth_sandwich_check``) goes through it,
+and its results equal single-n searches exactly.
+
 For a flat-top kernel (s_k > 0) paired with a band-limited target
 (c_f = d_f < inf), the optima h_0n of increasing sample sizes satisfy
 
@@ -27,7 +35,7 @@ from scipy import optimize
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
-from .mise import mise
+from .mise import MiseTerms, mise, mise_terms
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = [
@@ -37,6 +45,7 @@ __all__ = [
     "SandwichReport",
     "default_search",
     "optimal_bandwidth",
+    "optimal_bandwidths",
     "limit_bandwidth",
     "sinc_critical_bandwidths",
     "relative_efficiency",
@@ -131,25 +140,14 @@ def _better(h_new: float, v_new: float, h_old: float, v_old: float) -> bool:
     return abs(v_new - v_old) <= tie and h_new < h_old
 
 
-def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
-                      search: SearchConfig | None = None,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BandwidthResult:
-    """Global MISE minimizer over [0, h_max].
-
-    A dense log-spaced scan (plus the h = 0 candidate) locates the best
-    grid cell; golden-section refinement shrinks it to refine_tol.  A
-    minimizer landing at h_max is flagged at_upper_bracket and warned
-    about, never silently returned as interior.
-    """
-    if search is None:
-        search = default_search(dist)
-
+def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
+            search: SearchConfig, cfg: QuadratureConfig,
+            grid: np.ndarray, terms: list[MiseTerms]) -> BandwidthResult:
+    # Pick the best grid cell at this n and shrink it by golden section.
     def f(h: float) -> float:
         return mise(dist, kernel, float(h), n, cfg).mise
 
-    grid = np.concatenate(
-        ([0.0], np.geomspace(search.h_max * 1e-4, search.h_max, search.grid_size)))
-    values = [f(h) for h in grid]
+    values = [t.at(n).mise for t in terms]
     best = 0
     for i in range(1, grid.size):
         if _better(grid[i], values[i], grid[best], values[best]):
@@ -188,22 +186,59 @@ def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
         flag = "at_zero"
     elif h_opt >= search.h_max - search.refine_tol:
         flag = "at_upper_bracket"
-        warnings.warn(
-            f"bandwidth optimum {h_opt:.6g} sits at the search bound "
-            f"h_max={search.h_max:.6g}; enlarge the search window",
-            stacklevel=2)
     else:
         flag = "interior"
 
     return BandwidthResult(
         h_opt=h_opt,
         mise_at_opt=v_opt,
-        n=int(n),
+        n=n,
         bracket=(a, b),
         grid_points_scanned=int(grid.size),
         refined_tolerance=b - a,
         boundary_flag=flag,
     )
+
+
+def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
+                       search: SearchConfig | None = None,
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE
+                       ) -> tuple[BandwidthResult, ...]:
+    """Global MISE minimizers over [0, h_max], one per sample size.
+
+    A dense log-spaced scan (plus the h = 0 candidate) locates the best
+    grid cell; golden-section refinement shrinks it to refine_tol.  The
+    scan runs once: its n-free terms give MISE(h, n) = A(h)/n + B(h) on
+    the whole grid for every n, so only the refinement is done per n.
+    A minimizer landing at h_max is flagged at_upper_bracket and warned
+    about, once per such n, never silently returned as interior.
+    """
+    if search is None:
+        search = default_search(dist)
+    ns = tuple(int(n) for n in n_values)
+    if any(n < 1 for n in ns):
+        raise ValueError(f"sample sizes must be >= 1, got {ns}")
+    if not ns:
+        return ()
+    # The grid's n-free terms are the expensive part; every n shares them.
+    grid = np.concatenate(
+        ([0.0], np.geomspace(search.h_max * 1e-4, search.h_max, search.grid_size)))
+    terms = [mise_terms(dist, kernel, float(h), cfg) for h in grid]
+    results = tuple(_refine(dist, kernel, n, search, cfg, grid, terms) for n in ns)
+    for res in results:
+        if res.boundary_flag == "at_upper_bracket":
+            warnings.warn(
+                f"bandwidth optimum {res.h_opt:.6g} sits at the search bound "
+                f"h_max={search.h_max:.6g}; enlarge the search window",
+                stacklevel=2)
+    return results
+
+
+def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
+                      search: SearchConfig | None = None,
+                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BandwidthResult:
+    """Global MISE minimizer over [0, h_max]: ``optimal_bandwidths`` at one n."""
+    return optimal_bandwidths(dist, kernel, (n,), search, cfg)[0]
 
 
 def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
@@ -289,16 +324,11 @@ def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values,
                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> EfficiencyCurve:
     """Optimal bandwidth and relative efficiency at each sample size."""
     ns = tuple(int(n) for n in n_values)
-    hs: list[float] = []
-    rel: list[float] = []
-    for n in ns:
-        res = optimal_bandwidth(dist, kernel, n, search, cfg)
-        hs.append(res.h_opt)
-        rel.append(res.mise_at_opt / (dist.psi_f / n))
+    results = optimal_bandwidths(dist, kernel, ns, search, cfg)
     return EfficiencyCurve(
         n_values=ns,
-        h_opt=tuple(hs),
-        rel_eff=tuple(rel),
+        h_opt=tuple(res.h_opt for res in results),
+        rel_eff=tuple(res.mise_at_opt / (dist.psi_f / res.n) for res in results),
         asymptote=asymptotic_relative_efficiency(dist, kernel),
     )
 
@@ -328,14 +358,12 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
     lower = 0.0 if kernel.s_k == 0.0 or math.isinf(dist.d_f) else kernel.s_k / dist.d_f
     upper = min(_bound_ratio(kernel.s_k, dist.c_f), _bound_ratio(kernel.t_k, dist.d_f))
 
-    hs: list[float] = []
+    hs = [res.h_opt for res in optimal_bandwidths(dist, kernel, ns, search, cfg)]
     messages: list[str] = []
-    for n in ns:
-        res = optimal_bandwidth(dist, kernel, n, search, cfg)
-        hs.append(res.h_opt)
-        if res.h_opt < lower - search.refine_tol:
+    for n, h in zip(ns, hs):
+        if h < lower - search.refine_tol:
             messages.append(
-                f"h_opt(n={n}) = {res.h_opt:.9g} fell below the lower bound "
+                f"h_opt(n={n}) = {h:.9g} fell below the lower bound "
                 f"s_k/d_f = {lower:.9g}")
 
     if kernel.s_k > 0.0 and math.isfinite(dist.d_f):

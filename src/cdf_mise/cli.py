@@ -35,7 +35,7 @@ from .bandwidth import (
     asymptotic_relative_efficiency,
     efficiency_curve,
     limit_bandwidth,
-    optimal_bandwidth,
+    optimal_bandwidths,
 )
 from .charts import line_chart
 from .distributions import (
@@ -359,12 +359,9 @@ def cmd_mise_curve(cfg: RunConfig) -> int:
 def cmd_optimal_bandwidth(cfg: RunConfig) -> int:
     dist = _parse_dist(cfg.dist_spec)
     kernel = _parse_kernel(cfg.kernel_spec)
-    rows = []
-    for n in cfg.n_list:
-        res = optimal_bandwidth(dist, kernel, n)
-        rel = res.mise_at_opt / (dist.psi_f / n)
-        rows.append((res.n, res.h_opt, res.mise_at_opt, rel,
-                     res.bracket[0], res.bracket[1], res.boundary_flag))
+    rows = [(res.n, res.h_opt, res.mise_at_opt, res.mise_at_opt / (dist.psi_f / res.n),
+             res.bracket[0], res.bracket[1], res.boundary_flag)
+            for res in optimal_bandwidths(dist, kernel, cfg.n_list)]
     path = cfg.output_dir / "optimal_bandwidth.csv"
     _write_csv(path, ("n", "h_opt", "mise_at_opt", "rel_eff",
                       "bracket_lo", "bracket_hi", "boundary_flag"), rows)

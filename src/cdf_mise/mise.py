@@ -24,6 +24,10 @@ tests, in ``tests/oracles.py``.
 
 h = 0 is a first-class input: the estimator degenerates to the
 empirical CDF and MISE(0) = psi(F)/n.
+
+Since n enters only as MISE(h, n) = A(h)/n + B(h), every route is split
+into an n-free step, ``mise_terms``, which does the route choice and any
+quadrature, and ``MiseTerms.at(n)``; ``mise`` is the two in sequence.
 """
 
 from __future__ import annotations
@@ -44,9 +48,11 @@ from .numerics import (
 
 __all__ = [
     "MiseReport",
+    "MiseTerms",
     "iv_fourier",
     "isb_fourier",
     "mise",
+    "mise_terms",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
     "MISE_METHODS",
@@ -92,11 +98,19 @@ def _check_pair(dist: TargetDistribution, kernel: Kernel) -> None:
         )
 
 
-def _validate_h_n(h: float, n: int) -> None:
+def _validate_h(h: float) -> None:
     if h < 0.0 or not math.isfinite(h):
         raise ValueError("bandwidth h must be finite and >= 0")
+
+
+def _validate_n(n: int) -> None:
     if n < 1:
         raise ValueError("sample size n must be >= 1")
+
+
+def _validate_h_n(h: float, n: int) -> None:
+    _validate_h(h)
+    _validate_n(n)
 
 
 def _phi_k(kernel: Kernel, u: float) -> float:
@@ -177,7 +191,7 @@ def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float,
     without quadrature so the flat segment is noise-free.
     """
     _check_pair(dist, kernel)
-    _validate_h_n(h, 1)
+    _validate_h(h)
     if h == 0.0:
         return 0.0
     return _isb_quad(dist, kernel, h, cfg).value / math.pi
@@ -238,46 +252,96 @@ def _normal_sinc_parts(sigma: float, h: float, n: int):
     return iv, isb
 
 
+@dataclass(frozen=True)
+class MiseTerms:
+    """The n-free part of MISE(h, n) = A(h)/n + B(h) for one bandwidth.
+
+    A = n IV and B = ISB do not depend on n, so one ``MiseTerms`` serves
+    every sample size; ``at(n)`` does the remaining arithmetic.  What it
+    holds depends on the route:
+
+    * ``fourier`` with h > 0: the quadratures ``a`` = pi A(h) and
+      ``b`` = pi B(h), with their absolute error bounds;
+    * ``linear_segment`` and h = 0 (reported as ``fourier``):
+      ``a`` = A(h) = psi_f - psi_k h, with ``b`` = 0;
+    * the normal closed forms: ``sigma``, from which the parts are
+      recomputed at each n in microseconds.
+    """
+
+    h: float
+    method: str
+    a: float = 0.0
+    b: float = 0.0
+    a_error: float = 0.0
+    b_error: float = 0.0
+    sigma: float = 0.0
+
+    def at(self, n: int) -> MiseReport:
+        """The MISE report at sample size n."""
+        _validate_n(n)
+        h, method = self.h, self.method
+        err = 0.0
+        if method == "closed_form_normal_normal":
+            iv, isb = _normal_normal_parts(self.sigma, h, n)
+        elif method == "closed_form_normal_sinc":
+            iv, isb = _normal_sinc_parts(self.sigma, h, n)
+        elif h == 0.0 or method == "linear_segment":
+            iv, isb = self.a / n, 0.0
+        else:
+            iv = self.a / (math.pi * n)
+            isb = self.b / math.pi
+            err = self.a_error / (math.pi * n) + self.b_error / math.pi
+        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
+                          method=method, error_estimate=err)
+
+
+def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
+               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+               method: str = "auto") -> MiseTerms:
+    """The n-free terms of MISE(h, .) for a (target, kernel) pair.
+
+    method="auto" picks the cheapest exact route (linear segment, normal
+    closed forms, otherwise Fourier quadrature); method="fourier" forces
+    the quadrature for h > 0.
+    """
+    _check_pair(dist, kernel)
+    _validate_h(h)
+    if method not in ("auto", "fourier"):
+        raise ValueError("method must be 'auto' or 'fourier'")
+
+    if h == 0.0:
+        return MiseTerms(h=0.0, method="fourier", a=dist.psi_f)
+
+    if method == "auto":
+        # with h > 0, only a superkernel and a band-limited target pass
+        if h * dist.d_f <= kernel.s_k:
+            return MiseTerms(h=h, method="linear_segment",
+                             a=dist.psi_f - kernel.psi_k_analytic * h)
+
+        if dist.family == "normal" and kernel.name == "normal":
+            return MiseTerms(h=h, method="closed_form_normal_normal",
+                             sigma=dist.sigma)
+
+        if dist.family == "normal" and not kernel.integrable:
+            return MiseTerms(h=h, method="closed_form_normal_sinc",
+                             sigma=dist.sigma)
+
+    a = _iv_quad(dist, kernel, h, cfg)
+    b = _isb_quad(dist, kernel, h, cfg)
+    return MiseTerms(h=h, method="fourier", a=a.value, b=b.value,
+                     a_error=a.error_estimate, b_error=b.error_estimate)
+
+
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
          cfg: QuadratureConfig = DEFAULT_QUADRATURE,
          method: str = "auto") -> MiseReport:
     """MISE(h) for a (target, kernel) pair, with automatic fast paths.
 
+    This is ``mise_terms(dist, kernel, h, cfg, method).at(n)``.
     method="auto" picks the cheapest exact route (linear segment, normal
     closed forms, otherwise Fourier quadrature); every fast path agrees
     with method="fourier" to well below 1e-9 relative, which the test
     suite pins.
     """
-    _check_pair(dist, kernel)
-    _validate_h_n(h, n)
-    if method not in ("auto", "fourier"):
-        raise ValueError("method must be 'auto' or 'fourier'")
-
-    if h == 0.0:
-        v = dist.psi_f / n
-        return MiseReport(h=0.0, n=n, iv=v, isb=0.0, mise=v, method="fourier")
-
-    if method == "auto":
-        # with h > 0, only a superkernel and a band-limited target pass
-        if h * dist.d_f <= kernel.s_k:
-            v = (dist.psi_f - kernel.psi_k_analytic * h) / n
-            return MiseReport(h=h, n=n, iv=v, isb=0.0, mise=v,
-                              method="linear_segment")
-
-        if dist.family == "normal" and kernel.name == "normal":
-            iv, isb = _normal_normal_parts(dist.sigma, h, n)
-            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                              method="closed_form_normal_normal")
-
-        if dist.family == "normal" and not kernel.integrable:
-            iv, isb = _normal_sinc_parts(dist.sigma, h, n)
-            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                              method="closed_form_normal_sinc")
-
-    a = _iv_quad(dist, kernel, h, cfg)
-    b = _isb_quad(dist, kernel, h, cfg)
-    iv = a.value / (math.pi * n)
-    isb = b.value / math.pi
-    err = a.error_estimate / (math.pi * n) + b.error_estimate / math.pi
-    return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                      method="fourier", error_estimate=err)
+    _validate_n(n)  # before any quadrature
+    return mise_terms(dist, kernel, h, cfg, method).at(n)

@@ -19,6 +19,7 @@ import pytest
 from cdf_mise import cli
 from cdf_mise.bandwidth import (
     optimal_bandwidth,
+    optimal_bandwidths,
     relative_efficiency,
     sinc_critical_bandwidths,
 )
@@ -53,7 +54,7 @@ def jdlvp_sweep():
     ns = [100, 1000, 10_000, 100_000, 1_000_000]
     out = {}
     for kernel in (TRAP, SINC):
-        res = [optimal_bandwidth(JDLVP, kernel, n) for n in ns]
+        res = optimal_bandwidths(JDLVP, kernel, ns)
         out[kernel.name] = {
             "ns": ns,
             "h_opt": [r.h_opt for r in res],

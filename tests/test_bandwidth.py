@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cdf_mise.bandwidth import (
     efficiency_curve,
     limit_bandwidth,
     optimal_bandwidth,
+    optimal_bandwidths,
     relative_efficiency,
     sinc_critical_bandwidths,
 )
@@ -37,6 +39,10 @@ ALL_PAIRS = [
     (NORMAL1, NORMAL_K),
     (NORMAL1, SINC),
 ]
+
+SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
+             for kernel in (NORMAL_K, TRAP, SINC)]
+SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
 
 
 class TestSearchConfig:
@@ -269,6 +275,61 @@ class TestEfficiencyCurve:
         assert cur.rel_eff[1] == pytest.approx(
             relative_efficiency(JDLVP, SINC, 1000), rel=1e-12
         )
+
+
+class TestSharedScan:
+    # optimal_bandwidths scans the grid once and reuses its n-free terms
+    # for every n; each result must equal a single-n search exactly.
+    @pytest.mark.parametrize("dist,kernel", SIX_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_matches_per_n_searches(self, dist, kernel):
+        single = [optimal_bandwidth(dist, kernel, n) for n in SWEEP_NS]
+        swept = optimal_bandwidths(dist, kernel, SWEEP_NS)
+        assert len(swept) == len(single)
+        for got, want in zip(swept, single):
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        # the sweeps built on it give the per-n values too
+        cur = efficiency_curve(dist, kernel, SWEEP_NS)
+        assert cur.h_opt == tuple(r.h_opt for r in single)
+        assert cur.rel_eff == tuple(r.mise_at_opt / (dist.psi_f / r.n) for r in single)
+        assert bandwidth_sandwich_check(dist, kernel, SWEEP_NS).h_opt == cur.h_opt
+
+    def test_empty_and_bad_sample_sizes(self):
+        assert optimal_bandwidths(JDLVP, TRAP, []) == ()
+        for bad in ([0], [10, -1]):
+            with pytest.raises(ValueError):
+                optimal_bandwidths(JDLVP, TRAP, bad)
+
+    def test_boundary_warning_once_per_n_at_the_bound(self):
+        # with h_max = 0.3 the normal+normal optimum sits at the bound for
+        # small n only; each such n warns once, as a single search would
+        search = SearchConfig(h_max=0.3)
+        ns = (10, 30, 10**5)
+        with pytest.warns(UserWarning) as swept:
+            results = optimal_bandwidths(NORMAL1, NORMAL_K, ns, search=search)
+        flags = [r.boundary_flag for r in results]
+        assert flags == ["at_upper_bracket", "at_upper_bracket", "interior"]
+        single = []
+        for n in ns:
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                optimal_bandwidth(NORMAL1, NORMAL_K, n, search=search)
+            single.extend(str(w.message) for w in rec)
+        assert [str(w.message) for w in swept] == single
+        assert len(single) == 2
+        assert all("search bound" in m for m in single)
+
+    def test_trapezoidal_convergence_rate(self):
+        # Pins the slow approach behind the strict xfails on the
+        # jdlvp+trapezoidal window: h_opt - 1/2 shrinks by a factor of
+        # about 2.5 per 10^3 in n, consistent with an n^(-1/8) rate.
+        cur = efficiency_curve(JDLVP, TRAP, [10**6, 10**9, 10**12])
+        for got, want in zip(cur.h_opt, (0.6318, 0.5499, 0.5201)):
+            assert abs(got - want) <= 1e-3
+        gaps = [h - 0.5 for h in cur.h_opt]
+        for ratio in (gaps[0] / gaps[1], gaps[1] / gaps[2]):
+            assert 2.2 <= ratio <= 3.0
 
 
 class TestSandwichCheck:

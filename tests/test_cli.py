@@ -235,6 +235,23 @@ class TestOptimalBandwidthCommand:
             assert row[6] == res.boundary_flag
             assert row[6] in ("interior", "at_zero", "at_upper_bracket")
 
+    def test_multi_n_rows_equal_single_n_runs(self, capsys, tmp_path):
+        # one shared scan for three sample sizes writes the same bytes,
+        # row by row, as three separate single-n runs
+        def csv_lines(out, ns):
+            rc, _, _ = run_cli(["optimal-bandwidth", "--dist", "jdlvp",
+                                "--kernel", "sinc", "--n", ns,
+                                "--out", str(out)], capsys)
+            assert rc == 0
+            return (out / "optimal_bandwidth.csv").read_bytes().splitlines(keepends=True)
+
+        multi = csv_lines(tmp_path / "multi", "10,100,1000")
+        assert len(multi) == 4
+        for row, n in zip(multi[1:], ("10", "100", "1000")):
+            header, single_row = csv_lines(tmp_path / n, n)
+            assert header == multi[0]
+            assert row == single_row
+
     def test_svg_written_on_request(self, capsys, tmp_path):
         rc, _, _ = run_cli(["optimal-bandwidth", "--dist", "normal:sigma=1",
                             "--kernel", "sinc", "--n", "25",

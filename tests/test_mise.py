@@ -11,11 +11,13 @@ from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
     MiseReport,
+    MiseTerms,
     isb_fourier,
     iv_fourier,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
+    mise_terms,
 )
 
 from oracles import isb_space_oracle, iv_space_oracle
@@ -314,6 +316,78 @@ class TestAsymptotics:
                     for n in (10, 10**3, 10**6)]
             assert gaps[0] == pytest.approx(gaps[1], rel=1e-9), (dist.name, kernel.name)
             assert gaps[1] == pytest.approx(gaps[2], rel=1e-9), (dist.name, kernel.name)
+
+
+class TestMiseTerms:
+    # MISE(h, n) = A(h)/n + B(h): mise_terms does the n-free work once and
+    # at(n) must reproduce mise() bit for bit on every route.
+    NS = (1, 10, 10**3, 10**7)
+    FOURIER_HS = (0.7, 1.3, 2.5)
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    @pytest.mark.parametrize("method", ["auto", "fourier"])
+    def test_at_equals_mise_exactly(self, dist, kernel, method):
+        # 0.3 is on jdlvp's linear segment for both superkernels
+        for h in (0.0, 0.3, *self.FOURIER_HS):
+            terms = mise_terms(dist, kernel, h, method=method)
+            for n in self.NS:
+                got, want = terms.at(n), mise(dist, kernel, h, n, method=method)
+                assert type(got) is MiseReport
+                for field in ("h", "n", "iv", "isb", "mise", "method", "error_estimate"):
+                    assert getattr(got, field) == getattr(want, field), (h, n, field)
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_at_reproduces_each_route_formula(self, dist, kernel):
+        for h in (0.0, 0.3, *self.FOURIER_HS):
+            terms = mise_terms(dist, kernel, h)
+            for n in self.NS:
+                r = terms.at(n)
+                if h == 0.0:
+                    assert (r.iv, r.isb, r.mise) == (dist.psi_f / n, 0.0, dist.psi_f / n)
+                elif r.method == "linear_segment":
+                    v = (dist.psi_f - kernel.psi_k_analytic * h) / n
+                    assert (r.iv, r.isb, r.mise) == (v, 0.0, v)
+                elif r.method == "closed_form_normal_normal":
+                    assert r.mise == mise_normal_normal_closed(dist.sigma, h, n)
+                elif r.method == "closed_form_normal_sinc":
+                    assert r.mise == mise_normal_sinc_closed(dist.sigma, h, n)
+                else:
+                    assert r.method == "fourier"
+                    assert r.iv == iv_fourier(dist, kernel, h, n)
+                    assert r.isb == isb_fourier(dist, kernel, h)
+                    assert r.error_estimate == (terms.a_error / (math.pi * n)
+                                                + terms.b_error / math.pi)
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_fourier_terms_independent_of_n(self, dist, kernel):
+        # the quadratures pi A(h) and pi B(h) behind mise() at any n are
+        # one and the same pair of numbers
+        for h in self.FOURIER_HS:
+            terms = mise_terms(dist, kernel, h, method="fourier")
+            assert terms == mise_terms(dist, kernel, h, method="fourier")
+            assert terms.a > 0.0 and terms.b > 0.0
+            for n in self.NS:
+                r = mise(dist, kernel, h, n, method="fourier")
+                assert r.isb == terms.b / math.pi
+                assert math.pi * n * r.iv == pytest.approx(terms.a, rel=4e-16)
+
+    def test_terms_are_plain_frozen_data(self):
+        terms = mise_terms(JDLVP, TRAP, 0.3)
+        assert terms == MiseTerms(h=0.3, method="linear_segment",
+                                  a=JDLVP.psi_f - TRAP.psi_k_analytic * 0.3)
+        with pytest.raises(AttributeError):
+            terms.a = 0.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mise_terms(JDLVP, TRAP, -0.1)
+        with pytest.raises(ValueError):
+            mise_terms(JDLVP, TRAP, 0.1, method="linear_segment")
+        with pytest.raises(ValueError):
+            mise_terms(JDLVP, TRAP, 0.1).at(0)
 
 
 class TestValidationAndErrors:
