@@ -200,19 +200,11 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
     )
 
 
-def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
-                       search: SearchConfig | None = None,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE
-                       ) -> tuple[BandwidthResult, ...]:
-    """Global MISE minimizers over [0, h_max], one per sample size.
-
-    A dense log-spaced scan (plus the h = 0 candidate) locates the best
-    grid cell; golden-section refinement shrinks it to refine_tol.  The
-    scan runs once: its n-free terms give MISE(h, n) = A(h)/n + B(h) on
-    the whole grid for every n, so only the refinement is done per n.
-    A minimizer landing at h_max is flagged at_upper_bracket and warned
-    about, once per such n, never silently returned as interior.
-    """
+def _search(dist: TargetDistribution, kernel: Kernel, n_values,
+            search: SearchConfig | None, cfg: QuadratureConfig
+            ) -> tuple[BandwidthResult, ...]:
+    # The body of both public searches; each calls it directly, so
+    # stacklevel=3 points a warning at the line that called the search.
     if search is None:
         search = default_search(dist)
     ns = tuple(int(n) for n in n_values)
@@ -230,15 +222,31 @@ def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
             warnings.warn(
                 f"bandwidth optimum {res.h_opt:.6g} sits at the search bound "
                 f"h_max={search.h_max:.6g}; enlarge the search window",
-                stacklevel=2)
+                stacklevel=3)
     return results
+
+
+def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
+                       search: SearchConfig | None = None,
+                       cfg: QuadratureConfig = DEFAULT_QUADRATURE
+                       ) -> tuple[BandwidthResult, ...]:
+    """Global MISE minimizers over [0, h_max], one per sample size.
+
+    A dense log-spaced scan (plus the h = 0 candidate) locates the best
+    grid cell; golden-section refinement shrinks it to refine_tol.  The
+    scan runs once: its n-free terms give MISE(h, n) = A(h)/n + B(h) on
+    the whole grid for every n, so only the refinement is done per n.
+    A minimizer landing at h_max is flagged at_upper_bracket and warned
+    about, once per such n, never silently returned as interior.
+    """
+    return _search(dist, kernel, n_values, search, cfg)
 
 
 def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
                       search: SearchConfig | None = None,
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BandwidthResult:
     """Global MISE minimizer over [0, h_max]: ``optimal_bandwidths`` at one n."""
-    return optimal_bandwidths(dist, kernel, (n,), search, cfg)[0]
+    return _search(dist, kernel, (n,), search, cfg)[0]
 
 
 def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:

@@ -1,14 +1,7 @@
 """Command-line surface: figures, constants, and validation suites.
 
-Commands
---------
-mise-curve          MISE decomposition along a bandwidth grid
-optimal-bandwidth   MISE-minimizing bandwidth per sample size
-efficiency-curve    relative-efficiency sweep for one pair
-figure2             band-limited target: bandwidth and efficiency sweeps
-figure3             normal target: efficiency sweeps for both kernels
-mc-validate         Monte Carlo validation of the exact formulas
-constants           catalog constants with quadrature cross-checks
+Each command is declared once, in ``_COMMANDS``: its help line, its
+handler, its defaults and the formats under which it draws SVG charts.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failure.  CSV output is UTF-8 with LF line endings, a header row, and
@@ -26,6 +19,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,8 +53,6 @@ __all__ = [
     "svg_from_efficiency_csv",
 ]
 
-_COMMANDS = ("mise-curve", "optimal-bandwidth", "efficiency-curve",
-             "figure2", "figure3", "mc-validate", "constants")
 _FORMATS = ("csv", "csv+svg")
 _DIST_USAGE = "jdlvp, jdlvp:scale=<a>, normal:sigma=<s>"
 
@@ -146,10 +138,7 @@ def _parse_kernel(spec: str) -> Kernel:
 
 
 def _parse_n_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = str(text).split(",")
+    items = list(text) if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
         values = tuple(int(str(item).strip()) for item in items)
     except ValueError as exc:
@@ -160,10 +149,8 @@ def _parse_n_list(text) -> tuple[int, ...]:
 
 
 def _parse_h_grid(text) -> tuple[float, float, int]:
-    if isinstance(text, (list, tuple)):
-        parts = [str(p) for p in text]
-    else:
-        parts = str(text).split(":")
+    parts = ([str(p) for p in text] if isinstance(text, (list, tuple))
+             else str(text).split(":"))
     if len(parts) != 3:
         raise UsageError(f"h-grid must be min:max:count, got {text!r}")
     try:
@@ -172,6 +159,8 @@ def _parse_h_grid(text) -> tuple[float, float, int]:
         raise UsageError(f"bad h-grid {text!r}: {exc}") from exc
     if count < 1:
         raise UsageError(f"h-grid needs at least one point, got count={count}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"h-grid bounds must be finite, got {text!r}")
     if lo < 0.0 or hi < lo:
         raise UsageError(f"h-grid must satisfy 0 <= min <= max, got {text!r}")
     return lo, hi, count
@@ -196,57 +185,42 @@ def _load_config_file(path: Path) -> dict:
     return data
 
 
-_COMMAND_DEFAULTS = {
-    "mise-curve": ("jdlvp", "trapezoidal", (1000,), (0.0, 1.0, 101)),
-    "optimal-bandwidth": ("jdlvp", "trapezoidal", _DECADES_N, (0.0, 1.0, 101)),
-    "efficiency-curve": ("jdlvp", "trapezoidal", _SWEEP_N, (0.0, 1.0, 101)),
-    "figure2": ("jdlvp", "", _SWEEP_N, (0.0, 1.0, 101)),
-    "figure3": ("normal:sigma=1", "", _SWEEP_N, (0.0, 1.0, 101)),
-    "mc-validate": ("", "", _MC_SUITE_N, (0.0, 0.5, 3)),
-    "constants": ("", "", (1,), (0.0, 1.0, 101)),
-}
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(Path(args.config)) if args.config else {}
-
-    def pick(flag: str, key: str):
-        value = getattr(args, flag)
-        return value if value is not None else file_cfg.get(key)
-
-    dist_default, kernel_default, n_default, h_default = _COMMAND_DEFAULTS[args.command]
-
-    dist_spec = pick("dist", "dist")
-    kernel_spec = pick("kernel", "kernel")
-    n_raw = pick("n", "n")
-    h_raw = pick("h_grid", "h_grid")
-    seed = pick("seed", "seed")
-    reps = pick("reps", "reps")
-    out = pick("out", "out")
-    fmt = pick("format", "format")
+    command = _COMMANDS[args.command]
+    defaults = {"dist": command.dist, "kernel": command.kernel, "n": command.n,
+                "h_grid": command.h_grid, "seed": _DEFAULT_SEED,
+                "reps": _DEFAULT_REPS, "out": ".", "format": "csv"}
+    # One pass over the keys: a flag wins over the config file, which
+    # wins over the command's default.
+    merged = {}
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key)
+        merged[key] = defaults[key] if value is None else value
 
     try:
-        seed = _DEFAULT_SEED if seed is None else int(seed)
-        reps = _DEFAULT_REPS if reps is None else int(reps)
+        seed, reps = int(merged["seed"]), int(merged["reps"])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"seed and reps must be integers: {exc}") from exc
     if not (0 <= seed < 2 ** 64):
         raise UsageError(f"seed must fit in 64 unsigned bits, got {seed}")
     if reps < 2:
         raise UsageError(f"reps must be at least 2, got {reps}")
-    fmt = fmt if fmt is not None else "csv"
+    fmt = merged["format"]
     if fmt not in _FORMATS:
         raise UsageError(f"unknown format {fmt!r}; choose from {_FORMATS}")
 
     return RunConfig(
         command=args.command,
-        dist_spec=dist_default if dist_spec is None else str(dist_spec),
-        kernel_spec=kernel_default if kernel_spec is None else str(kernel_spec),
-        n_list=n_default if n_raw is None else _parse_n_list(n_raw),
-        h_grid=h_default if h_raw is None else _parse_h_grid(h_raw),
+        dist_spec=str(merged["dist"]),
+        kernel_spec=str(merged["kernel"]),
+        n_list=_parse_n_list(merged["n"]),
+        h_grid=_parse_h_grid(merged["h_grid"]),
         seed=seed,
         replications=reps,
-        output_dir=Path(out) if out is not None else Path("."),
+        output_dir=Path(merged["out"]),
         format=fmt,
     )
 
@@ -300,34 +274,48 @@ def svg_from_mise_curve_csv(path: Path) -> str:
                       x_label="bandwidth h", y_label="integrated error")
 
 
-def svg_from_bandwidth_csv(path: Path) -> str:
-    """Chart of every h_opt column against log10(n), from the CSV alone."""
+def _log_n_chart(path: Path, series: str, guide: str,
+                 guide_label: Callable[[str], str], title: str, y_label: str) -> str:
+    # Every `series`/`series_*` column against log10(n); the first value
+    # of each distinct `guide`/`guide_*` column is a labelled asymptote.
     cols = _read_csv_columns(path)
     logn = [math.log10(float(v)) for v in cols["n"]]
-    series = [(name, logn, [float(v) for v in cols[name]])
-              for name in cols if name == "h_opt" or name.startswith("h_opt_")]
-    guides = []
-    if cols.get("limit_bandwidth"):
-        guides.append(("limit", float(cols["limit_bandwidth"][0])))
-    return line_chart(series, title="Optimal bandwidth vs sample size",
-                      x_label="log10(n)", y_label="h_opt", asymptotes=guides)
+    lines = [(name, logn, [float(v) for v in cols[name]])
+             for name in cols if name == series or name.startswith(series + "_")]
+    guides: list[tuple[str, float]] = []
+    for name in cols:
+        if (name == guide or name.startswith(guide + "_")) and cols[name]:
+            y = float(cols[name][0])
+            if all(abs(y - g) > 0.0 for _, g in guides):
+                guides.append((guide_label(name), y))
+    return line_chart(lines, title=title, x_label="log10(n)", y_label=y_label,
+                      asymptotes=guides)
+
+
+def svg_from_bandwidth_csv(path: Path) -> str:
+    """Chart of every h_opt column against log10(n), from the CSV alone."""
+    return _log_n_chart(path, "h_opt", "limit_bandwidth", lambda name: "limit",
+                        "Optimal bandwidth vs sample size", "h_opt")
 
 
 def svg_from_efficiency_csv(path: Path) -> str:
     """Chart of every rel_eff column against log10(n), from the CSV alone."""
-    cols = _read_csv_columns(path)
-    logn = [math.log10(float(v)) for v in cols["n"]]
-    series = [(name, logn, [float(v) for v in cols[name]])
-              for name in cols if name == "rel_eff" or name.startswith("rel_eff_")]
-    guides: list[tuple[str, float]] = []
-    for name in cols:
-        if (name == "asymptote" or name.startswith("asymptote_")) and cols[name]:
-            y = float(cols[name][0])
-            if all(abs(y - g) > 0.0 for _, g in guides):
-                guides.append((name.replace("_", " "), y))
-    return line_chart(series, title="Relative efficiency vs sample size",
-                      x_label="log10(n)", y_label="MISE(h_opt) / MISE(0)",
-                      asymptotes=guides)
+    return _log_n_chart(path, "rel_eff", "asymptote",
+                        lambda name: name.replace("_", " "),
+                        "Relative efficiency vs sample size", "MISE(h_opt) / MISE(0)")
+
+
+def _emit(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: list,
+          svg: Callable[[Path], str] | None = None, note: str = "") -> None:
+    # Every file a command writes goes through here: the CSV, then, if the
+    # command charts under cfg.format, the SVG that `svg` draws from that file.
+    path = cfg.output_dir / f"{stem}.csv"
+    _write_csv(path, header, rows)
+    print(f"wrote {path} ({len(rows)} rows{note})")
+    if cfg.format in _COMMANDS[cfg.command].svg_formats:
+        svg_path = path.with_suffix(".svg")
+        _write_atomic(svg_path, svg(path))
+        print(f"wrote {svg_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +330,10 @@ def cmd_mise_curve(cfg: RunConfig) -> int:
     hs = np.linspace(lo, hi, count)
     if hs[0] != 0.0:
         hs = np.concatenate(([0.0], hs))
-    rows = []
-    for h in hs:
-        report = mise(dist, kernel, float(h), n)
-        rows.append((report.h, report.iv, report.isb, report.mise, report.method))
-    path = cfg.output_dir / "mise_curve.csv"
-    _write_csv(path, ("h", "iv", "isb", "mise", "method"), rows)
-    print(f"wrote {path} ({len(rows)} rows, n={n})")
-    if cfg.format == "csv+svg":
-        svg_path = cfg.output_dir / "mise_curve.svg"
-        _write_atomic(svg_path, svg_from_mise_curve_csv(path))
-        print(f"wrote {svg_path}")
+    reports = [mise(dist, kernel, float(h), n) for h in hs]
+    rows = [(r.h, r.iv, r.isb, r.mise, r.method) for r in reports]
+    _emit(cfg, "mise_curve", ("h", "iv", "isb", "mise", "method"), rows,
+          svg_from_mise_curve_csv, note=f", n={n}")
     return 0
 
 
@@ -362,14 +343,9 @@ def cmd_optimal_bandwidth(cfg: RunConfig) -> int:
     rows = [(res.n, res.h_opt, res.mise_at_opt, res.mise_at_opt / (dist.psi_f / res.n),
              res.bracket[0], res.bracket[1], res.boundary_flag)
             for res in optimal_bandwidths(dist, kernel, cfg.n_list)]
-    path = cfg.output_dir / "optimal_bandwidth.csv"
-    _write_csv(path, ("n", "h_opt", "mise_at_opt", "rel_eff",
-                      "bracket_lo", "bracket_hi", "boundary_flag"), rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    if cfg.format == "csv+svg":
-        svg_path = cfg.output_dir / "optimal_bandwidth.svg"
-        _write_atomic(svg_path, svg_from_bandwidth_csv(path))
-        print(f"wrote {svg_path}")
+    _emit(cfg, "optimal_bandwidth", ("n", "h_opt", "mise_at_opt", "rel_eff",
+                                     "bracket_lo", "bracket_hi", "boundary_flag"),
+          rows, svg_from_bandwidth_csv)
     return 0
 
 
@@ -379,64 +355,39 @@ def cmd_efficiency_curve(cfg: RunConfig) -> int:
     curve = efficiency_curve(dist, kernel, cfg.n_list)
     rows = [(n, h, r, curve.asymptote)
             for n, h, r in zip(curve.n_values, curve.h_opt, curve.rel_eff)]
-    path = cfg.output_dir / "efficiency_curve.csv"
-    _write_csv(path, ("n", "h_opt", "rel_eff", "asymptote"), rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    if cfg.format == "csv+svg":
-        svg_path = cfg.output_dir / "efficiency_curve.svg"
-        _write_atomic(svg_path, svg_from_efficiency_csv(path))
-        print(f"wrote {svg_path}")
+    _emit(cfg, "efficiency_curve", ("n", "h_opt", "rel_eff", "asymptote"), rows,
+          svg_from_efficiency_csv)
     return 0
 
 
-def cmd_figure2(cfg: RunConfig) -> int:
+def _efficiency_sweep(cfg: RunConfig, names: tuple[str, str]):
+    # Both kernels' efficiency curves on cfg's target and their table, with
+    # rows (n, rel_eff_a, rel_eff_b, asymptote_a, asymptote_b).
     dist = _parse_dist(cfg.dist_spec)
-    trap = kernel_by_name("trapezoidal")
-    sinc = kernel_by_name("sinc")
-    curve_t = efficiency_curve(dist, trap, cfg.n_list)
-    curve_s = efficiency_curve(dist, sinc, cfg.n_list)
-    limit = limit_bandwidth(dist, trap)
+    a, b = (efficiency_curve(dist, kernel_by_name(name), cfg.n_list) for name in names)
+    header = ("n", *(f"rel_eff_{name}" for name in names),
+              *(f"asymptote_{name}" for name in names))
+    rows = [(n, ra, rb, a.asymptote, b.asymptote)
+            for n, ra, rb in zip(a.n_values, a.rel_eff, b.rel_eff)]
+    return dist, (a, b), header, rows
 
-    bw_path = cfg.output_dir / "figure2_bandwidth.csv"
-    _write_csv(bw_path,
-               ("n", "h_opt_trapezoidal", "h_opt_sinc", "limit_bandwidth"),
-               [(n, ht, hs, limit) for n, ht, hs
-                in zip(curve_t.n_values, curve_t.h_opt, curve_s.h_opt)])
-    eff_path = cfg.output_dir / "figure2_efficiency.csv"
-    _write_csv(eff_path,
-               ("n", "rel_eff_trapezoidal", "rel_eff_sinc",
-                "asymptote_trapezoidal", "asymptote_sinc"),
-               [(n, rt, rs, curve_t.asymptote, curve_s.asymptote)
-                for n, rt, rs
-                in zip(curve_t.n_values, curve_t.rel_eff, curve_s.rel_eff)])
-    print(f"wrote {bw_path} and {eff_path} ({len(curve_t.n_values)} rows each)")
 
-    for csv_path, render in ((bw_path, svg_from_bandwidth_csv),
-                             (eff_path, svg_from_efficiency_csv)):
-        svg_path = csv_path.with_suffix(".svg")
-        _write_atomic(svg_path, render(csv_path))
-        print(f"wrote {svg_path}")
+def cmd_figure2(cfg: RunConfig) -> int:
+    dist, (curve_t, curve_s), header, rows = _efficiency_sweep(
+        cfg, ("trapezoidal", "sinc"))
+    limit = limit_bandwidth(dist, kernel_by_name("trapezoidal"))
+    _emit(cfg, "figure2_bandwidth",
+          ("n", "h_opt_trapezoidal", "h_opt_sinc", "limit_bandwidth"),
+          [(n, ht, hs, limit) for n, ht, hs
+           in zip(curve_t.n_values, curve_t.h_opt, curve_s.h_opt)],
+          svg_from_bandwidth_csv)
+    _emit(cfg, "figure2_efficiency", header, rows, svg_from_efficiency_csv)
     return 0
 
 
 def cmd_figure3(cfg: RunConfig) -> int:
-    dist = _parse_dist(cfg.dist_spec)
-    normal_k = kernel_by_name("normal")
-    sinc = kernel_by_name("sinc")
-    curve_n = efficiency_curve(dist, normal_k, cfg.n_list)
-    curve_s = efficiency_curve(dist, sinc, cfg.n_list)
-
-    path = cfg.output_dir / "figure3_efficiency.csv"
-    _write_csv(path,
-               ("n", "rel_eff_normal", "rel_eff_sinc",
-                "asymptote_normal", "asymptote_sinc"),
-               [(n, rn, rs, curve_n.asymptote, curve_s.asymptote)
-                for n, rn, rs
-                in zip(curve_n.n_values, curve_n.rel_eff, curve_s.rel_eff)])
-    print(f"wrote {path} ({len(curve_n.n_values)} rows)")
-    svg_path = path.with_suffix(".svg")
-    _write_atomic(svg_path, svg_from_efficiency_csv(path))
-    print(f"wrote {svg_path}")
+    _, _, header, rows = _efficiency_sweep(cfg, ("normal", "sinc"))
+    _emit(cfg, "figure3_efficiency", header, rows, svg_from_efficiency_csv)
     return 0
 
 
@@ -455,8 +406,7 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
         cells = [(d, k, h, n) for d, k in _MC_SUITE_PAIRS
                  for h in _MC_SUITE_H for n in _MC_SUITE_N]
 
-    rows = []
-    flagged = []
+    rows, flagged = [], []
     for index, (dist_spec, kernel_spec, h, n) in enumerate(cells):
         dist = _parse_dist(dist_spec)
         kernel = _parse_kernel(kernel_spec)
@@ -471,16 +421,12 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
         if abs(z) > 4.0:
             flagged.append((dist.name, kernel.name, h, n, z))
 
-    path = cfg.output_dir / "mc_validate.csv"
-    _write_csv(path, ("dist", "kernel", "h", "n", "exact_mise", "mc_estimate",
-                      "std_error", "z_score", "replications"), rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    if flagged:
-        for dist_name, kernel_name, h, n, z in flagged:
-            print(f"VALIDATION FAILURE: {dist_name} + {kernel_name} h={h:g} "
-                  f"n={n} |z|={abs(z):.2f} > 4", file=sys.stderr)
-        return 2
-    return 0
+    _emit(cfg, "mc_validate", ("dist", "kernel", "h", "n", "exact_mise", "mc_estimate",
+                               "std_error", "z_score", "replications"), rows)
+    for dist_name, kernel_name, h, n, z in flagged:
+        print(f"VALIDATION FAILURE: {dist_name} + {kernel_name} h={h:g} "
+              f"n={n} |z|={abs(z):.2f} > 4", file=sys.stderr)
+    return 2 if flagged else 0
 
 
 def cmd_constants(cfg: RunConfig) -> int:
@@ -518,24 +464,40 @@ def cmd_constants(cfg: RunConfig) -> int:
 # Entry points
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "mise-curve": cmd_mise_curve,
-    "optimal-bandwidth": cmd_optimal_bandwidth,
-    "efficiency-curve": cmd_efficiency_curve,
-    "figure2": cmd_figure2,
-    "figure3": cmd_figure3,
-    "mc-validate": cmd_mc_validate,
-    "constants": cmd_constants,
-}
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: help line, handler, defaults and charting formats."""
 
-_COMMAND_HELP = {
-    "mise-curve": "exact IV/ISB/MISE along a bandwidth grid",
-    "optimal-bandwidth": "MISE-minimizing bandwidth for each sample size",
-    "efficiency-curve": "relative efficiency MISE(h_opt)/MISE(0) sweep",
-    "figure2": "bandwidth and efficiency sweeps for a band-limited target",
-    "figure3": "efficiency sweeps for the normal target, both kernels",
-    "mc-validate": "Monte Carlo validation of the exact MISE formulas",
-    "constants": "catalog constants with quadrature cross-checks",
+    help: str
+    run: Callable[[RunConfig], int]
+    dist: str = ""
+    kernel: str = ""
+    n: tuple[int, ...] = _SWEEP_N
+    h_grid: tuple[float, float, int] = (0.0, 1.0, 101)
+    svg_formats: tuple[str, ...] = ()  # the --format values that add SVGs
+
+
+_COMMANDS = {
+    "mise-curve": _Command(
+        "exact IV/ISB/MISE along a bandwidth grid", cmd_mise_curve,
+        "jdlvp", "trapezoidal", (1000,), svg_formats=("csv+svg",)),
+    "optimal-bandwidth": _Command(
+        "MISE-minimizing bandwidth for each sample size", cmd_optimal_bandwidth,
+        "jdlvp", "trapezoidal", _DECADES_N, svg_formats=("csv+svg",)),
+    "efficiency-curve": _Command(
+        "relative efficiency MISE(h_opt)/MISE(0) sweep", cmd_efficiency_curve,
+        "jdlvp", "trapezoidal", svg_formats=("csv+svg",)),
+    "figure2": _Command(
+        "bandwidth and efficiency sweeps for a band-limited target", cmd_figure2,
+        "jdlvp", svg_formats=_FORMATS),
+    "figure3": _Command(
+        "efficiency sweeps for the normal target, both kernels", cmd_figure3,
+        "normal:sigma=1", svg_formats=_FORMATS),
+    "mc-validate": _Command(
+        "Monte Carlo validation of the exact MISE formulas", cmd_mc_validate,
+        n=_MC_SUITE_N, h_grid=(0.0, 0.5, 3)),
+    "constants": _Command(
+        "catalog constants with quadrature cross-checks", cmd_constants, n=(1,)),
 }
 
 
@@ -551,9 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cdf-mise",
         description="Exact and Monte Carlo MISE analysis of kernel CDF estimators.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in _COMMANDS:
-        sp = sub.add_parser(name, help=_COMMAND_HELP[name],
-                            description=_COMMAND_HELP[name])
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help, description=command.help)
         sp.add_argument("--dist", help=f"target distribution ({_DIST_USAGE})")
         sp.add_argument("--kernel", help=f"kernel ({', '.join(KERNEL_NAMES)})")
         sp.add_argument("--n", help="comma-separated sample sizes")
@@ -570,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _COMMANDS[cfg.command].run(cfg)
     except UsageError as exc:
         print(f"cdf-mise: error: {exc}", file=sys.stderr)
         return 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,9 +236,10 @@ def _ise_empirical(sample: Sample, dist: TargetDistribution,
     return total + float(np.sum(half * ((diff * diff) @ _GK15_WEIGHTS)))
 
 
-# Worker context for fork-based replication pools.  Target distributions
-# and kernels hold closures, so they cross into workers by fork-time
-# memory inheritance rather than pickling; tasks only carry index ranges.
+# Context of the replication loop ``_mc_span``, which runs in process or
+# in fork-based pool workers.  Target distributions and kernels hold
+# closures, so they cross into workers by fork-time memory inheritance
+# rather than pickling; tasks only carry index ranges.
 _MC_CONTEXT: tuple | None = None
 
 
@@ -281,22 +283,18 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
             workers = 1
 
     values = np.empty(replications, dtype=float)
-    if workers == 1:
-        for r in range(replications):
-            s = draw_sample(dist, n, seed, rep=r)
-            values[r] = ise(s, kernel, h, dist, cfg)
-    else:
-        step = max(1, math.ceil(replications / (8 * workers)))
-        spans = [(lo, min(lo + step, replications))
-                 for lo in range(0, replications, step)]
-        global _MC_CONTEXT
-        _MC_CONTEXT = (dist, kernel, h, n, seed, cfg)
-        try:
-            with mp.Pool(processes=workers) as pool:
-                for lo, chunk in pool.imap_unordered(_mc_span, spans):
-                    values[lo:lo + len(chunk)] = chunk
-        finally:
-            _MC_CONTEXT = None
+    step = max(1, math.ceil(replications / (8 * workers)))
+    spans = [(lo, min(lo + step, replications))
+             for lo in range(0, replications, step)]
+    global _MC_CONTEXT
+    _MC_CONTEXT = (dist, kernel, h, n, seed, cfg)
+    try:
+        with mp.Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+            run = map if pool is None else pool.imap_unordered
+            for lo, chunk in run(_mc_span, spans):
+                values[lo:lo + len(chunk)] = chunk
+    finally:
+        _MC_CONTEXT = None
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(replications))
     return MonteCarloMise(

@@ -120,9 +120,12 @@ class TestOptimalBandwidth:
         assert r.mise_at_opt < JDLVP.psi_f / n
 
     def test_boundary_hit_is_flagged_and_warned(self):
-        with pytest.warns(UserWarning, match="search bound"):
+        with pytest.warns(UserWarning, match="search bound") as record:
             r = optimal_bandwidth(JDLVP, TRAP, 100, search=SearchConfig(h_max=0.3))
         assert r.boundary_flag == "at_upper_bracket"
+        # the warning points at the caller's line, not into bandwidth.py
+        hits = [w for w in record if "search bound" in str(w.message)]
+        assert [w.filename for w in hits] == [__file__]
         assert r.h_opt == pytest.approx(0.3, abs=1e-12)
 
     def test_jdlvp_trapezoidal_lower_bound(self):

@@ -60,7 +60,8 @@ def g17(value: float) -> str:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("grid", ["0:1:0", "0:1", "1:0:5", "=-0.5:1:5", "a:b:c"])
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1", "1:0:5", "=-0.5:1:5", "a:b:c",
+                                      "nan:1:5", "0:inf:5"])
     def test_bad_h_grid(self, grid, capsys, tmp_path):
         argv = ["mise-curve", f"--h-grid{grid}" if grid.startswith("=")
                 else "--h-grid", "--out", str(tmp_path)]
@@ -455,6 +456,40 @@ class TestConstantsCommand:
         assert diffs and max(diffs) < 1e-8
         assert "jdlvp + trapezoidal" in out
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFilesWritten:
+    # command line, the CSVs it writes, and the --format values under
+    # which it also writes one SVG per CSV
+    CASES = {
+        "mise-curve": (["--h-grid", "0:1:3", "--n", "10"],
+                       ["mise_curve.csv"], ["csv+svg"]),
+        "optimal-bandwidth": (["--n", "10"], ["optimal_bandwidth.csv"], ["csv+svg"]),
+        "efficiency-curve": (["--n", "10"], ["efficiency_curve.csv"], ["csv+svg"]),
+        "figure2": (["--n", "10"], ["figure2_bandwidth.csv", "figure2_efficiency.csv"],
+                    ["csv", "csv+svg"]),
+        "figure3": (["--n", "10"], ["figure3_efficiency.csv"], ["csv", "csv+svg"]),
+        "mc-validate": (["--dist", "normal:sigma=1", "--kernel", "normal", "--n", "10",
+                         "--h-grid", "0.3:0.3:1", "--reps", "100"],
+                        ["mc_validate.csv"], []),
+        "constants": ([], [], []),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_exact_file_set_per_format(self, command, capsys, tmp_path):
+        args, csvs, svg_formats = self.CASES[command]
+        written = {}
+        for fmt in ("csv", "csv+svg"):
+            out = tmp_path / fmt
+            out.mkdir()
+            rc, _, _ = run_cli([command, *args, "--format", fmt, "--out", str(out)],
+                               capsys)
+            assert rc == 0
+            svgs = [name.replace(".csv", ".svg") for name in csvs]
+            expected = set(csvs) | (set(svgs) if fmt in svg_formats else set())
+            assert {p.name for p in out.iterdir()} == expected
+            written[fmt] = {name: (out / name).read_bytes() for name in csvs}
+        assert written["csv"] == written["csv+svg"]
 
 
 class TestConfigFile:
