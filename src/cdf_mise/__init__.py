@@ -63,8 +63,6 @@ from .mise import (
     mise_terms,
 )
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     QuadratureResult,
     integrate,
     sine_integral,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthResult",
-    "DEFAULT_QUADRATURE",
     "EfficiencyCurve",
     "JDLVP_PSI_F",
     "KERNEL_NAMES",
@@ -84,7 +81,6 @@ __all__ = [
     "MiseReport",
     "MiseTerms",
     "MonteCarloMise",
-    "QuadratureConfig",
     "QuadratureResult",
     "Sample",
     "SandwichReport",

@@ -36,7 +36,6 @@ from scipy import optimize
 from .distributions import TargetDistribution
 from .kernels import Kernel
 from .mise import MiseTerms, mise, mise_terms
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = [
     "SearchConfig",
@@ -55,24 +54,22 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The scan has _GRID_SIZE log-spaced points on [1e-4 h_max, h_max] plus
+# h = 0; golden section then shrinks the best cell to width _REFINE_TOL.
+_GRID_SIZE = 512
+_REFINE_TOL = 1e-6
 _BOUNDARY_FLAGS = ("interior", "at_zero", "at_upper_bracket")
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-plus-refinement window for the bandwidth optimizer."""
+    """Upper end of the bandwidth optimizer's search window."""
 
     h_max: float
-    grid_size: int = 512
-    refine_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.h_max) and self.h_max > 0.0):
             raise ValueError(f"h_max must be positive and finite, got {self.h_max}")
-        if int(self.grid_size) != self.grid_size or self.grid_size < 64:
-            raise ValueError(f"grid_size must be an integer >= 64, got {self.grid_size}")
-        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0.0):
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,11 @@ def _better(h_new: float, v_new: float, h_old: float, v_old: float) -> bool:
 
 
 def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
-            search: SearchConfig, cfg: QuadratureConfig,
-            grid: np.ndarray, terms: list[MiseTerms]) -> BandwidthResult:
+            h_max: float, grid: np.ndarray,
+            terms: list[MiseTerms]) -> BandwidthResult:
     # Pick the best grid cell at this n and shrink it by golden section.
     def f(h: float) -> float:
-        return mise(dist, kernel, float(h), n, cfg).mise
+        return mise(dist, kernel, float(h), n).mise
 
     values = [t.at(n).mise for t in terms]
     best = 0
@@ -160,7 +157,7 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(300):
-        if b - a <= search.refine_tol:
+        if b - a <= _REFINE_TOL:
             break
         if fc <= fd:
             b = d
@@ -184,7 +181,7 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
 
     if h_opt == 0.0:
         flag = "at_zero"
-    elif h_opt >= search.h_max - search.refine_tol:
+    elif h_opt >= h_max - _REFINE_TOL:
         flag = "at_upper_bracket"
     else:
         flag = "interior"
@@ -201,8 +198,7 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
 
 
 def _search(dist: TargetDistribution, kernel: Kernel, n_values,
-            search: SearchConfig | None, cfg: QuadratureConfig
-            ) -> tuple[BandwidthResult, ...]:
+            search: SearchConfig | None) -> tuple[BandwidthResult, ...]:
     # The body of both public searches; each calls it directly, so
     # stacklevel=3 points a warning at the line that called the search.
     if search is None:
@@ -214,9 +210,9 @@ def _search(dist: TargetDistribution, kernel: Kernel, n_values,
         return ()
     # The grid's n-free terms are the expensive part; every n shares them.
     grid = np.concatenate(
-        ([0.0], np.geomspace(search.h_max * 1e-4, search.h_max, search.grid_size)))
-    terms = [mise_terms(dist, kernel, float(h), cfg) for h in grid]
-    results = tuple(_refine(dist, kernel, n, search, cfg, grid, terms) for n in ns)
+        ([0.0], np.geomspace(search.h_max * 1e-4, search.h_max, _GRID_SIZE)))
+    terms = [mise_terms(dist, kernel, float(h)) for h in grid]
+    results = tuple(_refine(dist, kernel, n, search.h_max, grid, terms) for n in ns)
     for res in results:
         if res.boundary_flag == "at_upper_bracket":
             warnings.warn(
@@ -227,26 +223,24 @@ def _search(dist: TargetDistribution, kernel: Kernel, n_values,
 
 
 def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
-                       search: SearchConfig | None = None,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE
+                       search: SearchConfig | None = None
                        ) -> tuple[BandwidthResult, ...]:
     """Global MISE minimizers over [0, h_max], one per sample size.
 
     A dense log-spaced scan (plus the h = 0 candidate) locates the best
-    grid cell; golden-section refinement shrinks it to refine_tol.  The
+    grid cell; golden-section refinement shrinks it to width 1e-6.  The
     scan runs once: its n-free terms give MISE(h, n) = A(h)/n + B(h) on
     the whole grid for every n, so only the refinement is done per n.
     A minimizer landing at h_max is flagged at_upper_bracket and warned
     about, once per such n, never silently returned as interior.
     """
-    return _search(dist, kernel, n_values, search, cfg)
+    return _search(dist, kernel, n_values, search)
 
 
 def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
-                      search: SearchConfig | None = None,
-                      cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BandwidthResult:
+                      search: SearchConfig | None = None) -> BandwidthResult:
     """Global MISE minimizer over [0, h_max]: ``optimal_bandwidths`` at one n."""
-    return _search(dist, kernel, (n,), search, cfg)[0]
+    return _search(dist, kernel, (n,), search)[0]
 
 
 def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
@@ -270,8 +264,7 @@ def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
 
 
 def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
-                             bracket: tuple[float, float],
-                             cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> list[float]:
+                             bracket: tuple[float, float]) -> list[float]:
     """Stationary points of the sinc-kernel MISE inside a bandwidth bracket.
 
     Solves |phi_f(1/h)|^2 = 1/(n + 1) by a 1024-point sign scan in
@@ -279,9 +272,6 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
     roots in increasing h order; an empty list means no stationary
     point in the bracket.
     """
-    if not dist.square_integrable:
-        raise ValueError(
-            f"sinc MISE requires a square-integrable target, got {dist.name!r}")
     if int(n) != n or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
@@ -309,10 +299,9 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
 
 
 def relative_efficiency(dist: TargetDistribution, kernel: Kernel, n: int,
-                        search: SearchConfig | None = None,
-                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                        search: SearchConfig | None = None) -> float:
     """MISE(h_0n)/MISE(0); at most 1 because h = 0 is a scan candidate."""
-    res = optimal_bandwidth(dist, kernel, n, search, cfg)
+    res = optimal_bandwidth(dist, kernel, n, search)
     return res.mise_at_opt / (dist.psi_f / n)
 
 
@@ -328,11 +317,10 @@ def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> 
 
 
 def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values,
-                     search: SearchConfig | None = None,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> EfficiencyCurve:
+                     search: SearchConfig | None = None) -> EfficiencyCurve:
     """Optimal bandwidth and relative efficiency at each sample size."""
     ns = tuple(int(n) for n in n_values)
-    results = optimal_bandwidths(dist, kernel, ns, search, cfg)
+    results = optimal_bandwidths(dist, kernel, ns, search)
     return EfficiencyCurve(
         n_values=ns,
         h_opt=tuple(res.h_opt for res in results),
@@ -347,7 +335,6 @@ def _bound_ratio(num: float, den: float) -> float:
 
 def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
                              search: SearchConfig | None = None,
-                             cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                              limit_tol: float = 0.2) -> SandwichReport:
     """Verify the optimal-bandwidth sandwich along a sample-size sweep.
 
@@ -357,8 +344,6 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
     complementary bound min{s_k/c_f, t_k/d_f} + limit_tol.  Violations
     are itemized in the report messages.
     """
-    if search is None:
-        search = default_search(dist)
     ns = sorted(int(n) for n in n_list)
     if not ns:
         raise ValueError("n_list must be non-empty")
@@ -366,10 +351,10 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
     lower = 0.0 if kernel.s_k == 0.0 or math.isinf(dist.d_f) else kernel.s_k / dist.d_f
     upper = min(_bound_ratio(kernel.s_k, dist.c_f), _bound_ratio(kernel.t_k, dist.d_f))
 
-    hs = [res.h_opt for res in optimal_bandwidths(dist, kernel, ns, search, cfg)]
+    hs = [res.h_opt for res in optimal_bandwidths(dist, kernel, ns, search)]
     messages: list[str] = []
     for n, h in zip(ns, hs):
-        if h < lower - search.refine_tol:
+        if h < lower - _REFINE_TOL:
             messages.append(
                 f"h_opt(n={n}) = {h:.9g} fell below the lower bound "
                 f"s_k/d_f = {lower:.9g}")

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate, std_normal_cdf
+from .numerics import integrate, std_normal_cdf
 
 __all__ = [
     "TargetDistribution",
@@ -61,8 +61,6 @@ class TargetDistribution:
     c_f: float
     d_f: float
     psi_f: float
-    abs_first_moment_finite: bool
-    square_integrable: bool
     scale: float
     variance: float
     cf_knots: tuple
@@ -223,8 +221,6 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
         c_f=2.0 / a,
         d_f=2.0 / a,
         psi_f=a * JDLVP_PSI_F,
-        abs_first_moment_finite=True,
-        square_integrable=True,
         scale=a,
         variance=3.0 * a * a,
         cf_knots=(1.0 / a, 2.0 / a),
@@ -271,8 +267,6 @@ def make_normal(sigma: float) -> TargetDistribution:
         c_f=math.inf,
         d_f=math.inf,
         psi_f=s / _SQRT_PI,
-        abs_first_moment_finite=True,
-        square_integrable=True,
         scale=1.0,
         variance=s * s,
         cf_knots=(),
@@ -301,15 +295,11 @@ def rescale(dist: TargetDistribution, a: float) -> TargetDistribution:
     raise ValueError(f"rescale does not support family {dist.family!r}")
 
 
-def psi_f_fourier(dist: TargetDistribution,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def psi_f_fourier(dist: TargetDistribution) -> float:
     """psi(F) by the Fourier-side identity (2 pi)^-1 int t^-2 {1-phi_f^2} dt.
 
-    Cross-checks the stored analytic psi_f; requires a finite first
-    moment (otherwise psi(F) itself is infinite).
+    Cross-checks the stored analytic psi_f.
     """
-    if not dist.abs_first_moment_finite:
-        raise ValueError("psi_f_fourier requires a distribution with finite mean")
     var = dist.variance
 
     def integrand(t: float) -> float:
@@ -321,7 +311,7 @@ def psi_f_fourier(dist: TargetDistribution,
     pts = tuple(dist.cf_knots)
     if math.isfinite(dist.d_f):
         pts = pts + (dist.d_f,)
-    res = integrate(integrand, 0.0, math.inf, cfg, points=pts)
+    res = integrate(integrand, 0.0, math.inf, points=pts)
     if not res.converged:
         raise RuntimeError(f"psi_f quadrature failed to converge for {dist.name}")
     return res.value / math.pi

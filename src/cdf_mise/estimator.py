@@ -24,11 +24,11 @@ import numpy as np
 
 from .distributions import TargetDistribution, sample as draw_values
 from .kernels import Kernel
+from .mise import _validate_h
 from .numerics import (
     _GK15_NODES,
     _GK15_WEIGHTS,
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    TAIL_CUTOFF_TOL,
     gauss_kronrod_panels,
     gauss_panels,
 )
@@ -95,8 +95,7 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     x may be a scalar or an array; the return matches.  The h = 0 path
     counts sample points at or below x by binary search.
     """
-    if h < 0.0:
-        raise ValueError(f"bandwidth must be nonnegative, got {h}")
+    _validate_h(h)
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     xs1 = np.atleast_1d(xs)
@@ -108,8 +107,7 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     return float(out[0]) if scalar else out
 
 
-def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution,
-        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> float:
     """Integrated squared error int {F_nh(x) - F(x)}^2 dx of one sample.
 
     The integral is split into a core window around the data, where the
@@ -124,14 +122,13 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution,
     phi_hat the empirical characteristic function, is added back in
     closed form after averaging the squared oscillation.
     """
-    if h < 0.0:
-        raise ValueError(f"bandwidth must be nonnegative, got {h}")
+    _validate_h(h)
     if h == 0.0:
-        return _ise_empirical(sample, dist, cfg)
+        return _ise_empirical(sample, dist)
 
     x_lo = float(sample.values[0])
     x_hi = float(sample.values[-1])
-    tail = dist.tail_radius(cfg.tail_cutoff_tol)
+    tail = dist.tail_radius(TAIL_CUTOFF_TOL)
     sigma = math.sqrt(dist.variance)
     if kernel.integrable:
         margin = 48.0 * h
@@ -204,14 +201,13 @@ def _target_tail_mass(dist: TargetDistribution, core_lo: float,
     return value + v_lo
 
 
-def _ise_empirical(sample: Sample, dist: TargetDistribution,
-                   cfg: QuadratureConfig) -> float:
+def _ise_empirical(sample: Sample, dist: TargetDistribution) -> float:
     # Exact segment decomposition: F_n is constant at i/n between
     # consecutive order statistics, so each segment is a smooth
     # quadrature of (i/n - F)^2 with panel edges aligned to the jumps,
     # evaluated in one vectorized Gauss-Kronrod pass.  Outside the data
     # range F_n is exactly 0/1, leaving the target's own tail mass.
-    tail = dist.tail_radius(cfg.tail_cutoff_tol)
+    tail = dist.tail_radius(TAIL_CUTOFF_TOL)
     xs = sample.values
     n = sample.n
     sigma = math.sqrt(dist.variance)
@@ -244,18 +240,17 @@ _MC_CONTEXT: tuple | None = None
 
 
 def _mc_span(span: tuple[int, int]) -> tuple[int, list[float]]:
-    dist, kernel, h, n, seed, cfg = _MC_CONTEXT
+    dist, kernel, h, n, seed = _MC_CONTEXT
     lo, hi = span
     out = []
     for r in range(lo, hi):
         s = draw_sample(dist, n, seed, rep=r)
-        out.append(ise(s, kernel, h, dist, cfg))
+        out.append(ise(s, kernel, h, dist))
     return lo, out
 
 
 def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
-                     n: int, replications: int, seed: int,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE, *,
+                     n: int, replications: int, seed: int, *,
                      workers: int | None = None) -> MonteCarloMise:
     """Mean ISE over independently seeded replications, with standard error.
 
@@ -266,6 +261,7 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     index and reduced in fixed order, so the aggregate is independent of
     worker count and completion order.
     """
+    _validate_h(h)
     if replications < 2:
         raise ValueError("replications must be >= 2")
     if workers is None:
@@ -287,7 +283,7 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     spans = [(lo, min(lo + step, replications))
              for lo in range(0, replications, step)]
     global _MC_CONTEXT
-    _MC_CONTEXT = (dist, kernel, h, n, seed, cfg)
+    _MC_CONTEXT = (dist, kernel, h, n, seed)
     try:
         with mp.Pool(processes=workers) if workers > 1 else nullcontext() as pool:
             run = map if pool is None else pool.imap_unordered

@@ -21,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    integrate,
-    sine_integral,
-    std_normal_cdf,
-)
+from .numerics import integrate, sine_integral, std_normal_cdf
 
 __all__ = [
     "Kernel",
@@ -226,7 +220,7 @@ def kernel_by_name(name: str) -> Kernel:
         ) from None
 
 
-def psi_k(kernel: Kernel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def psi_k(kernel: Kernel) -> float:
     """Roughness psi(K) = (2 pi)^-1 int t^-2 {1 - phi_k(t)^2} dt.
 
     Evaluated over (0, inf) by symmetry.  The integrand vanishes
@@ -242,7 +236,7 @@ def psi_k(kernel: Kernel, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
         p = float(kernel.ft(t))
         return (1.0 - p * p) / (t * t)
 
-    res = integrate(integrand, kernel.s_k, math.inf, cfg, points=kernel.ft_knots)
+    res = integrate(integrand, kernel.s_k, math.inf, points=kernel.ft_knots)
     if not res.converged:
         raise RuntimeError(f"psi_k quadrature failed to converge for {kernel.name}")
     return res.value / math.pi

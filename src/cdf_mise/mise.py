@@ -39,12 +39,7 @@ import scipy.special
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate,
-)
+from .numerics import QuadratureResult, integrate
 
 __all__ = [
     "MiseReport",
@@ -89,15 +84,6 @@ class MiseReport:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _check_pair(dist: TargetDistribution, kernel: Kernel) -> None:
-    if not dist.abs_first_moment_finite:
-        raise ValueError("MISE formulas require a target with finite mean")
-    if not kernel.integrable and not dist.square_integrable:
-        raise ValueError(
-            "the sinc kernel requires a square-integrable target density"
-        )
-
-
 def _validate_h(h: float) -> None:
     if h < 0.0 or not math.isfinite(h):
         raise ValueError("bandwidth h must be finite and >= 0")
@@ -123,8 +109,7 @@ def _phi_k(kernel: Kernel, u: float) -> float:
     return float(kernel.ft(u))
 
 
-def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float,
-             cfg: QuadratureConfig) -> QuadratureResult:
+def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
     # pi n IV(h) for h > 0, over (0, ft_support_end/h).
     var = dist.variance
 
@@ -139,14 +124,13 @@ def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float,
     pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
     if math.isfinite(dist.d_f):
         pts.append(dist.d_f)
-    res = integrate(integrand, 0.0, upper, cfg, points=pts)
+    res = integrate(integrand, 0.0, upper, points=pts)
     if not res.converged:
         raise RuntimeError("iv_fourier quadrature failed to converge")
     return res
 
 
-def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float,
-              cfg: QuadratureConfig) -> QuadratureResult:
+def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
     # pi ISB(h) for h > 0.  The integrand vanishes identically below
     # s_k/h and beyond d_f, so the ISB is exactly zero (no quadrature)
     # while h d_f <= s_k and the flat segment stays noise-free.
@@ -161,40 +145,36 @@ def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float,
         return (1.0 - p) * (1.0 - p) * q * q / (t * t)
 
     pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    res = integrate(integrand, kernel.s_k / h, dist.d_f, cfg, points=pts)
+    res = integrate(integrand, kernel.s_k / h, dist.d_f, points=pts)
     if not res.converged:
         raise RuntimeError("isb_fourier quadrature failed to converge")
     return res
 
 
-def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int) -> float:
     """Integrated variance by Fourier quadrature.
 
     At h = 0 the kernel factor is 1 and the integral reduces to the
     roughness identity psi(F) = (2 pi)^-1 int t^-2 {1 - |phi_f|^2} dt,
     so the exact value psi_f/n is returned.
     """
-    _check_pair(dist, kernel)
     _validate_h_n(h, n)
     if h == 0.0:
         return dist.psi_f / n
-    return _iv_quad(dist, kernel, h, cfg).value / (math.pi * n)
+    return _iv_quad(dist, kernel, h).value / (math.pi * n)
 
 
-def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float,
-                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float) -> float:
     """Integrated squared bias by Fourier quadrature.
 
     Exactly zero whenever h * d_f <= s_k (the kernel transform is flat
     across the target's whole spectral support); the zero is returned
     without quadrature so the flat segment is noise-free.
     """
-    _check_pair(dist, kernel)
     _validate_h(h)
     if h == 0.0:
         return 0.0
-    return _isb_quad(dist, kernel, h, cfg).value / math.pi
+    return _isb_quad(dist, kernel, h).value / math.pi
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -296,7 +276,6 @@ class MiseTerms:
 
 
 def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
-               cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                method: str = "auto") -> MiseTerms:
     """The n-free terms of MISE(h, .) for a (target, kernel) pair.
 
@@ -304,7 +283,6 @@ def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
     closed forms, otherwise Fourier quadrature); method="fourier" forces
     the quadrature for h > 0.
     """
-    _check_pair(dist, kernel)
     _validate_h(h)
     if method not in ("auto", "fourier"):
         raise ValueError("method must be 'auto' or 'fourier'")
@@ -326,22 +304,21 @@ def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
             return MiseTerms(h=h, method="closed_form_normal_sinc",
                              sigma=dist.sigma)
 
-    a = _iv_quad(dist, kernel, h, cfg)
-    b = _isb_quad(dist, kernel, h, cfg)
+    a = _iv_quad(dist, kernel, h)
+    b = _isb_quad(dist, kernel, h)
     return MiseTerms(h=h, method="fourier", a=a.value, b=b.value,
                      a_error=a.error_estimate, b_error=b.error_estimate)
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
-         cfg: QuadratureConfig = DEFAULT_QUADRATURE,
          method: str = "auto") -> MiseReport:
     """MISE(h) for a (target, kernel) pair, with automatic fast paths.
 
-    This is ``mise_terms(dist, kernel, h, cfg, method).at(n)``.
+    This is ``mise_terms(dist, kernel, h, method).at(n)``.
     method="auto" picks the cheapest exact route (linear segment, normal
     closed forms, otherwise Fourier quadrature); every fast path agrees
     with method="fourier" to well below 1e-9 relative, which the test
     suite pins.
     """
     _validate_n(n)  # before any quadrature
-    return mise_terms(dist, kernel, h, cfg, method).at(n)
+    return mise_terms(dist, kernel, h, method).at(n)

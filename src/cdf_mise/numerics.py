@@ -21,9 +21,11 @@ import scipy.integrate
 import scipy.special
 
 __all__ = [
-    "QuadratureConfig",
+    "ABS_TOL",
+    "REL_TOL",
+    "MAX_SUBDIVISIONS",
+    "TAIL_CUTOFF_TOL",
     "QuadratureResult",
-    "DEFAULT_QUADRATURE",
     "sine_integral",
     "std_normal_cdf",
     "integrate",
@@ -31,30 +33,16 @@ __all__ = [
     "gauss_kronrod_panels",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error targets for adaptive quadrature.
-
-    abs_tol / rel_tol: convergence is declared when the error estimate
-    falls below max(abs_tol, rel_tol * |value|).
-    max_subdivisions: panel budget for the adaptive scheme.
-    tail_cutoff_tol: tolerance used by callers that truncate an infinite
-    domain explicitly (for example the integrated-squared-error domain);
-    integrate() itself maps infinite tails through a variable transform
-    and does not truncate.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    tail_cutoff_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_cutoff_tol > 0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# Error targets for adaptive quadrature: convergence is declared when the
+# error estimate falls below max(ABS_TOL, REL_TOL * |value|), within a
+# budget of MAX_SUBDIVISIONS panels.  TAIL_CUTOFF_TOL is the tail mass
+# left out by callers that truncate an infinite domain explicitly (the
+# integrated-squared-error domain); integrate() itself maps infinite
+# tails through a variable transform and does not truncate.
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 2000
+TAIL_CUTOFF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,9 +53,6 @@ class QuadratureResult:
     error_estimate: float
     subdivisions_used: int
     converged: bool
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def sine_integral(x):
@@ -94,11 +79,11 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _run_quad(f, lower: float, upper: float, cfg: QuadratureConfig, points=None):
+def _run_quad(f, lower: float, upper: float, points):
     kwargs = dict(
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        epsabs=ABS_TOL,
+        epsrel=REL_TOL,
+        limit=MAX_SUBDIVISIONS,
         full_output=True,
     )
     if points:
@@ -109,8 +94,7 @@ def _run_quad(f, lower: float, upper: float, cfg: QuadratureConfig, points=None)
     return value, error, int(info.get("last", 0)), ier
 
 
-def integrate(f, lower, upper, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-              points=None) -> QuadratureResult:
+def integrate(f, lower, upper, points=None) -> QuadratureResult:
     """Adaptively integrate a scalar function over (lower, upper).
 
     Either endpoint may be infinite; infinite tails are mapped to a
@@ -121,7 +105,7 @@ def integrate(f, lower, upper, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     integrands with a removable singularity should still return their
     limit value at it (the library's own integrands do).
 
-    Non-convergence within cfg.max_subdivisions is reported through
+    Non-convergence within MAX_SUBDIVISIONS panels is reported through
     ``converged=False``, never silently.
     """
     lower = float(lower)
@@ -167,13 +151,13 @@ def integrate(f, lower, upper, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     for a, b, pts in segments:
         if a == b:
             continue
-        v, e, s, ier = _run_quad(f, a, b, cfg, pts)
+        v, e, s, ier = _run_quad(f, a, b, pts)
         total += v
         err += e
         subs += s
         ok = ok and (ier == 0)
 
-    converged = ok and err <= max(cfg.abs_tol, cfg.rel_tol * abs(total))
+    converged = ok and err <= max(ABS_TOL, REL_TOL * abs(total))
     return QuadratureResult(total, err, subs, converged)
 
 
@@ -232,6 +216,23 @@ _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = _G7_ONLY_WEIGHTS
 
 
+def _panel_values(fvec, edges, nodes: np.ndarray, chunk: int | None):
+    # Yield (half-widths, integrand values) for the rule with `nodes` on
+    # [-1, 1] mapped onto each panel, chunk panels (all when None) per
+    # fvec call.
+    edges = np.asarray(edges, dtype=float)
+    panels = edges.size - 1
+    step = max(panels, 1) if chunk is None else chunk
+    for i in range(0, panels, step):
+        sub = edges[i:i + step + 1]
+        a = sub[:-1]
+        b = sub[1:]
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        xs = mid[:, None] + half[:, None] * nodes[None, :]
+        yield half, np.asarray(fvec(xs.ravel()), dtype=float).reshape(xs.shape)
+
+
 def gauss_panels(fvec, edges: np.ndarray, chunk: int | None = None) -> float:
     """Fixed 7-point Gauss integration over consecutive panels.
 
@@ -240,19 +241,10 @@ def gauss_panels(fvec, edges: np.ndarray, chunk: int | None = None) -> float:
     evaluations.  Used on hot paths whose panel widths are chosen a
     priori to resolve the integrand.
     """
-    edges = np.asarray(edges, dtype=float)
-    if chunk is not None:
-        total = 0.0
-        for i in range(0, edges.size - 1, chunk):
-            total += gauss_panels(fvec, edges[i:i + chunk + 1])
-        return total
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid[:, None] + half[:, None] * _G7_NODES[None, :]
-    vals = np.asarray(fvec(xs.ravel()), dtype=float).reshape(xs.shape)
-    return float(np.sum(half * (vals @ _G7_ONLY_WEIGHTS)))
+    total = 0.0
+    for half, vals in _panel_values(fvec, edges, _G7_NODES, chunk):
+        total += float(np.sum(half * (vals @ _G7_ONLY_WEIGHTS)))
+    return total
 
 
 def gauss_kronrod_panels(fvec, edges: np.ndarray, chunk: int | None = None):
@@ -264,23 +256,11 @@ def gauss_kronrod_panels(fvec, edges: np.ndarray, chunk: int | None = None):
     so the result is deterministic; chunk caps the panels evaluated per
     fvec call, bounding intermediate memory when fvec builds matrices.
     """
-    edges = np.asarray(edges, dtype=float)
-    if chunk is not None:
-        total = 0.0
-        err = 0.0
-        for i in range(0, edges.size - 1, chunk):
-            v, e = gauss_kronrod_panels(fvec, edges[i:i + chunk + 1])
-            total += v
-            err += e
-        return total, err
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid[:, None] + half[:, None] * _GK15_NODES[None, :]
-    vals = np.asarray(fvec(xs.ravel()), dtype=float).reshape(xs.shape)
-    k15 = vals @ _GK15_WEIGHTS
-    g7 = vals @ _G7_WEIGHTS
-    value = float(np.sum(half * k15))
-    err = float(np.sum(half * np.abs(k15 - g7)))
-    return value, err
+    total = 0.0
+    err = 0.0
+    for half, vals in _panel_values(fvec, edges, _GK15_NODES, chunk):
+        k15 = vals @ _GK15_WEIGHTS
+        g7 = vals @ _G7_WEIGHTS
+        total += float(np.sum(half * k15))
+        err += float(np.sum(half * np.abs(k15 - g7)))
+    return total, err

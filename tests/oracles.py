@@ -19,14 +19,8 @@ import scipy.integrate
 
 from cdf_mise.distributions import TargetDistribution
 from cdf_mise.kernels import Kernel
-from cdf_mise.mise import _check_pair, _validate_h_n
-from cdf_mise.numerics import (
-    DEFAULT_QUADRATURE,
-    _GK15_NODES,
-    _GK15_WEIGHTS,
-    QuadratureConfig,
-    gauss_kronrod_panels,
-)
+from cdf_mise.mise import _validate_h_n
+from cdf_mise.numerics import _GK15_NODES, _GK15_WEIGHTS, gauss_kronrod_panels
 
 
 def si_classical(x: float) -> float:
@@ -326,8 +320,7 @@ def _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight: bool):
     return core + dist.cdf(xs - h * b_hi) * (1.0 - w_hi) + dist.cdf(xs + h * b_hi) * w_lo
 
 
-def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float,
-                     cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float) -> float:
     """ISB by direct space-domain quadrature (cross-check oracle).
 
     Evaluates int b_h(x)^2 dx with the pointwise bias
@@ -338,7 +331,6 @@ def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float,
     if not kernel.integrable:
         raise ValueError("space-domain oracle requires an integrable kernel "
                          "(dK must be a finite measure)")
-    _check_pair(dist, kernel)
     _validate_h_n(h, 1)
     if h == 0.0:
         return 0.0
@@ -357,8 +349,7 @@ def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float,
     return val
 
 
-def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
-                    cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int) -> float:
     """IV by direct space-domain quadrature (cross-check oracle).
 
     n IV(h) = int [ int F(x - h m) d(K^2)(m) - { int F(x - h y) dK(y) }^2 ] dx,
@@ -369,7 +360,6 @@ def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     if not kernel.integrable:
         raise ValueError("space-domain oracle requires an integrable kernel "
                          "(dK must be a finite measure)")
-    _check_pair(dist, kernel)
     _validate_h_n(h, n)
 
     b_k = _kernel_truncation_radius(kernel)

@@ -29,6 +29,7 @@ NORMAL1 = make_normal(1.0)
 NORMAL_K = kernel_by_name("normal")
 TRAP = kernel_by_name("trapezoidal")
 SINC = kernel_by_name("sinc")
+BAD_BANDWIDTHS = (-0.2, math.nan, math.inf)
 
 
 def ise_reference(sample, kernel, h, dist, pad, width):
@@ -96,10 +97,11 @@ class TestEstimateCdf:
         s = Sample(values=np.array([0.7]), seed=0, source="manual")
         assert estimate_cdf(s, kernel, 0.3, 0.7) == pytest.approx(0.5, abs=1e-15)
 
-    def test_rejects_negative_bandwidth(self):
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_rejects_negative_bandwidth(self, h):
         s = Sample(values=np.array([0.0]), seed=0, source="manual")
-        with pytest.raises(ValueError):
-            estimate_cdf(s, NORMAL_K, -0.2, 0.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            estimate_cdf(s, NORMAL_K, h, 0.0)
 
     def test_scalar_and_array_evaluation(self):
         s = draw_sample(NORMAL1, 10, 3)
@@ -169,10 +171,11 @@ class TestEstimateCdf:
 
 
 class TestIse:
-    def test_rejects_negative_bandwidth(self):
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_rejects_negative_bandwidth(self, h):
         s = draw_sample(NORMAL1, 10, 1)
-        with pytest.raises(ValueError):
-            ise(s, NORMAL_K, -0.5, NORMAL1)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ise(s, NORMAL_K, h, NORMAL1)
 
     def test_zero_when_estimator_equals_target(self):
         # a one-point "kernel" whose integrated form is the target CDF
@@ -230,6 +233,16 @@ class TestMonteCarloMise:
     def test_requires_two_replications(self):
         with pytest.raises(ValueError):
             monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, 1, seed=1)
+
+    @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
+    def test_rejects_bad_bandwidth_before_sampling(self, h, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled or started a pool before checking h")
+
+        monkeypatch.setattr(estimator, "draw_sample", forbidden)
+        monkeypatch.setattr(estimator.multiprocessing, "get_context", forbidden)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            monte_carlo_mise(NORMAL1, NORMAL_K, h, 10, 4, seed=1, workers=2)
 
     def test_deterministic_for_seed(self):
         a = monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 12, seed=5)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from cdf_mise.distributions import make_jdlvp, make_normal, rescale
+from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
     MiseReport,
@@ -19,6 +20,7 @@ from cdf_mise.mise import (
     mise_normal_sinc_closed,
     mise_terms,
 )
+from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
 
 from oracles import isb_space_oracle, iv_space_oracle
 
@@ -408,6 +410,18 @@ class TestValidationAndErrors:
     def test_report_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             MiseReport(h=0.1, n=10, iv=0.0, isb=0.0, mise=0.0, method="bogus")
+
+    @pytest.mark.parametrize("module, call", [
+        ("cdf_mise.mise", lambda: mise(JDLVP, TRAP, 0.7, 10, method="fourier")),
+        ("cdf_mise.kernels", lambda: psi_k(NORMAL_K)),
+        ("cdf_mise.distributions", lambda: psi_f_fourier(JDLVP)),
+    ])
+    def test_non_converged_quadrature_raises(self, module, call, monkeypatch):
+        failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)
+        monkeypatch.setattr(importlib.import_module(module), "integrate",
+                            lambda *args, **kwargs: failed)
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            call()
 
 
 class TestSpaceOracles:

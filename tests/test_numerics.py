@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from cdf_mise.numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     gauss_kronrod_panels,
     gauss_panels,
     integrate,
@@ -104,6 +102,9 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda t: 1.0, 1.0, 0.0)
 
+    def test_divergent_integral_is_not_converged(self):
+        assert integrate(lambda t: 1.0 / t, 0.0, 1.0).converged is False
+
 
 class TestFixedPanels:
     def test_matches_adaptive_on_smooth_integrand(self):
@@ -130,18 +131,3 @@ class TestFixedPanels:
         assert v7 == pytest.approx(v15, abs=1e-12)
         assert gauss_panels(f, edges, chunk=3) == pytest.approx(v7, abs=1e-13)
 
-
-class TestQuadratureConfig:
-    def test_defaults_are_positive(self):
-        cfg = DEFAULT_QUADRATURE
-        assert cfg.abs_tol > 0 and cfg.rel_tol > 0 and cfg.tail_cutoff_tol > 0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0},
-        {"rel_tol": -1.0},
-        {"tail_cutoff_tol": 0.0},
-        {"max_subdivisions": 0},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
