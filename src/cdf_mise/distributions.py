@@ -46,11 +46,10 @@ class TargetDistribution:
 
     density, cdf and cf are vectorized callables.  scale is the
     rescaling parameter a relative to the family's unit form
-    (f_a(x) = f(x/a)/a).  variance doubles as the t -> 0 limit of
-    {1 - phi_f(t)^2} / t^2 in Fourier-side integrands, cf_knots lists
-    the non-smooth points of phi_f, tail_radius(eps) returns R with
-    1 - F(R) <= eps (the F(-R) bound follows by symmetry), and sampler
-    draws from the distribution given a numpy Generator.
+    (f_a(x) = f(x/a)/a).  cf_knots lists the non-smooth points of
+    phi_f, tail_radius(eps) returns R with 1 - F(R) <= eps (the F(-R)
+    bound follows by symmetry), and sampler draws from the distribution
+    given a numpy Generator.
     """
 
     name: str
@@ -300,11 +299,7 @@ def psi_f_fourier(dist: TargetDistribution) -> float:
 
     Cross-checks the stored analytic psi_f.
     """
-    var = dist.variance
-
     def integrand(t: float) -> float:
-        if t == 0.0:
-            return var
         p = float(dist.cf(t))
         return (1.0 - p * p) / (t * t)
 

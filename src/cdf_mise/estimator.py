@@ -7,6 +7,13 @@ empirical CDF.  The integrated squared error of one sample against the
 target, int {F_nh(x) - F(x)}^2 dx, is averaged over independently
 seeded replications to validate the exact MISE formulas end to end.
 
+For h > 0 the ISE is taken on the Fourier side, like the exact MISE:
+by Parseval it is pi^-1 int_0^inf t^-2 |phi_k(t h) phi_n(t) - phi_f(t)|^2 dt
+with phi_n the empirical characteristic function, cut at t h =
+ft_support_end, or at t h = 8 for the normal kernel, which drops at
+most 2 e^-32 h / 8.  At h = 0 the ISE of the step function F_n is
+summed exactly in x, leaving out target tail mass below TAIL_CUTOFF_TOL.
+
 Sinc estimates are reported as-is: they may leave [0, 1] slightly and
 are neither clipped nor monotonized, since the exact-MISE identities
 hold for the raw estimator only.
@@ -31,6 +38,7 @@ from .numerics import (
     TAIL_CUTOFF_TOL,
     gauss_kronrod_panels,
     gauss_panels,
+    integrate,
 )
 
 __all__ = [
@@ -41,6 +49,18 @@ __all__ = [
     "ise",
     "monte_carlo_mise",
 ]
+
+# Cutoff t h <= 8 for a kernel transform with unbounded support (the
+# normal kernel): beyond it |phi_k(t h)| <= e^-32, so the integrand
+# differs from phi_f(t)^2 / t^2 by at most 3 e^-32 / t^2, and pi^-1
+# times its integral over (8/h, inf) is below 2 e^-32 h / 8.
+_NORMAL_FT_CUTOFF = 8.0
+
+# Panel width times the largest frequency in the ISE integrand: 7-point
+# Gauss at this width agrees with 16-point Gauss at a quarter of it to
+# 4e-14 relative on every catalog pair, for h from 0.02 to 5 and n from
+# 1 to 200.
+_PANEL_WIDTH = 1.5
 
 
 @dataclass(frozen=True)
@@ -110,75 +130,54 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
 def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> float:
     """Integrated squared error int {F_nh(x) - F(x)}^2 dx of one sample.
 
-    The integral is split into a core window around the data, where the
-    estimator is evaluated exactly on oscillation-resolving panels, and
-    two tail regions where it has settled to 0/1 beyond recovery of the
-    quadrature tolerance, leaving only the target's own F^2 / (1-F)^2
-    mass (integrated out to the tail-cutoff quantile and beyond on
-    widening panels).  The core margin is 48h for integrable kernels,
-    whose 1 - K(y) envelope has decayed below ~2e-4 there.  The sinc
-    estimator approaches 0/1 only at an O(1/x) oscillating rate, so its
-    neglected tail mass, (h/pi)^2 |phi_hat(1/h)|^2 cos^2 / x^2 with
-    phi_hat the empirical characteristic function, is added back in
-    closed form after averaging the squared oscillation.
+    For h > 0, by Parseval,
+
+        ISE = pi^-1 int_0^inf t^-2 |phi_k(t h) phi_n(t) - phi_f(t)|^2 dt
+
+    with phi_n(t) = n^-1 sum_j exp(i t X_j).  Up to the cutoff T =
+    ft_support_end/h (8/h for the normal kernel) 7-point Gauss panels,
+    split at every knot of phi_k(t h) and phi_f, resolve the fastest
+    oscillation of phi_n; beyond T only the sample-free pi^-1
+    int_T^d_f phi_f(t)^2 / t^2 dt is left, integrated adaptively.  The
+    normal kernel's cutoff drops at most 2 e^-32 h / 8.  At h = 0 the
+    integral is summed exactly in x between order statistics, leaving
+    out target tail mass below TAIL_CUTOFF_TOL.
     """
     _validate_h(h)
     if h == 0.0:
         return _ise_empirical(sample, dist)
 
-    x_lo = float(sample.values[0])
-    x_hi = float(sample.values[-1])
-    tail = dist.tail_radius(TAIL_CUTOFF_TOL)
-    sigma = math.sqrt(dist.variance)
-    if kernel.integrable:
-        margin = 48.0 * h
-    else:
-        margin = max(48.0 * h, 20.0)
-    core_lo = x_lo - margin
-    core_hi = x_hi + margin
-    width = min(math.pi * h, sigma)
-    panels = int(math.ceil((core_hi - core_lo) / width))
-    if panels <= 4096:
-        edges = np.linspace(core_lo, core_hi, panels + 1)
-    else:
-        edges = _jump_anchored_edges(sample.values, h, core_lo, core_hi, sigma)
+    xs = sample.values
+    cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
+    knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
+    bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
+    # phi_n oscillates at frequencies up to max|X_j|, and the Gaussian
+    # factors phi_f^2 and phi_k(t h)^2 fall off on the scales 1/sigma
+    # and 1/h.  Past a knot a > 0 the piece no longer vanishes at t = 0,
+    # so the pole of t^-2 limits each panel there to a quarter of a.
+    width = _PANEL_WIDTH / max(float(np.max(np.abs(xs))),
+                               2.0 * math.sqrt(dist.variance), 2.0 * h)
+    pieces = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        step = min(width, a / 4.0) if a > 0.0 else width
+        pieces.append(np.linspace(a, b, math.ceil((b - a) / step) + 1)[:-1])
+    edges = np.append(np.concatenate(pieces), cutoff)
 
-    def sq_err(xs: np.ndarray) -> np.ndarray:
-        diff = estimate_cdf(sample, kernel, h, xs) - dist.cdf(xs)
-        return diff * diff
+    def sq_diff(t: np.ndarray) -> np.ndarray:
+        tx = t[:, None] * xs[None, :]
+        p = kernel.ft(t * h)
+        re = p * np.cos(tx).mean(axis=1) - dist.cf(t)
+        im = p * np.sin(tx).mean(axis=1)
+        return (re * re + im * im) / (t * t)
 
-    total = gauss_panels(sq_err, edges, chunk=64)
-    reach = max(20.0 * h + tail - margin, 2000.0 * sigma)
-    total += _target_tail_mass(dist, core_lo, core_hi, reach)
-    if not kernel.integrable:
-        # Residual oscillation beyond the core: there the estimator is
-        # 1 - (h/pi) |phi_hat| cos(x/h - theta) / (x - c) + O(x^-2), so
-        # the neglected squared error integrates to the closed form below.
-        amp = float(np.abs(np.mean(np.exp(-1j * sample.values / h))))
-        c = float(np.mean(sample.values))
-        total += (h * amp) ** 2 / (2.0 * math.pi ** 2) * (
-            1.0 / (core_hi - c) + 1.0 / (c - core_lo))
-    return total
-
-
-def _jump_anchored_edges(values: np.ndarray, h: float, core_lo: float,
-                         core_hi: float, sigma: float) -> np.ndarray:
-    # Small-h fallback: uniform pi*h panels would blow up, but the
-    # integrand only varies at scale h near the data points.  Anchor
-    # geometrically spaced edges on each point and fill between with
-    # sigma-wide panels.
-    offsets = h * np.array([-48.0, -32.0, -16.0, -8.0, -4.0, -2.0, -1.0,
-                            -0.5, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0,
-                            32.0, 48.0])
-    local = (values[:, None] + offsets[None, :]).ravel()
-    coarse = np.linspace(core_lo, core_hi,
-                         int(math.ceil((core_hi - core_lo) / sigma)) + 1)
-    edges = np.unique(np.concatenate((coarse, np.clip(local, core_lo, core_hi))))
-    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * (core_hi - core_lo)))
-    edges = edges[keep]
-    edges[0] = core_lo
-    edges[-1] = core_hi
-    return edges
+    total = gauss_panels(sq_diff, edges, chunk=64)
+    if cutoff < dist.d_f:
+        res = integrate(lambda t: float(dist.cf(t)) ** 2 / (t * t),
+                        cutoff, dist.d_f, points=dist.cf_knots)
+        if not res.converged:
+            raise RuntimeError("ise tail quadrature failed to converge")
+        total += res.value
+    return total / math.pi
 
 
 def _target_tail_mass(dist: TargetDistribution, core_lo: float,

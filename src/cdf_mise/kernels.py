@@ -47,11 +47,8 @@ class Kernel:
 
     ft_knots lists the points where phi_k is not smooth, ft_support_end
     is the frequency beyond which phi_k vanishes identically (inf when
-    it never does), and ft_sq_curvature is the limit of
-    {1 - phi_k(t)^2} / t^2 as t -> 0, used to evaluate Fourier-side
-    integrands at their removable singularity.  psi_k_analytic stores
-    the exact roughness constant psi(K); :func:`psi_k` reproduces it by
-    quadrature.
+    it never does).  psi_k_analytic stores the exact roughness constant
+    psi(K); :func:`psi_k` reproduces it by quadrature.
     """
 
     name: str
@@ -65,7 +62,6 @@ class Kernel:
     psi_k_analytic: float
     ft_knots: tuple = field(default=())
     ft_support_end: float = field(default=math.inf)
-    ft_sq_curvature: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.s_k <= self.t_k):
@@ -96,7 +92,6 @@ def make_normal_kernel() -> Kernel:
         psi_k_analytic=1.0 / math.sqrt(math.pi),
         ft_knots=(),
         ft_support_end=math.inf,
-        ft_sq_curvature=1.0,
     )
 
 
@@ -159,7 +154,6 @@ def make_trapezoidal_superkernel() -> Kernel:
         psi_k_analytic=(4.0 * math.log(2.0) - 2.0) / math.pi,
         ft_knots=(1.0, 2.0),
         ft_support_end=2.0,
-        ft_sq_curvature=0.0,
     )
 
 
@@ -198,7 +192,6 @@ def make_sinc_kernel() -> Kernel:
         psi_k_analytic=1.0 / math.pi,
         ft_knots=(1.0,),
         ft_support_end=1.0,
-        ft_sq_curvature=0.0,
     )
 
 
@@ -228,11 +221,7 @@ def psi_k(kernel: Kernel) -> float:
     support, so the quadrature runs on [s_k, inf) with panels split at
     the transform's knots.
     """
-    curv = kernel.ft_sq_curvature
-
     def integrand(t: float) -> float:
-        if t == 0.0:
-            return curv
         p = float(kernel.ft(t))
         return (1.0 - p * p) / (t * t)
 

@@ -111,11 +111,7 @@ def _phi_k(kernel: Kernel, u: float) -> float:
 
 def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
     # pi n IV(h) for h > 0, over (0, ft_support_end/h).
-    var = dist.variance
-
     def integrand(t: float) -> float:
-        if t == 0.0:
-            return var
         p = _phi_k(kernel, t * h)
         q = float(dist.cf(t))
         return p * p * (1.0 - q * q) / (t * t)
@@ -125,6 +121,14 @@ def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureRe
     if math.isfinite(dist.d_f):
         pts.append(dist.d_f)
     res = integrate(integrand, 0.0, upper, points=pts)
+    if not res.converged:
+        # At small h the integrand takes its shape at t ~ 1/sigma but
+        # runs out to t ~ 1/h; breakpoints at 8 and 64 (and 4/h on an
+        # unbounded range) split that long first segment.  Retried only
+        # after a failed pass, so every value that converged on the
+        # first pass keeps its bits.
+        pts += [8.0, 64.0] + ([4.0 / h] if math.isinf(upper) else [])
+        res = integrate(integrand, 0.0, upper, points=pts)
     if not res.converged:
         raise RuntimeError("iv_fourier quadrature failed to converge")
     return res
@@ -138,8 +142,6 @@ def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureR
         return QuadratureResult(0.0, 0.0, 0, True)
 
     def integrand(t: float) -> float:
-        if t == 0.0:
-            return 0.0
         p = _phi_k(kernel, t * h)
         q = float(dist.cf(t))
         return (1.0 - p) * (1.0 - p) * q * q / (t * t)

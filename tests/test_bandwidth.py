@@ -121,6 +121,15 @@ class TestOptimalBandwidth:
         assert [w.filename for w in hits] == [__file__]
         assert r.h_opt == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.slow
+    def test_small_window_reaches_tiny_bandwidths(self):
+        # the log grid under h_max = 0.2 reaches h ~ 4e-5, where the
+        # first Fourier pass of the IV fails and its retry converges
+        with pytest.warns(UserWarning, match="search bound"):
+            r = optimal_bandwidth(JDLVP, NORMAL_K, 10, search=SearchConfig(h_max=0.2))
+        assert r.h_opt == pytest.approx(0.2, abs=1e-12)
+        assert r.mise_at_opt < JDLVP.psi_f / 10
+
     def test_jdlvp_trapezoidal_lower_bound(self):
         # the optimum never drops below the unbiasedness threshold 1/2
         for n in (10, 10**3, 10**6):

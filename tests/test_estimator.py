@@ -10,7 +10,7 @@ import pytest
 import scipy.integrate
 
 from cdf_mise import estimator
-from cdf_mise.distributions import make_jdlvp, make_normal
+from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.estimator import (
     MonteCarloMise,
     Sample,
@@ -200,13 +200,14 @@ class TestIse:
 
     @pytest.mark.parametrize(
         "dist,kernel,h,n",
-        [(JDLVP, TRAP, 0.5, 40), (NORMAL1, NORMAL_K, 0.5, 40), (NORMAL1, TRAP, 0.8, 25)],
-        ids=["jdlvp+trap", "normal+normal", "normal+trap"],
+        [(JDLVP, TRAP, 0.5, 40), (NORMAL1, NORMAL_K, 0.5, 40), (NORMAL1, TRAP, 0.8, 25),
+         (JDLVP, NORMAL_K, 0.5, 40)],
+        ids=["jdlvp+trap", "normal+normal", "normal+trap", "jdlvp+normal"],
     )
     def test_matches_brute_force_quadrature(self, dist, kernel, h, n):
         s = draw_sample(dist, n, 13)
         ref = ise_reference(s, kernel, h, dist, pad=60.0, width=min(math.pi * h, 1.0) / 4.0)
-        assert ise(s, kernel, h, dist) == pytest.approx(ref, abs=1e-7)
+        assert ise(s, kernel, h, dist) == pytest.approx(ref, abs=1e-8)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("dist,h,n", [(JDLVP, 0.25, 30), (NORMAL1, 0.5, 40)],
@@ -220,7 +221,19 @@ class TestIse:
         # the oscillation tail carries mass ~ 1/pad, so the mass beyond
         # pad 2000 equals the increment from 1000 to 2000
         extrapolated = wider + (wider - ref)
-        assert ise(s, SINC, h, dist) == pytest.approx(extrapolated, abs=5e-7)
+        assert ise(s, SINC, h, dist) == pytest.approx(extrapolated, abs=5e-9)
+
+    @pytest.mark.parametrize("dist", [JDLVP, NORMAL1], ids=lambda d: d.family)
+    @pytest.mark.parametrize("kernel", [NORMAL_K, TRAP, SINC], ids=lambda k: k.name)
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_scale_covariance(self, dist, kernel, a):
+        # F_nh of the sample a X at bandwidth a h is F_nh(x / a), so the
+        # ISE against the rescaled target is a times the unscaled one
+        s = draw_sample(dist, 30, 21)
+        scaled = Sample(values=a * s.values, seed=s.seed, source=s.source)
+        for h in (0.1, 0.4, 1.3):
+            assert ise(scaled, kernel, a * h, rescale(dist, a)) == pytest.approx(
+                a * ise(s, kernel, h, dist), rel=1e-12)
 
 
 class TestMonteCarloMise:

@@ -301,6 +301,16 @@ class TestAsymptotics:
             dist.psi_f / n, rel=1e-6
         )
 
+    @pytest.mark.parametrize("dist,kernel,h", [(JDLVP, NORMAL_K, 3.7276e-5),
+                                               (NORMAL1, TRAP, 3.995e-5)],
+                             ids=["jdlvp+normal", "normal+trap"])
+    def test_tiny_h_converges_to_linear_term(self, dist, kernel, h):
+        # a first QUADPACK pass fails here; the retry with breakpoints
+        # near the origin converges, to n MISE = psi_f - psi_k h + O(h^2)
+        n = 10
+        r = mise(dist, kernel, h, n, method="fourier")
+        assert n * r.mise == pytest.approx(dist.psi_f - psi_k(kernel) * h, abs=h * h)
+
     def test_iv_scales_exactly_as_one_over_n(self):
         h = 0.8
         for dist, kernel in ALL_PAIRS:
@@ -422,6 +432,36 @@ class TestValidationAndErrors:
                             lambda *args, **kwargs: failed)
         with pytest.raises(RuntimeError, match="failed to converge"):
             call()
+
+    def test_segments_held_to_their_own_tolerance(self):
+        # QUADPACK converges on both ISB segments here (estimates 6.3e-17
+        # and 9.9997e-13), but their sum exceeds ABS_TOL = 1e-12
+        r = mise(NORMAL1, TRAP, 0.6269760855485063, 16015)
+        assert r.method == "fourier" and r.mise > 0.0
+
+    def test_fourier_integrands_never_see_t_zero(self, monkeypatch):
+        # QUADPACK never evaluates an endpoint, so no integrand needs a
+        # value at its removable singularity t = 0
+        seen = []
+        for name in ("cdf_mise.mise", "cdf_mise.kernels", "cdf_mise.distributions"):
+            module = importlib.import_module(name)
+
+            def recording(f, *args, _integrate=module.integrate, **kwargs):
+                def spy(t):
+                    seen.append(t)
+                    return f(t)
+                return _integrate(spy, *args, **kwargs)
+
+            monkeypatch.setattr(module, "integrate", recording)
+        for kernel in (NORMAL_K, TRAP, SINC):
+            psi_k(kernel)
+        for dist in (JDLVP, NORMAL1):
+            psi_f_fourier(dist)
+        for dist, kernel in ALL_PAIRS:
+            for h in (3.7276e-5, 3.995e-5, 0.1, 0.7, 2.5):
+                mise(dist, kernel, h, 10, method="fourier")
+        assert len(seen) > 1000
+        assert 0.0 not in seen
 
 
 class TestSpaceOracles:
