@@ -10,6 +10,8 @@ and efficiency results for band-limited targets, and validates every
 formula against a seeded Monte Carlo oracle.
 """
 
+import logging
+
 from .bandwidth import (
     BandwidthResult,
     EfficiencyCurve,
@@ -60,6 +62,7 @@ from .mise import (
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
+    mise_profile,
     mise_terms,
 )
 from .numerics import (
@@ -70,6 +73,10 @@ from .numerics import (
 )
 
 __version__ = "0.1.0"
+
+# Search telemetry goes to the "cdf_mise" logger at DEBUG level; it is
+# silent unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BandwidthResult",
@@ -106,6 +113,7 @@ __all__ = [
     "mise",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
+    "mise_profile",
     "mise_terms",
     "monte_carlo_mise",
     "optimal_bandwidth",

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,9 +25,11 @@ from cdf_mise.bandwidth import (
     relative_efficiency,
     sinc_critical_bandwidths,
 )
+from cdf_mise import bandwidth as bw
+from cdf_mise.cli import _SWEEP_N as FIGURE_NS
 from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise
+from cdf_mise.mise import mise, mise_profile, mise_terms
 
 from oracles import jdlvp_sinc_critical_points
 
@@ -43,6 +49,8 @@ ALL_PAIRS = [
 SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
              for kernel in (NORMAL_K, TRAP, SINC)]
 SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
+FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
+MISE_MODULE = importlib.import_module("cdf_mise.mise")
 
 
 class TestSearchConfig:
@@ -184,6 +192,20 @@ class TestSincCriticalBandwidths:
         assert len(roots) == len(expected)
         for got, want in zip(roots, expected):
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_jdlvp_search_lands_on_a_root(self):
+        # a third route to the sinc optimum: every jdlvp optimum of the
+        # sweep is a stationary point |phi_f(1/h)|^2 = 1/(n+1)
+        for res in optimal_bandwidths(JDLVP, SINC, SWEEP_NS):
+            roots = sinc_critical_bandwidths(JDLVP, res.n, (8e-4, 8.0))
+            gap = min(abs(res.h_opt - root) for root in roots)
+            assert gap <= res.refined_tolerance + 1e-9, (res.n, gap)
+
+    def test_normal_search_lands_on_the_closed_root(self):
+        # for N(0, 1) the stationary point is 1/sqrt(ln(n + 1))
+        for res in optimal_bandwidths(NORMAL1, SINC, SWEEP_NS):
+            gap = abs(res.h_opt - 1.0 / math.sqrt(math.log(res.n + 1.0)))
+            assert gap <= res.refined_tolerance + 1e-9, (res.n, gap)
 
     @pytest.mark.parametrize(
         "dist,n", [(NORMAL1, 100), (JDLVP, 100), (JDLVP, 12)],
@@ -335,6 +357,141 @@ class TestSharedScan:
         gaps = [h - 0.5 for h in cur.h_opt]
         for ratio in (gaps[0] / gaps[1], gaps[1] / gaps[2]):
             assert 2.2 <= ratio <= 3.0
+
+
+@functools.lru_cache(maxsize=None)
+def _quadpack_grid(family: str, scale: float, kernel_name: str):
+    # A pair's search grid with the QUADPACK terms of every cell.
+    dist = rescale(JDLVP if family == "jdlvp" else NORMAL1, scale)
+    kernel = kernel_by_name(kernel_name)
+    grid = bw._search_grid(default_search(dist).h_max)
+    return dist, kernel, grid, tuple(mise_terms(dist, kernel, float(h)) for h in grid)
+
+
+def _full_scan(grid, terms, n):
+    # The oracle: _better over the QUADPACK values of every grid cell in
+    # grid order, the scan the search ran before it had the profile.
+    values = [t.at(n).mise for t in terms]
+    best = 0
+    for i in range(1, grid.size):
+        if bw._better(grid[i], values[i], grid[best], values[best]):
+            best = i
+    return best, values[best]
+
+
+class TestScanProfile:
+    # The scan evaluates QUADPACK only on the cells whose fixed-rule
+    # profile value is within bw._WINDOW of the profile's minimum; the
+    # cell it picks must be the one a QUADPACK scan of the whole grid picks.
+    ORACLE_NS = SWEEP_NS + (10**9, 10**12)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("family,kernel_name",
+                             [(d.family, k.name) for d, k in SIX_PAIRS],
+                             ids=[f"{d.family}+{k.name}" for d, k in SIX_PAIRS])
+    def test_chosen_cell_is_the_full_scan_cell(self, family, kernel_name, scale):
+        dist, kernel, grid, terms = _quadpack_grid(family, scale, kernel_name)
+        a, b, _ = mise_profile(dist, kernel, grid)
+        memo = {}
+        for n in self.ORACLE_NS:
+            best, value, cells = bw._scan(dist, kernel, n, grid, a / n + b, memo)
+            assert (best, value) == _full_scan(grid, terms, n), n
+            assert 1 <= cells <= 3
+        assert all(memo[i] == terms[i] for i in memo)
+
+    @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_profile_agrees_with_quadpack_on_every_cell(self, dist, kernel):
+        _, _, grid, terms = _quadpack_grid(dist.family, 1.0, kernel.name)
+        a, b, err = mise_profile(dist, kernel, grid)
+        for i, t in enumerate(terms):
+            r = t.at(1)
+            assert abs(a[i] - r.iv) + abs(b[i] - r.isb) <= err[i], grid[i]
+            for n in self.ORACLE_NS:
+                want = t.at(n).mise
+                assert abs(a[i] / n + b[i] - want) <= 0.1 * bw._WINDOW * want, (grid[i], n)
+
+    @pytest.mark.parametrize("shift", [0.0, -0.5], ids=["tie", "rival-lower"])
+    def test_near_tie_goes_to_quadpack(self, monkeypatch, shift):
+        # Give the best cell's right neighbour the best cell's profile value,
+        # or one half a window lower: QUADPACK must evaluate both cells and
+        # _better must still pick the best cell from their QUADPACK values.
+        n = 1000
+        dist, kernel, grid, terms = _quadpack_grid("jdlvp", 1.0, "trapezoidal")
+        best, _ = _full_scan(grid, terms, n)
+        rival = best + 1
+        want = optimal_bandwidth(dist, kernel, n)
+        a, b, err = mise_profile(dist, kernel, grid)
+        a[rival] = a[best] * (1.0 + shift * bw._WINDOW)
+        b[rival] = b[best] * (1.0 + shift * bw._WINDOW)
+        monkeypatch.setattr(bw, "mise_profile", lambda *args: (a, b, err))
+        evaluated = []
+
+        def recording(dist, kernel, h, method="auto"):
+            evaluated.append(h)
+            return mise_terms(dist, kernel, h, method)
+
+        monkeypatch.setattr(bw, "mise_terms", recording)
+        assert optimal_bandwidth(dist, kernel, n) == want
+        assert evaluated == [float(grid[best]), float(grid[rival])]
+
+    @staticmethod
+    def _count_iv_quadratures(monkeypatch) -> list:
+        calls = []
+        iv_quad = MISE_MODULE._iv_quad
+
+        def counting(dist, kernel, h):
+            calls.append(h)
+            return iv_quad(dist, kernel, h)
+
+        monkeypatch.setattr(MISE_MODULE, "_iv_quad", counting)
+        return calls
+
+    def test_single_search_quadrature_count(self, monkeypatch):
+        # a QUADPACK scan of the whole grid made 535 (512 of them the scan)
+        calls = self._count_iv_quadratures(monkeypatch)
+        optimal_bandwidth(JDLVP, NORMAL_K, 1000)
+        assert len(calls) <= 40
+
+    def test_sweep_quadrature_count(self, monkeypatch):
+        # 287 and 1,076 with a QUADPACK scan of the whole grid
+        calls = self._count_iv_quadratures(monkeypatch)
+        optimal_bandwidths(JDLVP, TRAP, SWEEP_NS)
+        assert len(calls) <= 160
+        calls.clear()
+        for kernel in (TRAP, SINC):  # the figure2 sweep
+            optimal_bandwidths(JDLVP, kernel, FIGURE_NS)
+        assert len(calls) <= 850
+
+
+class TestSearchTelemetry:
+    RECORD = re.compile(r"search (\S+) n=(\d+): grid of (\d+) cells, (\d+) by "
+                        r"QUADPACK, (\d+) mise\(\) calls in refinement")
+
+    def test_one_debug_record_per_search(self, caplog, monkeypatch):
+        calls = []
+        counted = bw.mise
+
+        def counting(*args):
+            calls.append(args[3])
+            return counted(*args)
+
+        monkeypatch.setattr(bw, "mise", counting)
+        ns = (10, 1000)
+        with caplog.at_level(logging.DEBUG, logger="cdf_mise"):
+            optimal_bandwidths(JDLVP, TRAP, ns)
+        records = [r for r in caplog.records if r.name == "cdf_mise.bandwidth"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * len(ns)
+        for record, n in zip(records, ns):
+            pair, got_n, grid, cells, refine = self.RECORD.fullmatch(
+                record.getMessage()).groups()
+            assert (pair, int(got_n), int(grid)) == ("jdlvp+trapezoidal", n, 513)
+            assert 1 <= int(cells) <= 3
+            assert int(refine) == calls.count(n)
+
+    def test_library_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("cdf_mise").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
 class TestSandwichCheck:

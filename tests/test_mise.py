@@ -18,6 +18,7 @@ from cdf_mise.mise import (
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
+    mise_profile,
     mise_terms,
 )
 from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
@@ -400,6 +401,52 @@ class TestMiseTerms:
             mise_terms(JDLVP, TRAP, 0.1, method="linear_segment")
         with pytest.raises(ValueError):
             mise_terms(JDLVP, TRAP, 0.1).at(0)
+
+
+class TestMiseProfile:
+    # mise_profile: A = n IV and B = ISB on a bandwidth array by a fixed
+    # rule, with an error bound.  Its agreement with QUADPACK over whole
+    # search grids is pinned in test_bandwidth.py.
+    HS = (0.0, 0.3, 0.7, 1.3, 2.5, 7.9)
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_matches_mise_terms(self, dist, kernel):
+        a, b, err = mise_profile(dist, kernel, self.HS)
+        assert a.shape == b.shape == err.shape == (len(self.HS),)
+        for i, h in enumerate(self.HS):
+            r = mise_terms(dist, kernel, h).at(1)
+            assert abs(a[i] - r.iv) + abs(b[i] - r.isb) <= err[i]
+            # the bound is honest and still tight enough to use
+            assert 0.0 < err[i] <= 1e-8 * (a[i] + b[i])
+
+    def test_exact_cells_take_exact_terms(self):
+        # h = 0 and the linear segment need no quadrature
+        a, b, _ = mise_profile(JDLVP, TRAP, [0.0, 0.3])
+        assert list(a) == [JDLVP.psi_f, JDLVP.psi_f - TRAP.psi_k_analytic * 0.3]
+        assert list(b) == [0.0, 0.0]
+        a, b, _ = mise_profile(NORMAL1, NORMAL_K, [0.4])
+        assert a[0] + b[0] == mise_normal_normal_closed(1.0, 0.4, 1)
+
+    def test_scale_covariance(self):
+        # A and B of f_a at a h are a times those of f at h
+        hs = np.array([0.05, 0.4, 0.9, 3.0])
+        for dist in (JDLVP, NORMAL1):
+            for kernel in (NORMAL_K, TRAP):
+                a1, b1, _ = mise_profile(dist, kernel, hs)
+                a2, b2, _ = mise_profile(rescale(dist, 2.0), kernel, 2.0 * hs)
+                np.testing.assert_allclose(a2, 2.0 * a1, rtol=1e-12)
+                np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-11, atol=1e-300)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            mise_profile(JDLVP, TRAP, [0.5, -0.1])
+        with pytest.raises(ValueError):
+            mise_profile(JDLVP, TRAP, [0.5, math.inf])
+        with pytest.raises(ValueError):
+            mise_profile(JDLVP, TRAP, [[0.5]])
+        a, b, err = mise_profile(JDLVP, TRAP, [])
+        assert a.size == b.size == err.size == 0
 
 
 class TestValidationAndErrors:

@@ -1,0 +1,80 @@
+"""Golden diff: run the CLI and the demos from two checkouts, compare bytes.
+
+    python tools/golden_diff.py BASE_CHECKOUT [NEW_CHECKOUT]
+
+NEW_CHECKOUT defaults to the checkout holding this script.  Every case
+runs once per checkout, in a fresh working directory with
+PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
+it writes must be byte-identical.  Prints one line per case with both
+wall times and exits 1 if any case differs.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+_CLI = "import sys; from cdf_mise.cli import console_main; console_main()"
+
+CASES: list[tuple[str, list[str]]] = [
+    (f"{command} {fmt}", ["-c", _CLI, command, "--format", fmt])
+    for command in ("figure2", "figure3", "mise-curve", "optimal-bandwidth",
+                    "efficiency-curve")
+    for fmt in ("csv", "csv+svg")
+] + [
+    (f"optimal-bandwidth {dist}+{kernel}",
+     ["-c", _CLI, "optimal-bandwidth", "--dist", dist, "--kernel", kernel,
+      "--n", "10,1000,100000"])
+    for dist, kernel in (("jdlvp", "sinc"), ("jdlvp", "normal"),
+                         ("normal:sigma=1", "trapezoidal"))
+] + [
+    ("efficiency-curve jdlvp:scale=0.5+sinc",
+     ["-c", _CLI, "efficiency-curve", "--dist", "jdlvp:scale=0.5", "--kernel", "sinc"]),
+] + [
+    (f"demo {name}", [f"demos/{name}"])
+    for name in ("02_mise_curves.py", "03_bandwidth_descent.py", "04_normal_target.py")
+]
+
+
+def run_case(checkout: Path, argv: list[str]) -> tuple[dict[str, bytes], float]:
+    """Run one case in a fresh directory; return its outputs by name and wall time."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        args = [str(checkout / a) if a.startswith("demos/") else a for a in argv]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                              capture_output=True)
+        wall = time.perf_counter() - start
+        out = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout,
+               "stderr": proc.stderr}
+        for path in sorted(Path(work).rglob("*")):
+            if path.is_file():
+                out[str(path.relative_to(work))] = path.read_bytes()
+    return out, wall
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    new = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    failed = 0
+    for name, case in CASES:
+        got_base, t_base = run_case(base, case)
+        got_new, t_new = run_case(new, case)
+        differ = sorted(k for k in got_base.keys() | got_new.keys()
+                        if got_base.get(k) != got_new.get(k))
+        failed += bool(differ)
+        files = len(got_base) - 3
+        status = "DIFF " + ", ".join(differ) if differ else "same"
+        print(f"{name:42s} {t_base:6.2f}s {t_new:6.2f}s  {files} files  {status}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
