@@ -7,17 +7,14 @@ the best grid cell.  The scan guards against multi-modal MISE profiles:
 the sinc kernel's stationary points are the solutions of
 |phi_f(1/h)|^2 = 1/(n + 1) and need not be unique.
 
-A search costs QUADPACK work only where it can change the answer.
+A search costs QUADPACK work only where it sets a reported value.
 MISE(h, n) = A(h)/n + B(h), where A = n IV and B = ISB are n-free, and
 ``mise_profile`` computes A and B on the whole grid with a fixed
-Gauss-Kronrod rule in milliseconds.  At each n the profile's minimum
-fixes a window of cells (those within relative 1e-7 of it, usually one
-or two); QUADPACK (``mise_terms``) evaluates only those, once per search
-however many sample sizes it serves, and the same deterministic rule as
-a full QUADPACK scan picks the best among them.  The profile agrees with
-QUADPACK to about 3e-11 relative, so the chosen cell, its bracket and
-every reported value are those of a QUADPACK scan of the whole grid.
-Golden-section refinement then runs on ``mise`` for each n.
+Gauss-Kronrod rule in milliseconds, once per search however many sample
+sizes it serves.  At each n the deterministic scan rule picks the best
+grid cell from the profile values alone, and ``mise`` supplies that
+cell's value.  Golden-section refinement then runs on ``mise`` for
+each n.
 
 For a flat-top kernel (s_k > 0) paired with a band-limited target
 (c_f = d_f < inf), the optima h_0n of increasing sample sizes satisfy
@@ -40,7 +37,7 @@ from scipy import optimize
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
-from .mise import MiseTerms, mise, mise_profile, mise_terms
+from .mise import mise, mise_profile
 
 __all__ = [
     "SearchConfig",
@@ -64,12 +61,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_SIZE = 512
 _REFINE_TOL = 1e-6
 _BOUNDARY_FLAGS = ("interior", "at_zero", "at_upper_bracket")
-# QUADPACK evaluates the grid cells whose fixed-rule profile value is
-# within this relative distance of the profile's minimum.  On the grids of
-# all six catalog pairs at scales 0.5, 1 and 2 the profile and QUADPACK
-# agree to 3e-11 relative for every n up to 1e12; the worst miss of
-# QUADPACK's own 1e-10 tolerance seen on random inputs is 4.2e-9.
-_WINDOW = 1e-7
 
 _log = logging.getLogger(__name__)
 
@@ -154,40 +145,19 @@ def _search_grid(h_max: float) -> np.ndarray:
     return np.concatenate(([0.0], np.geomspace(h_max * 1e-4, h_max, _GRID_SIZE)))
 
 
-def _scan(dist: TargetDistribution, kernel: Kernel, n: int, grid: np.ndarray,
-          profile: np.ndarray, terms: dict[int, MiseTerms]) -> tuple[int, float, int]:
-    # The best grid cell at n, its QUADPACK value and the number of cells
-    # QUADPACK evaluated.  The profile's minimum fixes a window of cells;
-    # only those get QUADPACK terms (memoized in ``terms`` across the
-    # sample sizes of one search), and _better picks among them in grid
-    # order.
-    #
-    # This is the cell a QUADPACK scan of the whole grid picks whenever
-    # profile and QUADPACK values agree to a relative r with 2r well below
-    # _WINDOW.  Let V be the lowest QUADPACK value and D = (_WINDOW - 2r) V
-    # to first order.  Every cell with a QUADPACK value up to V + D is then
-    # in the window, and every cell outside it has a value above V + D.
-    # The 513 values leave a gap in (V, V + D) wider than D/514, far more
-    # than two of _better's 1e-14 ties.  Both scans hold a cell above that
-    # gap when they reach the first cell below it, so both switch to that
-    # cell; from there no cell outside the window can displace the running
-    # best, and the two scans take the same steps to the same cell.
-    window = np.flatnonzero(profile <= profile.min() * (1.0 + _WINDOW))
-    values = {}
-    for i in window.tolist():
-        if i not in terms:
-            terms[i] = mise_terms(dist, kernel, float(grid[i]))
-        values[i] = terms[i].at(n).mise
-    best = int(window[0])
-    for i in values:
-        if _better(grid[i], values[i], grid[best], values[best]):
+def _scan(grid: np.ndarray, profile: np.ndarray) -> int:
+    # The best grid cell: _better over the fixed-rule profile values in
+    # grid order.  The profile is accurate to about 1e-13 relative, far
+    # inside the gap between a grid's two lowest cells.
+    best = 0
+    for i in range(1, grid.size):
+        if _better(grid[i], profile[i], grid[best], profile[best]):
             best = i
-    return best, values[best], window.size
+    return best
 
 
 def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
-            h_max: float, grid: np.ndarray, profile: np.ndarray,
-            terms: dict[int, MiseTerms]) -> BandwidthResult:
+            h_max: float, grid: np.ndarray, profile: np.ndarray) -> BandwidthResult:
     # Pick the best grid cell at this n and shrink it by golden section.
     calls = 0
 
@@ -196,7 +166,8 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
         calls += 1
         return mise(dist, kernel, float(h), n).mise
 
-    best, v_best, cells = _scan(dist, kernel, n, grid, profile, terms)
+    best = _scan(grid, profile)
+    v_best = f(grid[best])
     a = float(grid[best - 1]) if best >= 1 else float(grid[0])
     b = float(grid[best + 1]) if best + 1 < grid.size else float(grid[best])
 
@@ -233,9 +204,8 @@ def _refine(dist: TargetDistribution, kernel: Kernel, n: int,
     else:
         flag = "interior"
 
-    _log.debug("search %s+%s n=%d: grid of %d cells, %d by QUADPACK, "
-               "%d mise() calls in refinement", dist.name, kernel.name, n,
-               grid.size, cells, calls)
+    _log.debug("search %s+%s n=%d: grid of %d cells, %d mise() calls",
+               dist.name, kernel.name, n, grid.size, calls)
     return BandwidthResult(
         h_opt=h_opt,
         mise_at_opt=v_opt,
@@ -260,8 +230,7 @@ def _search(dist: TargetDistribution, kernel: Kernel, n_values,
         return ()
     grid = _search_grid(search.h_max)
     a, b, _ = mise_profile(dist, kernel, grid)
-    terms: dict[int, MiseTerms] = {}
-    results = tuple(_refine(dist, kernel, n, search.h_max, grid, a / n + b, terms)
+    results = tuple(_refine(dist, kernel, n, search.h_max, grid, a / n + b)
                     for n in ns)
     for res in results:
         if res.boundary_flag == "at_upper_bracket":
@@ -279,15 +248,13 @@ def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
 
     A dense log-spaced scan (plus the h = 0 candidate) locates the best
     grid cell; golden-section refinement shrinks it to width 1e-6.  The
-    fixed-rule profile of the grid is computed once for all n; at each n
-    QUADPACK evaluates only the cells whose profile value is within 1e-7
-    relative of the profile's minimum (memoized across the n) and picks
-    among them exactly as a QUADPACK scan of every cell would.  Each
-    result equals a single-n search.  A minimizer landing at h_max is
-    flagged at_upper_bracket and warned about, once per such n, never
-    silently returned as interior.  One DEBUG record per n goes to the
-    ``cdf_mise.bandwidth`` logger: the pair, n, the grid size, the cells
-    QUADPACK evaluated and the refinement's ``mise`` calls.
+    fixed-rule profile of the grid is computed once for all n and picks
+    the cell at each n; ``mise`` gives that cell's value.  Each result
+    equals a single-n search.  A minimizer landing at h_max is flagged
+    at_upper_bracket and warned about, once per such n, never silently
+    returned as interior.  One DEBUG record per n goes to the
+    ``cdf_mise.bandwidth`` logger: the pair, n, the grid size and the
+    search's ``mise`` calls (the chosen cell's and the refinement's).
     """
     return _search(dist, kernel, n_values, search)
 

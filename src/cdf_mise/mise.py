@@ -30,7 +30,14 @@ into an n-free step, ``mise_terms``, which does the route choice and any
 quadrature, and ``MiseTerms.at(n)``; ``mise`` is the two in sequence.
 ``mise_profile`` computes the same n-free terms on a whole bandwidth
 array by a fixed Gauss-Kronrod rule, with an error bound; the bandwidth
-scan uses it to choose the cells that QUADPACK evaluates.
+scan picks its grid cell from it.
+
+The ``fourier`` route's values come from QUADPACK.  Where QUADPACK
+misses its tolerance (at very small or very large h), ``mise_terms``
+takes both terms and their error bounds from the fixed rule of
+``mise_profile`` for that one h instead, and raises only if that bound
+is also above 1e-8 of A + B.  Every value on which QUADPACK converges is
+QUADPACK's.
 """
 
 from __future__ import annotations
@@ -121,22 +128,10 @@ def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureRe
         q = float(dist.cf(t))
         return p * p * (1.0 - q * q) / (t * t)
 
-    upper = kernel.ft_support_end / h
     pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
     if math.isfinite(dist.d_f):
         pts.append(dist.d_f)
-    res = integrate(integrand, 0.0, upper, points=pts)
-    if not res.converged:
-        # At small h the integrand takes its shape at t ~ 1/sigma but
-        # runs out to t ~ 1/h; breakpoints at 8 and 64 (and 4/h on an
-        # unbounded range) split that long first segment.  Retried only
-        # after a failed pass, so every value that converged on the
-        # first pass keeps its bits.
-        pts += [8.0, 64.0] + ([4.0 / h] if math.isinf(upper) else [])
-        res = integrate(integrand, 0.0, upper, points=pts)
-    if not res.converged:
-        raise RuntimeError("iv_fourier quadrature failed to converge")
-    return res
+    return integrate(integrand, 0.0, kernel.ft_support_end / h, points=pts)
 
 
 def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
@@ -152,36 +147,24 @@ def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureR
         return (1.0 - p) * (1.0 - p) * q * q / (t * t)
 
     pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    res = integrate(integrand, kernel.s_k / h, dist.d_f, points=pts)
-    if not res.converged:
-        raise RuntimeError("isb_fourier quadrature failed to converge")
-    return res
+    return integrate(integrand, kernel.s_k / h, dist.d_f, points=pts)
 
 
 def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int) -> float:
-    """Integrated variance by Fourier quadrature.
+    """Integrated variance by Fourier quadrature: ``mise(..., "fourier").iv``.
 
-    At h = 0 the kernel factor is 1 and the integral reduces to the
-    roughness identity psi(F) = (2 pi)^-1 int t^-2 {1 - |phi_f|^2} dt,
-    so the exact value psi_f/n is returned.
+    At h = 0 this is the exact value psi_f/n.
     """
-    _validate_h_n(h, n)
-    if h == 0.0:
-        return dist.psi_f / n
-    return _iv_quad(dist, kernel, h).value / (math.pi * n)
+    return mise(dist, kernel, h, n, method="fourier").iv
 
 
 def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float) -> float:
     """Integrated squared bias by Fourier quadrature.
 
     Exactly zero whenever h * d_f <= s_k (the kernel transform is flat
-    across the target's whole spectral support); the zero is returned
-    without quadrature so the flat segment is noise-free.
+    across the target's whole spectral support), without quadrature.
     """
-    _validate_h(h)
-    if h == 0.0:
-        return 0.0
-    return _isb_quad(dist, kernel, h).value / math.pi
+    return mise_terms(dist, kernel, h, method="fourier").at(1).isb
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -304,7 +287,8 @@ def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
 
     method="auto" picks the cheapest exact route (linear segment, normal
     closed forms, otherwise Fourier quadrature); method="fourier" forces
-    the quadrature for h > 0.
+    the quadrature for h > 0.  Where QUADPACK misses its tolerance, both
+    terms and their bounds come from the fixed rule of ``mise_profile``.
     """
     _validate_h(h)
     if method not in ("auto", "fourier"):
@@ -317,8 +301,14 @@ def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
 
     a = _iv_quad(dist, kernel, h)
     b = _isb_quad(dist, kernel, h)
-    return MiseTerms(h=h, method="fourier", a=a.value, b=b.value,
-                     a_error=a.error_estimate, b_error=b.error_estimate)
+    if a.converged and b.converged:
+        return MiseTerms(h=h, method="fourier", a=a.value, b=b.value,
+                         a_error=a.error_estimate, b_error=b.error_estimate)
+    # QUADPACK missed its tolerance: both terms come from the fixed rule.
+    a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
+    if a_err + b_err > _FALLBACK_RTOL * (a + b):
+        raise RuntimeError(f"MISE quadrature failed to converge at h={h!r}")
+    return MiseTerms(h=h, method="fourier", a=a, b=b, a_error=a_err, b_error=b_err)
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
@@ -346,6 +336,9 @@ _GAUSS_CUT = 9.5
 _PROFILE_CELLS = 32
 # Rounding allowance per operation chain: 8 units in the last place.
 _ROUNDING = 8.0 * np.finfo(float).eps
+# Where QUADPACK fails, the fixed rule's value is used if its bound is
+# at most this fraction of A + B.
+_FALLBACK_RTOL = 1e-8
 
 
 def _gauss_tail(v: float) -> float:
@@ -426,6 +419,59 @@ class _Panels:
                 np.bincount(self.cell, np.abs(k15 - g7) + _ROUNDING * noise, size))
 
 
+def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
+    # pi A and pi B on an array of bandwidths h > 0 by the fixed rule of
+    # mise_profile, with separate error bounds: arrays (a, b, a_err, b_err).
+    a = np.zeros(hs.size)
+    b = np.zeros(hs.size)
+    a_err = np.zeros(hs.size)
+    b_err = np.zeros(hs.size)
+    # Past t_end the target factor is zero: exactly beyond d_f, or below
+    # 1e-39 beyond 9.5/sigma for a normal target, whose cut tail is at
+    # most sigma int_9.5^inf e^{-u^2} u^-2 du in each display.
+    if math.isfinite(dist.d_f):
+        t_end, cut, rates = dist.d_f, 0.0, []
+        knots = list(dist.cf_knots) + [dist.d_f]
+    else:
+        t_end, rates, knots = _GAUSS_CUT / dist.sigma, [dist.sigma], list(dist.cf_knots)
+        cut = dist.sigma * _gauss_tail(_GAUSS_CUT)
+
+    def iv(t, h):
+        p = kernel.ft(t * h)
+        q = dist.cf(t)
+        pp = p * p / (t * t)
+        return pp * (1.0 - q * q), pp * q * q
+
+    def isb(t, h):
+        p = kernel.ft(t * h)
+        qq = dist.cf(t) ** 2 / (t * t)
+        return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
+
+    for start in range(0, hs.size, _PROFILE_CELLS):
+        iv_panels, isb_panels = _Panels(), _Panels()
+        for i in range(start, min(start + _PROFILE_CELLS, hs.size)):
+            h = float(hs[i])
+            upper = kernel.ft_support_end / h
+            cell_knots = [k / h for k in kernel.ft_knots] + knots
+            cell_rates = rates + ([h] if kernel.name == "normal" else [])
+            iv_panels.add(_profile_edges(0.0, min(upper, t_end), cell_knots, cell_rates),
+                          h, i)
+            if kernel.s_k / h < t_end:
+                isb_panels.add(_profile_edges(kernel.s_k / h, t_end, cell_knots, cell_rates),
+                               h, i)
+            tail = h * _kernel_sq_tail(kernel, h * t_end) if t_end < upper else 0.0
+            a[i] = tail
+            a_err[i] = cut + _ROUNDING * tail
+            b_err[i] = cut
+        iv_val, iv_err = iv_panels.integrate(iv, hs.size)
+        isb_val, isb_err = isb_panels.integrate(isb, hs.size)
+        a += iv_val
+        b += isb_val
+        a_err += iv_err
+        b_err += isb_err
+    return a, b, a_err, b_err
+
+
 def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     """A = n IV and B = ISB over a bandwidth array, by a fixed rule.
 
@@ -444,8 +490,8 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     hence the error of A/n + B at every n >= 1.  It sums the panels'
     |K15 - G7| differences, a rounding allowance of 8 units in the last
     place on every computed factor, and the normal target's cut tails.
-    The profile serves the bandwidth scan; ``mise`` stays the value
-    source.
+    The bandwidth scan picks its grid cell from this profile, and
+    ``mise_terms`` falls back on the same rule where QUADPACK fails.
     """
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1:
@@ -453,52 +499,17 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     a = np.zeros(hs.size)
     b = np.zeros(hs.size)
     err = np.zeros(hs.size)
-    # Past t_end the target factor is zero: exactly beyond d_f, or below
-    # 1e-39 beyond 9.5/sigma for a normal target, whose cut tail is at
-    # most sigma int_9.5^inf e^{-u^2} u^-2 du in each display.
-    if math.isfinite(dist.d_f):
-        t_end, cut, rates = dist.d_f, 0.0, []
-        knots = list(dist.cf_knots) + [dist.d_f]
-    else:
-        t_end, rates, knots = _GAUSS_CUT / dist.sigma, [dist.sigma], list(dist.cf_knots)
-        cut = 2.0 * dist.sigma * _gauss_tail(_GAUSS_CUT)
-
-    def iv(t, h):
-        p = kernel.ft(t * h)
-        q = dist.cf(t)
-        pp = p * p / (t * t)
-        return pp * (1.0 - q * q), pp * q * q
-
-    def isb(t, h):
-        p = kernel.ft(t * h)
-        qq = dist.cf(t) ** 2 / (t * t)
-        return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
-
-    for start in range(0, hs.size, _PROFILE_CELLS):
-        iv_panels, isb_panels = _Panels(), _Panels()
-        for i in range(start, min(start + _PROFILE_CELLS, hs.size)):
-            h = float(hs[i])
-            _validate_h(h)
-            exact = _exact_terms(dist, kernel, h)
-            if exact is not None:
-                r = exact.at(1)
-                a[i], b[i], err[i] = r.iv, r.isb, _ROUNDING * r.mise
-                continue
-            upper = kernel.ft_support_end / h
-            cell_knots = [k / h for k in kernel.ft_knots] + knots
-            cell_rates = rates + ([h] if kernel.name == "normal" else [])
-            iv_panels.add(_profile_edges(0.0, min(upper, t_end), cell_knots, cell_rates),
-                          h, i)
-            if kernel.s_k / h < t_end:
-                isb_panels.add(_profile_edges(kernel.s_k / h, t_end, cell_knots, cell_rates),
-                               h, i)
-            tail = h * _kernel_sq_tail(kernel, h * t_end) if t_end < upper else 0.0
-            a[i] = tail / math.pi
-            err[i] = (cut + _ROUNDING * tail) / math.pi
-        # the exact cells own no panels and get zeros added
-        iv_val, iv_err = iv_panels.integrate(iv, hs.size)
-        isb_val, isb_err = isb_panels.integrate(isb, hs.size)
-        a += iv_val / math.pi
-        b += isb_val / math.pi
-        err += (iv_err + isb_err) / math.pi
+    quad = []
+    for i, h in enumerate(hs.tolist()):
+        _validate_h(h)
+        exact = _exact_terms(dist, kernel, h)
+        if exact is None:
+            quad.append(i)
+        else:
+            r = exact.at(1)
+            a[i], b[i], err[i] = r.iv, r.isb, _ROUNDING * r.mise
+    pa, pb, pa_err, pb_err = _fixed_rule(dist, kernel, hs[quad])
+    a[quad] = pa / math.pi
+    b[quad] = pb / math.pi
+    err[quad] = (pa_err + pb_err) / math.pi
     return a, b, err

@@ -131,8 +131,8 @@ class TestOptimalBandwidth:
 
     @pytest.mark.slow
     def test_small_window_reaches_tiny_bandwidths(self):
-        # the log grid under h_max = 0.2 reaches h ~ 4e-5, where the
-        # first Fourier pass of the IV fails and its retry converges
+        # the log grid under h_max = 0.2 reaches h = 2e-5, which the
+        # fixed-rule profile covers without QUADPACK
         with pytest.warns(UserWarning, match="search bound"):
             r = optimal_bandwidth(JDLVP, NORMAL_K, 10, search=SearchConfig(h_max=0.2))
         assert r.h_opt == pytest.approx(0.2, abs=1e-12)
@@ -380,9 +380,9 @@ def _full_scan(grid, terms, n):
 
 
 class TestScanProfile:
-    # The scan evaluates QUADPACK only on the cells whose fixed-rule
-    # profile value is within bw._WINDOW of the profile's minimum; the
-    # cell it picks must be the one a QUADPACK scan of the whole grid picks.
+    # The scan picks its grid cell from the fixed-rule profile alone and
+    # takes that cell's value from mise(); cell and value must be those of
+    # a QUADPACK scan of the whole grid.
     ORACLE_NS = SWEEP_NS + (10**9, 10**12)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0])
@@ -392,12 +392,10 @@ class TestScanProfile:
     def test_chosen_cell_is_the_full_scan_cell(self, family, kernel_name, scale):
         dist, kernel, grid, terms = _quadpack_grid(family, scale, kernel_name)
         a, b, _ = mise_profile(dist, kernel, grid)
-        memo = {}
         for n in self.ORACLE_NS:
-            best, value, cells = bw._scan(dist, kernel, n, grid, a / n + b, memo)
+            best = bw._scan(grid, a / n + b)
+            value = mise(dist, kernel, float(grid[best]), n).mise
             assert (best, value) == _full_scan(grid, terms, n), n
-            assert 1 <= cells <= 3
-        assert all(memo[i] == terms[i] for i in memo)
 
     @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
@@ -409,31 +407,7 @@ class TestScanProfile:
             assert abs(a[i] - r.iv) + abs(b[i] - r.isb) <= err[i], grid[i]
             for n in self.ORACLE_NS:
                 want = t.at(n).mise
-                assert abs(a[i] / n + b[i] - want) <= 0.1 * bw._WINDOW * want, (grid[i], n)
-
-    @pytest.mark.parametrize("shift", [0.0, -0.5], ids=["tie", "rival-lower"])
-    def test_near_tie_goes_to_quadpack(self, monkeypatch, shift):
-        # Give the best cell's right neighbour the best cell's profile value,
-        # or one half a window lower: QUADPACK must evaluate both cells and
-        # _better must still pick the best cell from their QUADPACK values.
-        n = 1000
-        dist, kernel, grid, terms = _quadpack_grid("jdlvp", 1.0, "trapezoidal")
-        best, _ = _full_scan(grid, terms, n)
-        rival = best + 1
-        want = optimal_bandwidth(dist, kernel, n)
-        a, b, err = mise_profile(dist, kernel, grid)
-        a[rival] = a[best] * (1.0 + shift * bw._WINDOW)
-        b[rival] = b[best] * (1.0 + shift * bw._WINDOW)
-        monkeypatch.setattr(bw, "mise_profile", lambda *args: (a, b, err))
-        evaluated = []
-
-        def recording(dist, kernel, h, method="auto"):
-            evaluated.append(h)
-            return mise_terms(dist, kernel, h, method)
-
-        monkeypatch.setattr(bw, "mise_terms", recording)
-        assert optimal_bandwidth(dist, kernel, n) == want
-        assert evaluated == [float(grid[best]), float(grid[rival])]
+                assert abs(a[i] / n + b[i] - want) <= 1e-10 * want, (grid[i], n)
 
     @staticmethod
     def _count_iv_quadratures(monkeypatch) -> list:
@@ -465,8 +439,8 @@ class TestScanProfile:
 
 
 class TestSearchTelemetry:
-    RECORD = re.compile(r"search (\S+) n=(\d+): grid of (\d+) cells, (\d+) by "
-                        r"QUADPACK, (\d+) mise\(\) calls in refinement")
+    RECORD = re.compile(r"search (\S+) n=(\d+): grid of (\d+) cells, "
+                        r"(\d+) mise\(\) calls")
 
     def test_one_debug_record_per_search(self, caplog, monkeypatch):
         calls = []
@@ -483,11 +457,10 @@ class TestSearchTelemetry:
         records = [r for r in caplog.records if r.name == "cdf_mise.bandwidth"]
         assert [r.levelno for r in records] == [logging.DEBUG] * len(ns)
         for record, n in zip(records, ns):
-            pair, got_n, grid, cells, refine = self.RECORD.fullmatch(
+            pair, got_n, grid, searched = self.RECORD.fullmatch(
                 record.getMessage()).groups()
             assert (pair, int(got_n), int(grid)) == ("jdlvp+trapezoidal", n, 513)
-            assert 1 <= int(cells) <= 3
-            assert int(refine) == calls.count(n)
+            assert int(searched) == calls.count(n)
 
     def test_library_logger_is_silent_by_default(self):
         handlers = logging.getLogger("cdf_mise").handlers

@@ -6,11 +6,16 @@ NEW_CHECKOUT defaults to the checkout holding this script.  Every case
 runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
 it writes must be byte-identical.  Prints one line per case with both
-wall times and exits 1 if any case differs.
+wall times, and under a case whose CSV files differ, the largest
+relative change in each numeric column of each such file.  Exits 1 if
+any case differs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +40,9 @@ CASES: list[tuple[str, list[str]]] = [
     ("efficiency-curve jdlvp:scale=0.5+sinc",
      ["-c", _CLI, "efficiency-curve", "--dist", "jdlvp:scale=0.5", "--kernel", "sinc"]),
 ] + [
+    ("mc-validate --reps 200 --seed 7",
+     ["-c", _CLI, "mc-validate", "--reps", "200", "--seed", "7"]),
+] + [
     (f"demo {name}", [f"demos/{name}"])
     for name in ("02_mise_curves.py", "03_bandwidth_descent.py", "04_normal_target.py")
 ]
@@ -57,6 +65,30 @@ def run_case(checkout: Path, argv: list[str]) -> tuple[dict[str, bytes], float]:
     return out, wall
 
 
+def _column_changes(old: bytes, new: bytes) -> list[str]:
+    """Largest relative change per numeric column of two CSV files."""
+    rows_old = list(csv.reader(io.StringIO(old.decode())))
+    rows_new = list(csv.reader(io.StringIO(new.decode())))
+    if len(rows_old) != len(rows_new) or not rows_old or rows_old[0] != rows_new[0]:
+        return [f"header or row count differs ({len(rows_old)} vs {len(rows_new)} rows)"]
+    worst: dict[str, float | str] = {}
+    for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
+        for name, a, b in zip(rows_old[0], row_old, row_new):
+            if a == b or worst.get(name) == "text":
+                continue
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                worst[name] = "text"
+                continue
+            change = abs(y - x) / max(abs(x), abs(y), 1e-300)
+            if math.isnan(change):  # a nan on one side only
+                change = math.inf
+            worst[name] = max(worst.get(name, 0.0), change)
+    return [f"{name}: {'text differs' if c == 'text' else f'{c:.3g}'}"
+            for name, c in worst.items()]
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 2:
         print(__doc__, file=sys.stderr)
@@ -73,6 +105,10 @@ def main(argv: list[str]) -> int:
         files = len(got_base) - 3
         status = "DIFF " + ", ".join(differ) if differ else "same"
         print(f"{name:42s} {t_base:6.2f}s {t_new:6.2f}s  {files} files  {status}")
+        for key in differ:
+            if key.endswith(".csv") and key in got_base and key in got_new:
+                for line in _column_changes(got_base[key], got_new[key]):
+                    print(f"    {key}  {line}")
     return 1 if failed else 0
 
 
