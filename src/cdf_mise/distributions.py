@@ -10,11 +10,12 @@ the spectral support constants
 the roughness psi(F) = int F(1-F), and an exact seeded sampler.  The
 JdlVP target is band-limited (d_f = 2), which is what makes first-order
 MISE gains possible for superkernels; the normal target has d_f = inf.
+Both distribution functions are in closed form: the normal one through
+ndtr, the JdlVP one through the sine integral.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.special
 
-from .numerics import integrate, std_normal_cdf
+from .numerics import integrate, sine_integral, std_normal_cdf
 
 __all__ = [
     "TargetDistribution",
@@ -94,62 +95,42 @@ def _jdlvp_cf_unit(t):
     return float(out) if out.ndim == 0 else out
 
 
-_GRID_END = 100.0
-
-
-@functools.lru_cache(maxsize=1)
-def _jdlvp_cdf_table():
-    # Cumulative integrals of f on a fixed grid over [0, 100]; each panel
-    # uses 20-point Gauss-Legendre, which is effectively exact for this
-    # entire (band-limited) density.  Evaluation later completes the
-    # partial panel with the same rule, so no interpolation error enters.
-    edges = np.concatenate([np.linspace(0.0, 20.0, 161), np.linspace(20.25, _GRID_END, 320)])
-    glx, glw = np.polynomial.legendre.leggauss(20)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = _jdlvp_density_unit(mid[:, None] + half[:, None] * glx[None, :])
-    cum = 0.5 + np.concatenate([[0.0], np.cumsum((vals @ glw) * half)])
-    return edges, cum, glx, glw
-
-
-def _jdlvp_tail_unit(x):
-    # 1 - F(x) for x > 0, by termwise integration by parts of the
-    # closed-form density (9 + 3 cos 2x - 12 cos x)/(2 pi x^4); the
-    # truncation error is O(x^-7), below 1e-11 for x >= 60.
-    x = np.asarray(x, dtype=float)
-    s1, c1 = np.sin(x), np.cos(x)
-    s2, c2 = np.sin(2.0 * x), np.cos(2.0 * x)
-    x3 = x ** 3
-    x4 = x3 * x
-    x5 = x4 * x
-    x6 = x5 * x
-    return (
-        3.0 / x3
-        - 1.5 * s2 / x4 + 12.0 * s1 / x4
-        + 3.0 * c2 / x5 - 48.0 * c1 / x5
-        + 7.5 * s2 / x6 - 240.0 * s1 / x6
-    ) / _TWO_PI
+# Taylor coefficients of (12/pi) I(u) / u in powers of u^2, where
+# I(u) = int_0^u sin^4(v/2) v^-4 dv = sum_{k>=2} (-1)^k (4^k - 4) u^(2k-3)
+# / (8 (2k)! (2k-3)), i.e. u/16 - u^3/288 + u^5/6400 - ...; at u <= 2
+# the first omitted term (k = 16) adds at most 1.5e-19 to F.
+_JDLVP_SERIES = tuple(
+    12.0 / math.pi * (-1) ** k * (4.0 ** k - 4.0)
+    / (8.0 * math.factorial(2 * k) * (2 * k - 3)) for k in range(2, 16))
 
 
 def _jdlvp_cdf_unit(x):
+    # F(x) = 1/2 + sign(x) (12/pi) I(|x|).  Three integrations by parts give
+    #   I(u) = (2 Si(2u) - Si(u))/12 - sin^4(u/2)/(3u^3)
+    #          - sin(u) sin^2(u/2)/(6u^2) - sin(3u/2) sin(u/2)/(6u)
+    # (classical Si; 12/pi times the first term is 2 sine_integral(2u) -
+    # sine_integral(u) in the package's normalisation).  Every factor is a
+    # product of sines over powers of u, so nothing overflows.  Below
+    # u = 2 the Taylor series replaces it: it does not cancel there, while
+    # scipy's sici is only good to about 3 ulp near the maximum of Si, which
+    # would put the closed form 5.7e-16 off at u = 1.26.  F is 1 to rounding
+    # far below the cap on u, which keeps 2u finite.
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    flat = x.ravel()
-    ax = np.abs(flat)
-    edges, cum, glx, glw = _jdlvp_cdf_table()
-    capped = np.minimum(ax, _GRID_END)
-    idx = np.clip(np.searchsorted(edges, capped, side="right") - 1, 0, len(edges) - 2)
-    x0 = edges[idx]
-    half = 0.5 * (capped - x0)
-    nodes = x0[:, None] + half[:, None] * (glx[None, :] + 1.0)
-    upper = cum[idx] + (_jdlvp_density_unit(nodes) @ glw) * half
-    big = ax > _GRID_END
-    if np.any(big):
-        upper[big] = 1.0 - _jdlvp_tail_unit(ax[big])
-    out = np.where(flat >= 0.0, upper, 1.0 - upper)
-    return float(out[0]) if shape == () else out.reshape(shape)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("jdlvp cdf requires finite input")
+    u = np.minimum(np.abs(x), 1e300)
+    small = u < 2.0
+    v = np.where(small, 2.0, u)
+    s = np.sin(0.5 * v)
+    s2 = s * s
+    closed = (2.0 * sine_integral(2.0 * v) - sine_integral(v)
+              - (4.0 / math.pi) * (s2 / v) * (s2 / v) / v
+              - (2.0 / math.pi) * (np.sin(v) / v) * (s2 / v)
+              - (2.0 / math.pi) * np.sin(1.5 * v) * s / v)
+    w = np.where(small, u, 0.0)
+    series = w * np.polynomial.polynomial.polyval(w * w, _JDLVP_SERIES)
+    out = 0.5 + np.copysign(np.where(small, series, closed), x)
+    return float(out) if out.ndim == 0 else out
 
 
 def _jdlvp_sampler_unit(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,7 +168,10 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
 
     Unit form: f(x) = (3/(4 pi)) (sin(x/2)/(x/2))^4, phi_f piecewise
     cubic with support [-2, 2] (so c_f = d_f = 2), and
-    psi(F) = (96 ln 2 - 43)/(8 pi).
+    psi(F) = (96 ln 2 - 43)/(8 pi).  F is in closed form: 1/2 + sign(x)
+    times 2 Si(2|x|) - Si(|x|) less three products of sines over powers
+    of |x| (Si the package's sine integral, limits +-1/2).  It raises
+    ValueError on non-finite x.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")

@@ -7,12 +7,16 @@ piecewise transform, and QUADPACK with analytic oscillatory tails
 instead of fixed Gauss panels.  The space-domain IV/ISB oracles
 integrate the pre-Fourier displays directly, sharing no transform code
 with the library's Fourier route, and ``mise_mpmath`` evaluates both
-Fourier displays to 50 digits with mpmath.  Agreement between routes is
+Fourier displays to 50 digits with mpmath.  ``jdlvp_cdf_mpmath``
+integrates the JdlVP density to 40 digits, and the h = 0 ISE oracles
+integrate the step-function error in closed form (normal) or with
+mpmath (JdlVP).  Agreement between routes is
 then evidence, not tautology.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -233,6 +237,96 @@ def ise_step_function_normal(values: np.ndarray, sigma: float) -> float:
     a = xs[-1]
     total += -1.0 / math.sqrt(math.pi) - (a - 2.0 * int_phi(a) + int_phi_sq(a))
     return sigma * total
+
+
+def jdlvp_cdf_mpmath(xs) -> np.ndarray:
+    """Unit JdlVP distribution function by 40-digit quadrature of its density.
+
+    F(x) = 1/2 + sign(x) int_0^|x| f, with f(v) = (12/pi) sin^4(v/2)/v^4
+    written in mpmath.  The integral is cumulated over the sorted |x| by
+    tanh-sinh on panels at most pi wide and rounded to float only at the
+    end, so it shares nothing with the library's closed form.
+    """
+    mp = pytest.importorskip("mpmath")
+    xs = np.asarray(xs, dtype=float)
+    with mp.workdps(40):
+        def density(v):
+            if v == 0:
+                return 3 / (4 * mp.pi)
+            return 12 / mp.pi * (mp.sin(v / 2) / v) ** 4
+
+        cum = {}
+        total = prev = mp.mpf(0)
+        for u in sorted({abs(float(x)) for x in xs.ravel()}):
+            panels = max(1, math.ceil((u - float(prev)) / math.pi))
+            total += mp.quad(density, mp.linspace(prev, mp.mpf(u), panels + 1))
+            cum[u] = total
+            prev = mp.mpf(u)
+        out = [mp.mpf(0.5) + math.copysign(1.0, x) * cum[abs(float(x))] for x in xs.ravel()]
+        return np.array([float(v) for v in out]).reshape(xs.shape)
+
+
+def jdlvp_cdf_closed_mp(mp, x):
+    """Unit JdlVP F(x) in closed form through mpmath's Si, as an mpmath number.
+
+    Evaluated at the caller's working precision; the tests pin it to
+    jdlvp_cdf_mpmath's quadrature of the density.
+    """
+    u = abs(mp.mpf(x))
+    if u == 0:
+        return mp.mpf(0.5)
+    i = ((2 * mp.si(2 * u) - mp.si(u)) / 12 - mp.sin(u / 2) ** 4 / (3 * u ** 3)
+         - mp.sin(u) * mp.sin(u / 2) ** 2 / (6 * u ** 2)
+         - mp.sin(1.5 * u) * mp.sin(u / 2) / (6 * u))
+    return mp.mpf(0.5) + mp.sign(x) * 12 / mp.pi * i
+
+
+def ise_step_function_jdlvp(values: np.ndarray) -> float:
+    """int (F_n - F)^2 dx for a step CDF vs the unit JdlVP target, by mpmath.
+
+    F is the closed form through mpmath's Si at 30 digits.  Each gap
+    between order statistics and both tails out to |x| = 40 are
+    integrated by Gauss-Legendre on panels at most pi wide; the two tails
+    past 40 are equal by symmetry and together about 1e-9.
+    """
+    mp = pytest.importorskip("mpmath")
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = xs.size
+    reach = float(max(40, math.ceil(np.max(np.abs(xs)))))
+    with mp.workdps(30):
+        def span(f, a, b):
+            pts = mp.linspace(a, b, max(1, math.ceil((b - a) / math.pi)) + 1)
+            return mp.quad(f, pts, method="gauss-legendre")
+
+        def below(x):
+            return jdlvp_cdf_closed_mp(mp, x) ** 2
+
+        def above(x):
+            return (1 - jdlvp_cdf_closed_mp(mp, x)) ** 2
+
+        total = (2 * _jdlvp_far_tail(reach) + span(below, -reach, xs[0])
+                 + span(above, xs[-1], reach))
+        for i in range(1, n):
+            level = mp.mpf(i) / n
+            total += span(lambda x: (level - jdlvp_cdf_closed_mp(mp, x)) ** 2,
+                          xs[i - 1], xs[i])
+        return float(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _jdlvp_far_tail(reach: float):
+    # int_reach^inf (1 - F)^2 at 30 digits: panels one period (2 pi) wide
+    # up to 400, then tanh-sinh to infinity over a remainder near 1e-14,
+    # which it gets to 1e-18 (stopping at 100 instead would miss 8e-16).
+    import mpmath as mp
+
+    with mp.workdps(30):
+        def above(x):
+            return (1 - jdlvp_cdf_closed_mp(mp, x)) ** 2
+
+        end = max(400.0, reach)
+        pts = mp.linspace(reach, end, max(1, math.ceil((end - reach) / (2 * math.pi))) + 1)
+        return mp.quad(above, pts, method="gauss-legendre") + mp.quad(above, [end, mp.inf])
 
 
 def ks_statistic(values: np.ndarray, cdf) -> float:

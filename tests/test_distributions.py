@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from cdf_mise.distributions import (
 
 from oracles import (
     cos_tail_over_x2,
+    jdlvp_cdf_closed_mp,
+    jdlvp_cdf_mpmath,
     jdlvp_cf_convolution,
     ks_statistic,
     phi_erf,
@@ -28,6 +31,13 @@ from oracles import (
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
+
+# |x| from 1e-8 to 1e3 with both sides of the series switch at u = 2, and
+# two points past 100 where a tail expansion truncated at x^-6 is 2.2e-12
+# and 8.9e-14 off.
+_MAGNITUDES = np.concatenate([np.geomspace(1e-8, 1e3, 45),
+                              [np.nextafter(2.0, 0.0), 2.0, 1.99, 2.01, 100.5, 150.0]])
+CDF_GRID = np.concatenate([_MAGNITUDES, -_MAGNITUDES])
 
 
 class TestJdlvpShape:
@@ -73,6 +83,34 @@ class TestJdlvpShape:
         val, _ = scipy.integrate.quad(JDLVP.density, 0.0, abs(x), limit=400)
         expected = 0.5 + val if x >= 0.0 else 0.5 - val
         assert JDLVP.cdf(x) == pytest.approx(expected, abs=1e-12)
+
+    def test_cdf_matches_mpmath_quadrature(self):
+        err = np.abs(JDLVP.cdf(CDF_GRID) - jdlvp_cdf_mpmath(CDF_GRID))
+        assert np.max(err) <= 5e-16
+
+    def test_oracle_closed_form_matches_quadrature(self):
+        # the closed form the h = 0 ISE oracle integrates, against the density
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            closed = np.array([float(jdlvp_cdf_closed_mp(mp, x)) for x in CDF_GRID])
+        np.testing.assert_allclose(closed, jdlvp_cdf_mpmath(CDF_GRID), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_cdf_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JDLVP.cdf(bad)
+        with pytest.raises(ValueError, match="finite"):
+            make_jdlvp(2.0).cdf(np.array([0.0, bad, 1.0]))
+
+    def test_cdf_saturates_without_overflow(self):
+        big = np.finfo(float).max
+        xs = np.array([1e20, 1e100, 1e300, big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            upper = JDLVP.cdf(xs)
+            lower = JDLVP.cdf(-xs)
+        np.testing.assert_array_equal(upper, 1.0)
+        np.testing.assert_array_equal(lower, 0.0)
 
     def test_tail_radius_brackets_mass(self):
         r = JDLVP.tail_radius(1e-6)

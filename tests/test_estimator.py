@@ -22,7 +22,12 @@ from cdf_mise.estimator import (
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import mise_normal_sinc_closed
 
-from oracles import cos_tail_over_x2, ise_step_function_normal, phi_erf
+from oracles import (
+    cos_tail_over_x2,
+    ise_step_function_jdlvp,
+    ise_step_function_normal,
+    phi_erf,
+)
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
@@ -191,6 +196,12 @@ class TestIse:
         s = draw_sample(dist, n, 31)
         expected = ise_step_function_normal(s.values, sigma)
         assert ise(s, NORMAL_K, 0.0, dist) == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_empirical_jdlvp_matches_mpmath(self, n):
+        s = draw_sample(JDLVP, n, 31)
+        expected = ise_step_function_jdlvp(s.values)
+        assert ise(s, NORMAL_K, 0.0, JDLVP) == pytest.approx(expected, rel=1e-11)
 
     def test_empirical_magnitude(self):
         s = draw_sample(NORMAL1, 100, 17)

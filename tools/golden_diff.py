@@ -44,7 +44,8 @@ CASES: list[tuple[str, list[str]]] = [
      ["-c", _CLI, "mc-validate", "--reps", "200", "--seed", "7"]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
-    for name in ("02_mise_curves.py", "03_bandwidth_descent.py", "04_normal_target.py")
+    for name in ("01_constants_catalog.py", "02_mise_curves.py", "03_bandwidth_descent.py",
+                 "04_normal_target.py", "05_monte_carlo_check.py", "06_estimator_on_data.py")
 ]
 
 
