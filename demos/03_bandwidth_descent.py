@@ -30,7 +30,7 @@ def main() -> None:
         print(f"jdlvp + {name}: limit bandwidth {h_star:g}, "
               f"asymptotic efficiency {are:.6f}")
         print(f"  {'n':>9}{'h_opt':>12}{'rel_eff':>12}{'flag':>18}")
-        # one grid scan serves every n; only the refinement is per n
+        # one grid scan, and one profile call per zoom level, serve every n
         for res in optimal_bandwidths(jdlvp, kernel, ns):
             rel = res.mise_at_opt / (jdlvp.psi_f / res.n)
             print(f"  {res.n:>9}{res.h_opt:>12.6f}{rel:>12.6f}"

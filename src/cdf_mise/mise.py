@@ -30,7 +30,7 @@ into an n-free step, ``mise_terms``, which does the route choice and any
 quadrature, and ``MiseTerms.at(n)``; ``mise`` is the two in sequence.
 ``mise_profile`` computes the same n-free terms on a whole bandwidth
 array by a fixed Gauss-Kronrod rule, with an error bound; the bandwidth
-scan picks its grid cell from it.
+search runs on it alone.
 
 The ``fourier`` route's values come from QUADPACK.  Where QUADPACK
 misses its tolerance (at very small or very large h), ``mise_terms``
@@ -265,20 +265,30 @@ class MiseTerms:
                           method=method, error_estimate=err)
 
 
+def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | None:
+    # The auto route that needs no quadrature at h, or None.  h = 0 counts
+    # as the linear segment (A = psi_f); with h > 0 only a superkernel and
+    # a band-limited target pass its test.
+    if h == 0.0 or h * dist.d_f <= kernel.s_k:
+        return "linear_segment"
+    if dist.family == "normal" and kernel.name == "normal":
+        return "closed_form_normal_normal"
+    if dist.family == "normal" and not kernel.integrable:
+        return "closed_form_normal_sinc"
+    return None
+
+
 def _exact_terms(dist: TargetDistribution, kernel: Kernel,
                  h: float) -> MiseTerms | None:
     # The terms of the auto routes that need no quadrature, or None.
+    route = _exact_route(dist, kernel, h)
+    if route is None:
+        return None
     if h == 0.0:
         return MiseTerms(h=0.0, method="fourier", a=dist.psi_f)
-    # with h > 0, only a superkernel and a band-limited target pass
-    if h * dist.d_f <= kernel.s_k:
-        return MiseTerms(h=h, method="linear_segment",
-                         a=dist.psi_f - kernel.psi_k_analytic * h)
-    if dist.family == "normal" and kernel.name == "normal":
-        return MiseTerms(h=h, method="closed_form_normal_normal", sigma=dist.sigma)
-    if dist.family == "normal" and not kernel.integrable:
-        return MiseTerms(h=h, method="closed_form_normal_sinc", sigma=dist.sigma)
-    return None
+    if route == "linear_segment":
+        return MiseTerms(h=h, method=route, a=dist.psi_f - kernel.psi_k_analytic * h)
+    return MiseTerms(h=h, method=route, sigma=dist.sigma)
 
 
 def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
@@ -490,7 +500,7 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     hence the error of A/n + B at every n >= 1.  It sums the panels'
     |K15 - G7| differences, a rounding allowance of 8 units in the last
     place on every computed factor, and the normal target's cut tails.
-    The bandwidth scan picks its grid cell from this profile, and
+    The bandwidth search runs on this profile alone, and
     ``mise_terms`` falls back on the same rule where QUADPACK fails.
     """
     hs = np.asarray(hs, dtype=float)
@@ -502,12 +512,18 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     quad = []
     for i, h in enumerate(hs.tolist()):
         _validate_h(h)
-        exact = _exact_terms(dist, kernel, h)
-        if exact is None:
+        route = _exact_route(dist, kernel, h)
+        if route is None:
             quad.append(i)
+            continue
+        # the arithmetic of MiseTerms.at(1), without building the objects
+        if route == "linear_segment":
+            iv, isb = dist.psi_f - kernel.psi_k_analytic * h, 0.0
+        elif route == "closed_form_normal_normal":
+            iv, isb = _normal_normal_parts(dist.sigma, h, 1)
         else:
-            r = exact.at(1)
-            a[i], b[i], err[i] = r.iv, r.isb, _ROUNDING * r.mise
+            iv, isb = _normal_sinc_parts(dist.sigma, h, 1)
+        a[i], b[i], err[i] = iv, isb, _ROUNDING * (iv + isb)
     pa, pb, pa_err, pb_err = _fixed_rule(dist, kernel, hs[quad])
     a[quad] = pa / math.pi
     b[quad] = pb / math.pi

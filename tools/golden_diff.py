@@ -7,8 +7,9 @@ runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
 it writes must be byte-identical.  Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
-relative change in each numeric column of each such file.  Exits 1 if
-any case differs.
+relative change in each numeric column of each such file; bandwidth
+columns (h_opt*, bracket_*), whose tolerance is absolute, also get the
+largest absolute change.  Exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import time
 from pathlib import Path
 
 _CLI = "import sys; from cdf_mise.cli import console_main; console_main()"
+# Columns whose largest absolute change is printed too.
+_ABSOLUTE_PREFIXES = ("h_opt", "bracket_")
 
 CASES: list[tuple[str, list[str]]] = [
     (f"{command} {fmt}", ["-c", _CLI, command, "--format", fmt])
@@ -67,12 +70,13 @@ def run_case(checkout: Path, argv: list[str]) -> tuple[dict[str, bytes], float]:
 
 
 def _column_changes(old: bytes, new: bytes) -> list[str]:
-    """Largest relative change per numeric column of two CSV files."""
+    """Largest relative (and for bandwidths absolute) change per numeric column."""
     rows_old = list(csv.reader(io.StringIO(old.decode())))
     rows_new = list(csv.reader(io.StringIO(new.decode())))
     if len(rows_old) != len(rows_new) or not rows_old or rows_old[0] != rows_new[0]:
         return [f"header or row count differs ({len(rows_old)} vs {len(rows_new)} rows)"]
     worst: dict[str, float | str] = {}
+    worst_abs: dict[str, float] = {}
     for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
         for name, a, b in zip(rows_old[0], row_old, row_new):
             if a == b or worst.get(name) == "text":
@@ -86,8 +90,17 @@ def _column_changes(old: bytes, new: bytes) -> list[str]:
             if math.isnan(change):  # a nan on one side only
                 change = math.inf
             worst[name] = max(worst.get(name, 0.0), change)
-    return [f"{name}: {'text differs' if c == 'text' else f'{c:.3g}'}"
-            for name, c in worst.items()]
+            if name.startswith(_ABSOLUTE_PREFIXES):
+                gap = abs(y - x)
+                worst_abs[name] = max(worst_abs.get(name, 0.0),
+                                      math.inf if math.isnan(gap) else gap)
+    lines = []
+    for name, c in worst.items():
+        line = f"{name}: {'text differs' if c == 'text' else f'{c:.3g}'}"
+        if c != "text" and name in worst_abs:
+            line += f" (absolute {worst_abs[name]:.3g})"
+        lines.append(line)
+    return lines
 
 
 def main(argv: list[str]) -> int:
