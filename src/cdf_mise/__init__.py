@@ -56,14 +56,10 @@ from .kernels import (
 from .mise import (
     MISE_METHODS,
     MiseReport,
-    MiseTerms,
-    isb_fourier,
-    iv_fourier,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
     mise_profile,
-    mise_terms,
 )
 from .numerics import (
     QuadratureResult,
@@ -86,7 +82,6 @@ __all__ = [
     "Kernel",
     "MISE_METHODS",
     "MiseReport",
-    "MiseTerms",
     "MonteCarloMise",
     "QuadratureResult",
     "Sample",
@@ -100,9 +95,7 @@ __all__ = [
     "efficiency_curve",
     "estimate_cdf",
     "integrate",
-    "isb_fourier",
     "ise",
-    "iv_fourier",
     "kernel_by_name",
     "limit_bandwidth",
     "make_jdlvp",
@@ -114,7 +107,6 @@ __all__ = [
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
     "mise_profile",
-    "mise_terms",
     "monte_carlo_mise",
     "optimal_bandwidth",
     "optimal_bandwidths",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -527,8 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse ties every parser into reference cycles that only a full
+# garbage collection frees, so main() builds its tree once per process.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
         return _COMMANDS[cfg.command].run(cfg)

@@ -26,6 +26,7 @@ import scipy.special
 from .numerics import integrate, sine_integral, std_normal_cdf
 
 __all__ = [
+    "JDLVP_PSI_F",
     "TargetDistribution",
     "make_jdlvp",
     "make_normal",

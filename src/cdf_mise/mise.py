@@ -25,19 +25,19 @@ tests, in ``tests/oracles.py``.
 h = 0 is a first-class input: the estimator degenerates to the
 empirical CDF and MISE(0) = psi(F)/n.
 
-Since n enters only as MISE(h, n) = A(h)/n + B(h), every route is split
-into an n-free step, ``mise_terms``, which does the route choice and any
-quadrature, and ``MiseTerms.at(n)``; ``mise`` is the two in sequence.
-``mise_profile`` computes the same n-free terms on a whole bandwidth
-array by a fixed Gauss-Kronrod rule, with an error bound; the bandwidth
-search runs on it alone.
+n enters only as MISE(h, n) = A(h)/n + B(h), with A = n IV and B = ISB.
+``mise`` takes its route from one table, ``_exact_route``: the exact
+routes get (IV, ISB) at n from ``_exact_parts``, which ``mise_profile``
+calls at n = 1; the ``fourier`` route gets pi A and pi B from QUADPACK.
+``mise_profile`` computes A and B on a whole bandwidth array by a fixed
+Gauss-Kronrod rule, with an error bound; the bandwidth search runs on it
+alone.
 
-The ``fourier`` route's values come from QUADPACK.  Where QUADPACK
-misses its tolerance (at very small or very large h), ``mise_terms``
-takes both terms and their error bounds from the fixed rule of
-``mise_profile`` for that one h instead, and raises only if that bound
-is also above 1e-8 of A + B.  Every value on which QUADPACK converges is
-QUADPACK's.
+Where QUADPACK misses its tolerance (at very small or very large h),
+the ``fourier`` route takes both terms and their error bounds from the
+fixed rule of ``mise_profile`` for that one h instead, and raises only
+if that bound is also above 1e-8 of A + B.  Every value on which
+QUADPACK converges is QUADPACK's.
 """
 
 from __future__ import annotations
@@ -54,11 +54,7 @@ from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS, QuadratureResult,
 
 __all__ = [
     "MiseReport",
-    "MiseTerms",
-    "iv_fourier",
-    "isb_fourier",
     "mise",
-    "mise_terms",
     "mise_profile",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",
@@ -109,62 +105,6 @@ def _validate_n(n: int) -> None:
 def _validate_h_n(h: float, n: int) -> None:
     _validate_h(h)
     _validate_n(n)
-
-
-def _phi_k(kernel: Kernel, u: float) -> float:
-    # phi_k(u) for u >= 0: the kernel's constants fix it outside
-    # (s_k, ft_support_end), so its transform is only called in between.
-    if u <= kernel.s_k:
-        return 1.0
-    if u >= kernel.ft_support_end:
-        return 0.0
-    return float(kernel.ft(u))
-
-
-def _iv_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
-    # pi n IV(h) for h > 0, over (0, ft_support_end/h).
-    def integrand(t: float) -> float:
-        p = _phi_k(kernel, t * h)
-        q = float(dist.cf(t))
-        return p * p * (1.0 - q * q) / (t * t)
-
-    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    if math.isfinite(dist.d_f):
-        pts.append(dist.d_f)
-    return integrate(integrand, 0.0, kernel.ft_support_end / h, points=pts)
-
-
-def _isb_quad(dist: TargetDistribution, kernel: Kernel, h: float) -> QuadratureResult:
-    # pi ISB(h) for h > 0.  The integrand vanishes identically below
-    # s_k/h and beyond d_f, so the ISB is exactly zero (no quadrature)
-    # while h d_f <= s_k and the flat segment stays noise-free.
-    if h * dist.d_f <= kernel.s_k:
-        return QuadratureResult(0.0, 0.0, 0, True)
-
-    def integrand(t: float) -> float:
-        p = _phi_k(kernel, t * h)
-        q = float(dist.cf(t))
-        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
-
-    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    return integrate(integrand, kernel.s_k / h, dist.d_f, points=pts)
-
-
-def iv_fourier(dist: TargetDistribution, kernel: Kernel, h: float, n: int) -> float:
-    """Integrated variance by Fourier quadrature: ``mise(..., "fourier").iv``.
-
-    At h = 0 this is the exact value psi_f/n.
-    """
-    return mise(dist, kernel, h, n, method="fourier").iv
-
-
-def isb_fourier(dist: TargetDistribution, kernel: Kernel, h: float) -> float:
-    """Integrated squared bias by Fourier quadrature.
-
-    Exactly zero whenever h * d_f <= s_k (the kernel transform is flat
-    across the target's whole spectral support), without quadrature.
-    """
-    return mise_terms(dist, kernel, h, method="fourier").at(1).isb
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -222,49 +162,6 @@ def _normal_sinc_parts(sigma: float, h: float, n: int):
     return iv, isb
 
 
-@dataclass(frozen=True)
-class MiseTerms:
-    """The n-free part of MISE(h, n) = A(h)/n + B(h) for one bandwidth.
-
-    A = n IV and B = ISB do not depend on n, so one ``MiseTerms`` serves
-    every sample size; ``at(n)`` does the remaining arithmetic.  What it
-    holds depends on the route:
-
-    * ``fourier`` with h > 0: the quadratures ``a`` = pi A(h) and
-      ``b`` = pi B(h), with their absolute error bounds;
-    * ``linear_segment`` and h = 0 (reported as ``fourier``):
-      ``a`` = A(h) = psi_f - psi_k h, with ``b`` = 0;
-    * the normal closed forms: ``sigma``, from which the parts are
-      recomputed at each n in microseconds.
-    """
-
-    h: float
-    method: str
-    a: float = 0.0
-    b: float = 0.0
-    a_error: float = 0.0
-    b_error: float = 0.0
-    sigma: float = 0.0
-
-    def at(self, n: int) -> MiseReport:
-        """The MISE report at sample size n."""
-        _validate_n(n)
-        h, method = self.h, self.method
-        err = 0.0
-        if method == "closed_form_normal_normal":
-            iv, isb = _normal_normal_parts(self.sigma, h, n)
-        elif method == "closed_form_normal_sinc":
-            iv, isb = _normal_sinc_parts(self.sigma, h, n)
-        elif h == 0.0 or method == "linear_segment":
-            iv, isb = self.a / n, 0.0
-        else:
-            iv = self.a / (math.pi * n)
-            isb = self.b / math.pi
-            err = self.a_error / (math.pi * n) + self.b_error / math.pi
-        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                          method=method, error_estimate=err)
-
-
 def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | None:
     # The auto route that needs no quadrature at h, or None.  h = 0 counts
     # as the linear segment (A = psi_f); with h > 0 only a superkernel and
@@ -278,61 +175,84 @@ def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | No
     return None
 
 
-def _exact_terms(dist: TargetDistribution, kernel: Kernel,
-                 h: float) -> MiseTerms | None:
-    # The terms of the auto routes that need no quadrature, or None.
-    route = _exact_route(dist, kernel, h)
-    if route is None:
-        return None
-    if h == 0.0:
-        return MiseTerms(h=0.0, method="fourier", a=dist.psi_f)
+def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
+                 h: float, n: int) -> tuple[float, float]:
+    # (IV, ISB) at n on an exact route of _exact_route.
     if route == "linear_segment":
-        return MiseTerms(h=h, method=route, a=dist.psi_f - kernel.psi_k_analytic * h)
-    return MiseTerms(h=h, method=route, sigma=dist.sigma)
+        return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
+    if route == "closed_form_normal_normal":
+        return _normal_normal_parts(dist.sigma, h, n)
+    return _normal_sinc_parts(dist.sigma, h, n)
 
 
-def mise_terms(dist: TargetDistribution, kernel: Kernel, h: float,
-               method: str = "auto") -> MiseTerms:
-    """The n-free terms of MISE(h, .) for a (target, kernel) pair.
+def _phi_k(kernel: Kernel, u: float) -> float:
+    # phi_k(u) for u >= 0: the kernel's constants fix it outside
+    # (s_k, ft_support_end), so its transform is only called in between.
+    if u <= kernel.s_k:
+        return 1.0
+    if u >= kernel.ft_support_end:
+        return 0.0
+    return float(kernel.ft(u))
 
-    method="auto" picks the cheapest exact route (linear segment, normal
-    closed forms, otherwise Fourier quadrature); method="fourier" forces
-    the quadrature for h > 0.  Where QUADPACK misses its tolerance, both
-    terms and their bounds come from the fixed rule of ``mise_profile``.
-    """
-    _validate_h(h)
-    if method not in ("auto", "fourier"):
-        raise ValueError("method must be 'auto' or 'fourier'")
 
-    if h == 0.0 or method == "auto":
-        exact = _exact_terms(dist, kernel, h)
-        if exact is not None:
-            return exact
+def _quadpack(dist: TargetDistribution, kernel: Kernel,
+              h: float) -> tuple[float, float, float, float]:
+    # (pi A, pi B, a_err, b_err) at one h > 0 by QUADPACK, the per-cell
+    # shape of _fixed_rule.  pi A runs over (0, ft_support_end/h); the ISB
+    # integrand vanishes identically below s_k/h and beyond d_f, so pi B
+    # is exactly zero (no quadrature) while h d_f <= s_k and the flat
+    # segment stays noise-free.  Where QUADPACK misses its tolerance, all
+    # four come from the fixed rule.
+    def iv(t: float) -> float:
+        p = _phi_k(kernel, t * h)
+        q = float(dist.cf(t))
+        return p * p * (1.0 - q * q) / (t * t)
 
-    a = _iv_quad(dist, kernel, h)
-    b = _isb_quad(dist, kernel, h)
+    def isb(t: float) -> float:
+        p = _phi_k(kernel, t * h)
+        q = float(dist.cf(t))
+        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
+
+    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
+    a = integrate(iv, 0.0, kernel.ft_support_end / h,
+                  points=pts + [dist.d_f] if math.isfinite(dist.d_f) else pts)
+    if h * dist.d_f <= kernel.s_k:
+        b = QuadratureResult(0.0, 0.0, 0, True)
+    else:
+        b = integrate(isb, kernel.s_k / h, dist.d_f, points=pts)
     if a.converged and b.converged:
-        return MiseTerms(h=h, method="fourier", a=a.value, b=b.value,
-                         a_error=a.error_estimate, b_error=b.error_estimate)
-    # QUADPACK missed its tolerance: both terms come from the fixed rule.
+        return a.value, b.value, a.error_estimate, b.error_estimate
     a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
     if a_err + b_err > _FALLBACK_RTOL * (a + b):
         raise RuntimeError(f"MISE quadrature failed to converge at h={h!r}")
-    return MiseTerms(h=h, method="fourier", a=a, b=b, a_error=a_err, b_error=b_err)
+    return a, b, a_err, b_err
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
          method: str = "auto") -> MiseReport:
     """MISE(h) for a (target, kernel) pair, with automatic fast paths.
 
-    This is ``mise_terms(dist, kernel, h, method).at(n)``.
     method="auto" picks the cheapest exact route (linear segment, normal
-    closed forms, otherwise Fourier quadrature); every fast path agrees
-    with method="fourier" to well below 1e-9 relative, which the test
-    suite pins.
+    closed forms, otherwise Fourier quadrature); method="fourier" forces
+    the quadrature for h > 0.  At h = 0 both report the exact value
+    psi_f/n as ``fourier``.  Every fast path agrees with method="fourier"
+    to well below 1e-9 relative, which the test suite pins.
     """
-    _validate_n(n)  # before any quadrature
-    return mise_terms(dist, kernel, h, method).at(n)
+    _validate_n(n)
+    _validate_h(h)
+    if method not in ("auto", "fourier"):
+        raise ValueError("method must be 'auto' or 'fourier'")
+
+    route = _exact_route(dist, kernel, h) if h == 0.0 or method == "auto" else None
+    if route is not None:
+        iv, isb = _exact_parts(dist, kernel, route, h, n)
+        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
+                          method="fourier" if h == 0.0 else route)
+    a, b, a_err, b_err = _quadpack(dist, kernel, h)
+    iv = a / (math.pi * n)
+    isb = b / math.pi
+    return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method="fourier",
+                      error_estimate=a_err / (math.pi * n) + b_err / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +405,7 @@ def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
 def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     """A = n IV and B = ISB over a bandwidth array, by a fixed rule.
 
-    MISE(h, n) = A/n + B for every n.  Cells where ``mise_terms`` needs
+    MISE(h, n) = A/n + B for every n.  Cells where ``mise`` needs
     no quadrature (h = 0, the linear segment, the normal closed forms)
     get those exact terms.  Elsewhere both Fourier displays are
     integrated by Gauss-Kronrod 15 on fixed panels split at every knot
@@ -501,7 +421,7 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     |K15 - G7| differences, a rounding allowance of 8 units in the last
     place on every computed factor, and the normal target's cut tails.
     The bandwidth search runs on this profile alone, and
-    ``mise_terms`` falls back on the same rule where QUADPACK fails.
+    ``mise`` falls back on the same rule where QUADPACK fails.
     """
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1:
@@ -516,13 +436,7 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
         if route is None:
             quad.append(i)
             continue
-        # the arithmetic of MiseTerms.at(1), without building the objects
-        if route == "linear_segment":
-            iv, isb = dist.psi_f - kernel.psi_k_analytic * h, 0.0
-        elif route == "closed_form_normal_normal":
-            iv, isb = _normal_normal_parts(dist.sigma, h, 1)
-        else:
-            iv, isb = _normal_sinc_parts(dist.sigma, h, 1)
+        iv, isb = _exact_parts(dist, kernel, route, h, 1)
         a[i], b[i], err[i] = iv, isb, _ROUNDING * (iv + isb)
     pa, pb, pa_err, pb_err = _fixed_rule(dist, kernel, hs[quad])
     a[quad] = pa / math.pi

@@ -26,8 +26,6 @@ from cdf_mise.bandwidth import (
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
-    isb_fourier,
-    iv_fourier,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
@@ -130,8 +128,8 @@ def test_criterion_4_linear_segment(capsys):
                 worst = max(worst, abs(got / want - 1.0))
                 assert got == pytest.approx(want, rel=1e-10)
         for h in (0.1, 0.25, 0.4, 0.5):
-            assert isb_fourier(JDLVP, kernel, h) == 0.0
-        assert isb_fourier(JDLVP, kernel, 0.51) > 0.0
+            assert mise(JDLVP, kernel, h, 1, method="fourier").isb == 0.0
+        assert mise(JDLVP, kernel, 0.51, 1, method="fourier").isb > 0.0
     announce(capsys, "4", True,
              f"linear segment, worst relative error = {worst:.2e}; "
              "ISB = 0 through h = 0.5 and > 0 at h = 0.51")
@@ -254,8 +252,8 @@ def test_criterion_10_space_oracles(capsys):
     worst = 0.0
     for dist, kernel, h, n in ((NORMAL1, NORMAL_K, 0.5, 10),
                                (JDLVP, TRAP, 0.2, 10)):
-        iv_f = iv_fourier(dist, kernel, h, n)
-        isb_f = isb_fourier(dist, kernel, h)
+        r = mise(dist, kernel, h, n, method="fourier")
+        iv_f, isb_f = r.iv, r.isb
         iv_s = iv_space_oracle(dist, kernel, h, n)
         isb_s = isb_space_oracle(dist, kernel, h)
         worst = max(worst, abs(iv_f - iv_s), abs(isb_f - isb_s))

@@ -29,7 +29,7 @@ from cdf_mise import bandwidth as bw
 from cdf_mise.cli import _SWEEP_N as FIGURE_NS
 from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise, mise_profile, mise_terms
+from cdf_mise.mise import mise, mise_profile
 
 from oracles import jdlvp_sinc_critical_points, mise_mpmath
 
@@ -365,11 +365,24 @@ class TestSharedScan:
 
 @functools.lru_cache(maxsize=None)
 def _quadpack_grid(family: str, scale: float, kernel_name: str):
-    # A pair's search grid with the QUADPACK terms of every cell.
+    # A pair's search grid with the terms of every cell: one QUADPACK
+    # pair (pi A, pi B, a_err, b_err), or None where mise() needs none.
     dist = rescale(JDLVP if family == "jdlvp" else NORMAL1, scale)
     kernel = kernel_by_name(kernel_name)
     grid = bw._search_grid(default_search(dist).h_max)
-    return dist, kernel, grid, tuple(mise_terms(dist, kernel, float(h)) for h in grid)
+    terms = tuple(None if MISE_MODULE._exact_route(dist, kernel, h)
+                  else MISE_MODULE._quadpack(dist, kernel, h) for h in grid.tolist())
+    return dist, kernel, grid, terms
+
+
+def _cell(dist, kernel, h: float, quad, n: int) -> tuple[float, float, float]:
+    # (iv, isb, mise) of mise(dist, kernel, h, n), bit for bit, from a
+    # cell of _quadpack_grid
+    if quad is None:
+        r = mise(dist, kernel, h, n)
+        return r.iv, r.isb, r.mise
+    iv, isb = quad[0] / (math.pi * n), quad[1] / math.pi
+    return iv, isb, iv + isb
 
 
 def _chain_scan(values) -> int:
@@ -384,10 +397,10 @@ def _chain_scan(values) -> int:
     return best
 
 
-def _full_scan(terms, n):
+def _full_scan(dist, kernel, grid, terms, n):
     # The oracle: the sequential rule over the QUADPACK values of every
     # grid cell, the scan the search ran before it had the profile.
-    values = [t.at(n).mise for t in terms]
+    values = [_cell(dist, kernel, h, t, n)[2] for h, t in zip(grid.tolist(), terms)]
     best = _chain_scan(values)
     return best, values[best]
 
@@ -438,42 +451,42 @@ class TestScanProfile:
         for n in self.ORACLE_NS:
             best = int(bw._scan(a / n + b))
             value = mise(dist, kernel, float(grid[best]), n).mise
-            assert (best, value) == _full_scan(terms, n), n
+            assert (best, value) == _full_scan(dist, kernel, grid, terms, n), n
 
     @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
     def test_profile_agrees_with_quadpack_on_every_cell(self, dist, kernel):
         _, _, grid, terms = _quadpack_grid(dist.family, 1.0, kernel.name)
         a, b, err = mise_profile(dist, kernel, grid)
-        for i, t in enumerate(terms):
-            r = t.at(1)
-            assert abs(a[i] - r.iv) + abs(b[i] - r.isb) <= err[i], grid[i]
+        for i, (h, t) in enumerate(zip(grid.tolist(), terms)):
+            iv, isb, _ = _cell(dist, kernel, h, t, 1)
+            assert abs(a[i] - iv) + abs(b[i] - isb) <= err[i], h
             for n in self.ORACLE_NS:
-                want = t.at(n).mise
+                want = _cell(dist, kernel, h, t, n)[2]
                 assert abs(a[i] / n + b[i] - want) <= 1e-10 * want, (grid[i], n)
 
     @staticmethod
-    def _count_iv_quadratures(monkeypatch) -> list:
+    def _count_quadratures(monkeypatch) -> list:
         calls = []
-        iv_quad = MISE_MODULE._iv_quad
+        quadpack = MISE_MODULE._quadpack
 
         def counting(dist, kernel, h):
             calls.append(h)
-            return iv_quad(dist, kernel, h)
+            return quadpack(dist, kernel, h)
 
-        monkeypatch.setattr(MISE_MODULE, "_iv_quad", counting)
+        monkeypatch.setattr(MISE_MODULE, "_quadpack", counting)
         return calls
 
     def test_single_search_quadrature_count(self, monkeypatch):
         # a QUADPACK scan of the whole grid made 535 (512 of them the
         # scan), golden section on QUADPACK 24-27; the profile zoom none
-        calls = self._count_iv_quadratures(monkeypatch)
+        calls = self._count_quadratures(monkeypatch)
         optimal_bandwidth(JDLVP, NORMAL_K, 1000)
         assert calls == []
 
     def test_sweep_quadrature_count(self, monkeypatch):
         # 287 and 1,076 with a QUADPACK scan of the whole grid
-        calls = self._count_iv_quadratures(monkeypatch)
+        calls = self._count_quadratures(monkeypatch)
         optimal_bandwidths(JDLVP, TRAP, SWEEP_NS)
         assert calls == []
         for kernel in (TRAP, SINC):  # the figure2 sweep

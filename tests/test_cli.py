@@ -10,6 +10,7 @@ determinism, and error handling.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import re
@@ -100,6 +101,33 @@ class TestUsageErrors:
         rc, _, err = run_cli(["efficiency-curve", "--kernel", "trapezoidal,sinc",
                               "--n", "10", "--out", str(tmp_path)], capsys)
         assert rc == 1
+
+
+class TestParserReuse:
+    # argparse ties every parser into reference cycles, so main() builds
+    # its tree once; build_parser() still returns a fresh one
+    def test_second_call_leaves_no_cyclic_garbage(self, capsys, tmp_path):
+        argv = ["mise-curve", "--h-grid", "0:1:3", "--out", str(tmp_path)]
+        assert run_cli(argv, capsys)[0] == 0
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert run_cli(argv, capsys)[0] == 0
+            found = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert found < 50  # a new parser tree per call left about 500
+
+    def test_shared_parser_survives_usage_errors(self, capsys, tmp_path):
+        argv = ["mise-curve", "--n", "10,20", "--out", str(tmp_path)]
+        assert run_cli(["frobnicate"], capsys)[0] == 1
+        assert run_cli(["mise-curve", "--format", "pdf"], capsys)[0] == 1
+        assert cli.build_parser() is not cli.build_parser()
+        assert vars(cli._parser().parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv))
+        assert run_cli(argv, capsys)[0] == 0
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 
@@ -12,14 +13,10 @@ from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, resca
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import (
     MiseReport,
-    MiseTerms,
-    isb_fourier,
-    iv_fourier,
     mise,
     mise_normal_normal_closed,
     mise_normal_sinc_closed,
     mise_profile,
-    mise_terms,
 )
 from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
 
@@ -43,6 +40,14 @@ ALL_PAIRS = [
     (NORMAL1, TRAP),
     (NORMAL1, SINC),
 ]
+
+
+def fourier_report(terms, h: float, n: int) -> MiseReport:
+    # the fourier route's report from its terms (pi A, pi B, a_err, b_err)
+    a, b, a_err, b_err = terms
+    iv, isb = a / (math.pi * n), b / math.pi
+    return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method="fourier",
+                      error_estimate=a_err / (math.pi * n) + b_err / math.pi)
 
 
 def closed_iv_normal_normal(sigma: float, h: float, n: int) -> float:
@@ -70,8 +75,8 @@ class TestZeroBandwidth:
         assert r.iv == r.mise
 
     def test_iv_fourier_exact_at_zero(self):
-        assert iv_fourier(JDLVP, TRAP, 0.0, 10) == JDLVP.psi_f / 10
-        assert isb_fourier(JDLVP, TRAP, 0.0) == 0.0
+        r = mise(JDLVP, TRAP, 0.0, 10, method="fourier")
+        assert (r.iv, r.isb, r.method) == (JDLVP.psi_f / 10, 0.0, "fourier")
 
 
 class TestLinearSegment:
@@ -117,7 +122,7 @@ class TestLinearSegment:
 
     def test_iv_is_segment_below_threshold(self):
         for h in (0.05, 0.15, 0.25):
-            val = iv_fourier(JDLVP, TRAP, h, 25)
+            val = mise(JDLVP, TRAP, h, 25, method="fourier").iv
             assert val == pytest.approx(
                 (JDLVP.psi_f - psi_k(TRAP) * h) / 25.0, rel=1e-9
             )
@@ -126,11 +131,11 @@ class TestLinearSegment:
 class TestIsbBoundary:
     @pytest.mark.parametrize("h", [0.0, 0.1, 0.3, 0.5])
     def test_vanishes_up_to_threshold(self, h):
-        assert isb_fourier(JDLVP, TRAP, h) == 0.0
+        assert mise(JDLVP, TRAP, h, 1, method="fourier").isb == 0.0
         assert mise(JDLVP, SINC, h, 10).isb == 0.0
 
     def test_positive_past_threshold(self):
-        assert isb_fourier(JDLVP, TRAP, 0.51) > 0.0
+        assert mise(JDLVP, TRAP, 0.51, 1, method="fourier").isb > 0.0
         assert mise(JDLVP, SINC, 0.51, 10).isb > 0.0
 
     def test_isb_independent_of_n(self):
@@ -163,12 +168,9 @@ class TestClosedFormNormalNormal:
     def test_iv_isb_split_matches_coefficients(self, n):
         # IV is the 1/n coefficient, ISB the n-free term
         h = 0.5
-        assert iv_fourier(NORMAL1, NORMAL_K, h, n) == pytest.approx(
-            closed_iv_normal_normal(1.0, h, n), rel=1e-9
-        )
-        assert isb_fourier(NORMAL1, NORMAL_K, h) == pytest.approx(
-            closed_isb_normal_normal(1.0, h), rel=1e-9
-        )
+        r = mise(NORMAL1, NORMAL_K, h, n, method="fourier")
+        assert r.iv == pytest.approx(closed_iv_normal_normal(1.0, h, n), rel=1e-9)
+        assert r.isb == pytest.approx(closed_isb_normal_normal(1.0, h), rel=1e-9)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -326,7 +328,7 @@ class TestAsymptotics:
         # n * (MISE_n - ISB) is the fixed IV coefficient, bounded in n
         h = 0.8
         for dist, kernel in ALL_PAIRS:
-            isb = isb_fourier(dist, kernel, h)
+            isb = mise(dist, kernel, h, 1, method="fourier").isb
             gaps = [n * (mise(dist, kernel, h, n, method="fourier").mise - isb)
                     for n in (10, 10**3, 10**6)]
             assert gaps[0] == pytest.approx(gaps[1], rel=1e-9), (dist.name, kernel.name)
@@ -334,31 +336,54 @@ class TestAsymptotics:
 
 
 class TestMiseTerms:
-    # MISE(h, n) = A(h)/n + B(h): mise_terms does the n-free work once and
-    # at(n) must reproduce mise() bit for bit on every route.
+    # MISE(h, n) = A(h)/n + B(h): mise() takes its route from one table,
+    # and the terms of each route, the exact (IV, ISB) at n or QUADPACK's
+    # pi A and pi B, must give every report field bit for bit.
     NS = (1, 10, 10**3, 10**7)
     FOURIER_HS = (0.7, 1.3, 2.5)
+    # the auto route below and above h = 0.5 (jdlvp's s_k/d_f for both
+    # superkernels); h = 0 is reported as fourier on every pair
+    ROUTES = {
+        "jdlvp+normal": ("fourier", "fourier"),
+        "jdlvp+trapezoidal": ("linear_segment", "fourier"),
+        "jdlvp+sinc": ("linear_segment", "fourier"),
+        "normal:sigma=1+normal": ("closed_form_normal_normal",) * 2,
+        "normal:sigma=1+trapezoidal": ("fourier", "fourier"),
+        "normal:sigma=1+sinc": ("closed_form_normal_sinc",) * 2,
+    }
 
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
     @pytest.mark.parametrize("method", ["auto", "fourier"])
     def test_at_equals_mise_exactly(self, dist, kernel, method):
-        # 0.3 is on jdlvp's linear segment for both superkernels
+        # the route table and the terms of the chosen route reproduce
+        # every field of mise() at every n
         for h in (0.0, 0.3, *self.FOURIER_HS):
-            terms = mise_terms(dist, kernel, h, method=method)
+            route = MISE_MODULE._exact_route(dist, kernel, h)
+            if h > 0.0 and method == "fourier":
+                route = None
+            quad = MISE_MODULE._quadpack(dist, kernel, h) if route is None else None
             for n in self.NS:
-                got, want = terms.at(n), mise(dist, kernel, h, n, method=method)
+                got = mise(dist, kernel, h, n, method=method)
+                if quad is not None:
+                    want = fourier_report(quad, h, n)
+                else:
+                    iv, isb = MISE_MODULE._exact_parts(dist, kernel, route, h, n)
+                    want = MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
+                                      method="fourier" if h == 0.0 else route)
                 assert type(got) is MiseReport
                 for field in ("h", "n", "iv", "isb", "mise", "method", "error_estimate"):
-                    assert getattr(got, field) == getattr(want, field), (h, n, field)
+                    assert repr(getattr(got, field)) == repr(getattr(want, field)), (
+                        h, n, field)
 
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
     def test_at_reproduces_each_route_formula(self, dist, kernel):
+        low, high = self.ROUTES[f"{dist.name}+{kernel.name}"]
         for h in (0.0, 0.3, *self.FOURIER_HS):
-            terms = mise_terms(dist, kernel, h)
             for n in self.NS:
-                r = terms.at(n)
+                r = mise(dist, kernel, h, n)
+                assert r.method == ("fourier" if h == 0.0 else low if h < 0.5 else high)
                 if h == 0.0:
                     assert (r.iv, r.isb, r.mise) == (dist.psi_f / n, 0.0, dist.psi_f / n)
                 elif r.method == "linear_segment":
@@ -369,11 +394,9 @@ class TestMiseTerms:
                 elif r.method == "closed_form_normal_sinc":
                     assert r.mise == mise_normal_sinc_closed(dist.sigma, h, n)
                 else:
-                    assert r.method == "fourier"
-                    assert r.iv == iv_fourier(dist, kernel, h, n)
-                    assert r.isb == isb_fourier(dist, kernel, h)
-                    assert r.error_estimate == (terms.a_error / (math.pi * n)
-                                                + terms.b_error / math.pi)
+                    assert r == fourier_report(MISE_MODULE._quadpack(dist, kernel, h), h, n)
+                    assert r.error_estimate > 0.0
+                assert r.mise == r.iv + r.isb
 
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
@@ -381,28 +404,47 @@ class TestMiseTerms:
         # the quadratures pi A(h) and pi B(h) behind mise() at any n are
         # one and the same pair of numbers
         for h in self.FOURIER_HS:
-            terms = mise_terms(dist, kernel, h, method="fourier")
-            assert terms == mise_terms(dist, kernel, h, method="fourier")
-            assert terms.a > 0.0 and terms.b > 0.0
+            terms = MISE_MODULE._quadpack(dist, kernel, h)
+            assert terms == MISE_MODULE._quadpack(dist, kernel, h)
+            a, b = terms[:2]
+            assert a > 0.0 and b > 0.0
             for n in self.NS:
                 r = mise(dist, kernel, h, n, method="fourier")
-                assert r.isb == terms.b / math.pi
-                assert math.pi * n * r.iv == pytest.approx(terms.a, rel=4e-16)
+                assert r.isb == b / math.pi
+                assert math.pi * n * r.iv == pytest.approx(a, rel=4e-16)
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    @pytest.mark.parametrize("method", ["auto", "fourier"])
+    def test_n_structure_on_every_route(self, dist, kernel, method):
+        # ISB is bit-identical across n and n IV agrees within 4 ulp on
+        # whichever route each h takes: h = 0, the linear segment, the
+        # closed forms, QUADPACK and its fixed-rule fallback (h = 50 on
+        # normal+trapezoidal and normal+sinc)
+        for h in (0.0, 0.3, *self.FOURIER_HS, 50.0):
+            base = mise(dist, kernel, h, 1, method=method)
+            for n in self.NS[1:]:
+                r = mise(dist, kernel, h, n, method=method)
+                assert r.method == base.method
+                assert repr(r.isb) == repr(base.isb), (h, n)
+                assert abs(n * r.iv - base.iv) <= 4.0 * math.ulp(base.iv), (h, n)
 
     def test_terms_are_plain_frozen_data(self):
-        terms = mise_terms(JDLVP, TRAP, 0.3)
-        assert terms == MiseTerms(h=0.3, method="linear_segment",
-                                  a=JDLVP.psi_f - TRAP.psi_k_analytic * 0.3)
-        with pytest.raises(AttributeError):
-            terms.a = 0.0
+        terms = MISE_MODULE._quadpack(JDLVP, TRAP, 0.7)
+        assert [type(x) for x in terms] == [float] * 4
+        r = mise(JDLVP, TRAP, 0.3, 10)
+        assert r == MiseReport(h=0.3, n=10, iv=r.iv, isb=0.0, mise=r.iv,
+                               method="linear_segment")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.iv = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mise_terms(JDLVP, TRAP, -0.1)
+            mise(JDLVP, TRAP, -0.1, 10)
         with pytest.raises(ValueError):
-            mise_terms(JDLVP, TRAP, 0.1, method="linear_segment")
-        with pytest.raises(ValueError):
-            mise_terms(JDLVP, TRAP, 0.1).at(0)
+            mise(JDLVP, TRAP, 0.1, 10, method="linear_segment")
+        with pytest.raises(ValueError, match="sample size"):
+            mise(JDLVP, TRAP, -0.1, 0)  # n is checked before h
 
 
 class TestMiseProfile:
@@ -417,7 +459,7 @@ class TestMiseProfile:
         a, b, err = mise_profile(dist, kernel, self.HS)
         assert a.shape == b.shape == err.shape == (len(self.HS),)
         for i, h in enumerate(self.HS):
-            r = mise_terms(dist, kernel, h).at(1)
+            r = mise(dist, kernel, h, 1)
             assert abs(a[i] - r.iv) + abs(b[i] - r.isb) <= err[i]
             # the bound is honest and still tight enough to use
             assert 0.0 < err[i] <= 1e-8 * (a[i] + b[i])
@@ -552,18 +594,17 @@ class TestValidationAndErrors:
             call()
 
     def test_non_converged_mise_falls_back_to_fixed_rule(self, monkeypatch):
-        # with every QUADPACK result failed, mise_terms takes both terms
-        # and their bounds from the fixed rule of mise_profile
+        # with every QUADPACK result failed, the fourier route takes both
+        # terms and their bounds from the fixed rule of mise_profile
         h, n = 0.7, 10
         want = mise(JDLVP, TRAP, h, n, method="fourier")
         failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)
         monkeypatch.setattr(MISE_MODULE, "integrate", lambda *args, **kwargs: failed)
-        terms = mise_terms(JDLVP, TRAP, h, method="fourier")
+        terms = MISE_MODULE._quadpack(JDLVP, TRAP, h)
         rule = MISE_MODULE._fixed_rule(JDLVP, TRAP, np.array([h]))
-        assert (terms.a, terms.b, terms.a_error, terms.b_error) == tuple(
-            float(x[0]) for x in rule)
+        assert terms == tuple(float(x[0]) for x in rule)
         r = mise(JDLVP, TRAP, h, n, method="fourier")
-        assert r == terms.at(n) and r.method == "fourier"
+        assert r == fourier_report(terms, h, n)
         assert 0.0 < r.error_estimate <= 1e-8 * r.mise
         assert abs(r.mise - want.mise) <= r.error_estimate + want.error_estimate
         # the fixed rule's values are the profile's, up to the factor pi
@@ -620,11 +661,13 @@ class TestSpaceOracles:
 
     def test_isb_agrees_normal_normal(self):
         a = isb_space_oracle(NORMAL1, NORMAL_K, 0.5)
-        assert a == pytest.approx(isb_fourier(NORMAL1, NORMAL_K, 0.5), abs=1e-4)
+        assert a == pytest.approx(mise(NORMAL1, NORMAL_K, 0.5, 1, method="fourier").isb,
+                                  abs=1e-4)
 
     def test_iv_agrees_normal_normal(self):
         a = iv_space_oracle(NORMAL1, NORMAL_K, 0.5, 10)
-        assert a == pytest.approx(iv_fourier(NORMAL1, NORMAL_K, 0.5, 10), abs=1e-3)
+        assert a == pytest.approx(mise(NORMAL1, NORMAL_K, 0.5, 10, method="fourier").iv,
+                                  abs=1e-3)
 
     @pytest.mark.slow
     def test_isb_vanishing_segment(self):

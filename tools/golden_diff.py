@@ -40,6 +40,13 @@ CASES: list[tuple[str, list[str]]] = [
     for dist, kernel in (("jdlvp", "sinc"), ("jdlvp", "normal"),
                          ("normal:sigma=1", "trapezoidal"))
 ] + [
+    (f"mise-curve {dist}+{kernel}",
+     ["-c", _CLI, "mise-curve", "--dist", dist, "--kernel", kernel])
+    for dist, kernel in (("normal:sigma=1", "normal"), ("normal:sigma=1", "sinc"),
+                         ("jdlvp", "sinc"))
+] + [
+    ("constants", ["-c", _CLI, "constants"]),
+] + [
     ("efficiency-curve jdlvp:scale=0.5+sinc",
      ["-c", _CLI, "efficiency-curve", "--dist", "jdlvp:scale=0.5", "--kernel", "sinc"]),
 ] + [
