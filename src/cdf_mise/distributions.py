@@ -2,7 +2,7 @@
 
 Each distribution carries its density f, distribution function F,
 characteristic function phi_f (real-valued for these symmetric targets),
-the spectral support constants
+its mean absolute deviation E|x - X|, the spectral support constants
 
     c_f = sup { r >= 0 : phi_f(t) != 0 a.e. on [0, r] },
     d_f = sup { t >= 0 : phi_f(t) != 0 },
@@ -11,7 +11,7 @@ the roughness psi(F) = int F(1-F), and an exact seeded sampler.  The
 JdlVP target is band-limited (d_f = 2), which is what makes first-order
 MISE gains possible for superkernels; the normal target has d_f = inf.
 Both distribution functions are in closed form: the normal one through
-ndtr, the JdlVP one through the sine integral.
+ndtr, the JdlVP one through the sine integral, and so is E|x - X|.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ JDLVP_PSI_F = (96.0 * math.log(2.0) - 43.0) / (8.0 * math.pi)
 class TargetDistribution:
     """Immutable target distribution descriptor.
 
-    density, cdf and cf are vectorized callables.  scale is the
-    rescaling parameter a relative to the family's unit form
-    (f_a(x) = f(x/a)/a).  cf_knots lists the non-smooth points of
-    phi_f, tail_radius(eps) returns R with 1 - F(R) <= eps (the F(-R)
-    bound follows by symmetry), and sampler draws from the distribution
-    given a numpy Generator.
+    density, cdf, cf and mean_abs_dev are vectorized callables;
+    mean_abs_dev(x) = E|x - X| = int_-inf^x F + int_x^inf (1 - F).
+    scale is the rescaling parameter a relative to the family's unit
+    form (f_a(x) = f(x/a)/a).  cf_knots lists the non-smooth points of
+    phi_f, and sampler draws from the distribution given a numpy
+    Generator.
     """
 
     name: str
@@ -65,7 +65,7 @@ class TargetDistribution:
     scale: float
     variance: float
     cf_knots: tuple
-    tail_radius: Callable[[float], float]
+    mean_abs_dev: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, np.random.Generator], np.ndarray]
     sigma: Optional[float] = field(default=None)
 
@@ -134,6 +134,40 @@ def _jdlvp_cdf_unit(x):
     return float(out) if out.ndim == 0 else out
 
 
+# Coefficients of the series part of G(u) = int_u^inf (1 - F) below u = 2,
+# the term-by-term integral of F - 1/2: c_k u^(2k-2) / (2k-2), k >= 2.
+_JDLVP_G_SERIES = tuple(c / (2 * j + 2) for j, c in enumerate(_JDLVP_SERIES))
+
+
+def _jdlvp_mean_abs_dev_unit(x):
+    # E|x - X| = u + 2 G(u) with u = |x| and G(u) = int_u^inf (1 - F).
+    # By parts G(u) = int_u^inf v f(v) dv - u (1 - F(u)), and
+    #   int_u^inf v f = (3/(2 pi)) [4 sin^4(u/2)/u^2 + 4 sin(u) sin^2(u/2)/u
+    #                               + 2 (Ci(2u) - Ci(u))]
+    # (classical Ci).  Below u = 2 the series from G(0) = E|X|/2 =
+    # 3 ln 2/pi replaces it, as in _jdlvp_cdf_unit; the two meet at u = 2
+    # to a few units in the last place of u + 2 G.
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("jdlvp mean_abs_dev requires finite input")
+    u = np.abs(x)
+    small = u < 2.0
+    # G is 0 to rounding long before the cap, which keeps 2v finite.
+    v = np.where(small, 2.0, np.minimum(u, 1e300))
+    s = np.sin(0.5 * v)
+    s2 = s * s
+    ci_2v = scipy.special.sici(2.0 * v)[1]
+    ci_v = scipy.special.sici(v)[1]
+    closed = ((1.5 / math.pi) * (4.0 * (s2 / v) * (s2 / v) + 4.0 * np.sin(v) * s2 / v
+                                 + 2.0 * (ci_2v - ci_v))
+              - v * (1.0 - _jdlvp_cdf_unit(v)))
+    w = np.where(small, u, 0.0)
+    series = (3.0 * math.log(2.0) / math.pi - 0.5 * w
+              + w * w * np.polynomial.polynomial.polyval(w * w, _JDLVP_G_SERIES))
+    out = u + 2.0 * np.where(small, series, closed)
+    return float(out) if out.ndim == 0 else out
+
+
 def _jdlvp_sampler_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     # Rejection from the envelope (3/(4 pi)) min(1, (2/|x|)^4), which
     # dominates f because sin^4(x/2) <= min((x/2)^4, 1).  The envelope is
@@ -188,10 +222,8 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
     def cf(t):
         return _jdlvp_cf_unit(a * np.asarray(t, dtype=float))
 
-    def tail_radius(eps: float) -> float:
-        # Tail envelope 12/(pi x^4) integrated and inverted, with a floor;
-        # guarantees 1 - F(R) <= eps since sin^4 <= 1.
-        return a * max(6.0, (4.0 / (math.pi * eps)) ** (1.0 / 3.0))
+    def mean_abs_dev(x):
+        return a * _jdlvp_mean_abs_dev_unit(np.asarray(x, dtype=float) / a)
 
     def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
         return a * _jdlvp_sampler_unit(n, rng)
@@ -208,7 +240,7 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
         scale=a,
         variance=3.0 * a * a,
         cf_knots=(1.0 / a, 2.0 / a),
-        tail_radius=tail_radius,
+        mean_abs_dev=mean_abs_dev,
         sampler=sampler,
     )
 
@@ -235,9 +267,12 @@ def make_normal(sigma: float) -> TargetDistribution:
         out = np.exp(-0.5 * (s * t) ** 2)
         return float(out) if out.ndim == 0 else out
 
-    def tail_radius(eps: float) -> float:
-        # Inverted at eps/2 so rounding cannot push the mass above eps.
-        return s * float(scipy.special.ndtri(1.0 - min(0.5 * eps, 0.499)))
+    def mean_abs_dev(x):
+        # E|x - X| = x (2 Phi(x/s) - 1) + 2 s phi(x/s), with erf for
+        # 2 Phi - 1 so that nothing cancels near x = 0.
+        x = np.asarray(x, dtype=float)
+        out = x * scipy.special.erf(x / (s * math.sqrt(2.0))) + 2.0 * s * s * density(x)
+        return float(out) if out.ndim == 0 else out
 
     def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
         return s * rng.standard_normal(n)
@@ -254,7 +289,7 @@ def make_normal(sigma: float) -> TargetDistribution:
         scale=1.0,
         variance=s * s,
         cf_knots=(),
-        tail_radius=tail_radius,
+        mean_abs_dev=mean_abs_dev,
         sampler=sampler,
         sigma=s,
     )

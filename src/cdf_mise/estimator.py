@@ -11,8 +11,10 @@ For h > 0 the ISE is taken on the Fourier side, like the exact MISE:
 by Parseval it is pi^-1 int_0^inf t^-2 |phi_k(t h) phi_n(t) - phi_f(t)|^2 dt
 with phi_n the empirical characteristic function, cut at t h =
 ft_support_end, or at t h = 8 for the normal kernel, which drops at
-most 2 e^-32 h / 8.  At h = 0 the ISE of the step function F_n is
-summed exactly in x, leaving out target tail mass below TAIL_CUTOFF_TOL.
+most 2 e^-32 h / 8; the sample-free rest past the cut is a sinc-kernel
+ISB from ``mise_profile``.  At h = 0 the ISE of the step function F_n
+is Cramer's (energy-distance) identity, exact in O(n) through the
+target's mean absolute deviation E|x - X|.  No ISE calls QUADPACK.
 
 Sinc estimates are reported as-is: they may leave [0, 1] slightly and
 are neither clipped nor monotonized, since the exact-MISE identities
@@ -30,16 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import TargetDistribution, sample as draw_values
-from .kernels import Kernel
-from .mise import _validate_h
-from .numerics import (
-    _GK15_NODES,
-    _GK15_WEIGHTS,
-    TAIL_CUTOFF_TOL,
-    gauss_kronrod_panels,
-    gauss_panels,
-    integrate,
-)
+from .kernels import Kernel, make_sinc_kernel
+from .mise import _validate_h, mise_profile
+from .numerics import gauss_panels
 
 __all__ = [
     "Sample",
@@ -61,6 +56,8 @@ _NORMAL_FT_CUTOFF = 8.0
 # 4e-14 relative on every catalog pair, for h from 0.02 to 5 and n from
 # 1 to 200.
 _PANEL_WIDTH = 1.5
+
+_SINC = make_sinc_kernel()
 
 
 @dataclass(frozen=True)
@@ -138,16 +135,27 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     ft_support_end/h (8/h for the normal kernel) 7-point Gauss panels,
     split at every knot of phi_k(t h) and phi_f, resolve the fastest
     oscillation of phi_n; beyond T only the sample-free pi^-1
-    int_T^d_f phi_f(t)^2 / t^2 dt is left, integrated adaptively.  The
-    normal kernel's cutoff drops at most 2 e^-32 h / 8.  At h = 0 the
-    integral is summed exactly in x between order statistics, leaving
-    out target tail mass below TAIL_CUTOFF_TOL.
+    int_T^d_f phi_f(t)^2 / t^2 dt is left, which is the ISB B(1/T) of
+    the sinc kernel, taken from ``mise_profile``.  The normal kernel's
+    cutoff drops at most 2 e^-32 h / 8.  The panels are at most
+    1.5/max|X_j| wide, so the cost grows with max|X_j|/h: with the
+    normal kernel, whose cutoff is 8/h, one far sample point makes
+    every panel narrow.
+
+    At h = 0 the ISE of the step function F_n is Cramer's identity
+
+        int (F_n - F)^2 = n^-1 sum_j E|X_j - X|
+                          - n^-2 sum_i (2i - n - 1) X_(i) - psi(F),
+
+    in closed form through the target's mean_abs_dev, with no cut-off.
     """
     _validate_h(h)
-    if h == 0.0:
-        return _ise_empirical(sample, dist)
-
     xs = sample.values
+    if h == 0.0:
+        n = sample.n
+        ranks = np.arange(1 - n, n, 2, dtype=float)
+        return float(np.mean(dist.mean_abs_dev(xs)) - (ranks @ xs) / (n * n) - dist.psi_f)
+
     cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
     knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
     bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
@@ -170,65 +178,12 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
         im = p * np.sin(tx).mean(axis=1)
         return (re * re + im * im) / (t * t)
 
-    total = gauss_panels(sq_diff, edges, chunk=64)
+    tail = 0.0
     if cutoff < dist.d_f:
-        res = integrate(lambda t: float(dist.cf(t)) ** 2 / (t * t),
-                        cutoff, dist.d_f, points=dist.cf_knots)
-        if not res.converged:
-            raise RuntimeError("ise tail quadrature failed to converge")
-        total += res.value
-    return total / math.pi
-
-
-def _target_tail_mass(dist: TargetDistribution, core_lo: float,
-                      core_hi: float, reach: float) -> float:
-    # int F^2 below the core plus int (1-F)^2 above it, on panels that
-    # widen geometrically away from the core so polynomial tails are
-    # captured to machine accuracy with ~32 panels a side.
-    offsets = np.concatenate(([0.0], np.geomspace(reach * 1e-4, reach, 32)))
-
-    def upper_sq(xs: np.ndarray) -> np.ndarray:
-        diff = 1.0 - dist.cdf(xs)
-        return diff * diff
-
-    def lower_sq(xs: np.ndarray) -> np.ndarray:
-        diff = dist.cdf(xs)
-        return diff * diff
-
-    value, _ = gauss_kronrod_panels(upper_sq, core_hi + offsets)
-    v_lo, _ = gauss_kronrod_panels(lower_sq, core_lo - offsets[::-1])
-    return value + v_lo
-
-
-def _ise_empirical(sample: Sample, dist: TargetDistribution) -> float:
-    # Exact segment decomposition: F_n is constant at i/n between
-    # consecutive order statistics, so each segment is a smooth
-    # quadrature of (i/n - F)^2 with panel edges aligned to the jumps,
-    # evaluated in one vectorized Gauss-Kronrod pass.  Outside the data
-    # range F_n is exactly 0/1, leaving the target's own tail mass.
-    tail = dist.tail_radius(TAIL_CUTOFF_TOL)
-    xs = sample.values
-    n = sample.n
-    sigma = math.sqrt(dist.variance)
-    seg_w = np.diff(xs)
-    counts = np.maximum(1, np.ceil(seg_w / sigma).astype(int))
-    counts[seg_w <= 0.0] = 0
-    total_panels = int(np.sum(counts))
-    total = _target_tail_mass(dist, float(xs[0]), float(xs[-1]),
-                              max(tail, 2000.0 * sigma))
-    if total_panels == 0:
-        return total
-    starts = np.repeat(xs[:-1], counts)
-    widths = np.repeat(seg_w / np.maximum(counts, 1), counts)
-    pos = np.arange(total_panels) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    a = starts + pos * widths
-    levels = np.repeat(np.arange(1, n) / n, counts)
-    mid = a + 0.5 * widths
-    half = 0.5 * widths
-    nodes = mid[:, None] + half[:, None] * _GK15_NODES[None, :]
-    diff = levels[:, None] - dist.cdf(nodes.ravel()).reshape(nodes.shape)
-    return total + float(np.sum(half * ((diff * diff) @ _GK15_WEIGHTS)))
+        # The sinc kernel at bandwidth 1/T has phi_k = 1 up to T and 0
+        # beyond, so pi B(1/T) = int_T^d_f phi_f^2 / t^2.
+        tail = float(mise_profile(dist, _SINC, [1.0 / cutoff])[1][0])
+    return gauss_panels(sq_diff, edges, chunk=64) / math.pi + tail
 
 
 # Context of the replication loop ``_mc_span``, which runs in process or

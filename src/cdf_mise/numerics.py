@@ -1,11 +1,14 @@
-"""Shared special functions and adaptive quadrature.
+"""Shared special functions, adaptive quadrature and fixed panel rules.
 
-Every integral evaluated by the other modules goes through
-:func:`integrate`, which wraps QUADPACK's adaptive Gauss-Kronrod
-subdivision (21-point rule with largest-error bisection and epsilon
-extrapolation).  Semi-infinite ranges are handled by QUADPACK's
-rational variable transformation; known interior breakpoints can be
-passed so each panel stays smooth.
+:func:`integrate` wraps QUADPACK's adaptive Gauss-Kronrod subdivision
+(21-point rule with largest-error bisection and epsilon extrapolation).
+Semi-infinite ranges are handled by QUADPACK's rational variable
+transformation; known interior breakpoints can be passed so each panel
+stays smooth.  The ``fourier`` route of ``mise`` and the quadrature
+cross-checks ``psi_k`` and ``psi_f_fourier`` use it.  The hot paths run
+fixed rules on panels chosen a priori instead: ``mise_profile`` applies
+the Gauss-Kronrod 15 table below itself, and the sample ISE at h > 0
+uses :func:`gauss_panels`.
 
 The sine integral uses the normalization Si(x) = int_0^x sin(z)/(pi z) dz,
 so Si(x) -> 1/2 as x -> +infinity.
@@ -24,7 +27,6 @@ __all__ = [
     "ABS_TOL",
     "REL_TOL",
     "MAX_SUBDIVISIONS",
-    "TAIL_CUTOFF_TOL",
     "QuadratureResult",
     "sine_integral",
     "std_normal_cdf",
@@ -36,14 +38,11 @@ __all__ = [
 # Error targets for adaptive quadrature: convergence is declared when
 # each segment's error estimate falls below max(ABS_TOL, REL_TOL *
 # |segment value|), within a budget of MAX_SUBDIVISIONS panels.
-# TAIL_CUTOFF_TOL is the tail mass left out by callers that truncate an
-# infinite domain explicitly (the integrated squared error at h = 0);
-# integrate() itself maps infinite tails through a variable transform
-# and does not truncate.
+# integrate() maps infinite tails through a variable transform and does
+# not truncate.
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 MAX_SUBDIVISIONS = 2000
-TAIL_CUTOFF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,9 @@ def integrate(f, lower, upper, points=None) -> QuadratureResult:
 
 
 # 15-point Gauss-Kronrod rule (nodes and weights on [-1, 1]) with the
-# embedded 7-point Gauss weights, used for vectorized fixed-panel
-# integration on hot paths (Monte Carlo ISE).  Standard QUADPACK table.
+# embedded 7-point Gauss weights, for vectorized fixed-panel integration:
+# the fixed rule of mise_profile and gauss_kronrod_panels.  Standard
+# QUADPACK table.
 _GK15_NODES = np.array([
     -0.991455371120812639206854697526329,
     -0.949107912342758524526189684047851,

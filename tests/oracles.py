@@ -8,9 +8,10 @@ instead of fixed Gauss panels.  The space-domain IV/ISB oracles
 integrate the pre-Fourier displays directly, sharing no transform code
 with the library's Fourier route, and ``mise_mpmath`` evaluates both
 Fourier displays to 50 digits with mpmath.  ``jdlvp_cdf_mpmath``
-integrates the JdlVP density to 40 digits, and the h = 0 ISE oracles
+integrates the JdlVP density to 40 digits, the h = 0 ISE oracles
 integrate the step-function error in closed form (normal) or with
-mpmath (JdlVP).  Agreement between routes is
+mpmath (JdlVP), and ``mean_abs_dev_quad`` integrates F and 1 - F
+instead of the closed form E|x - X|.  Agreement between routes is
 then evidence, not tautology.
 """
 
@@ -22,6 +23,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from cdf_mise.distributions import TargetDistribution
 from cdf_mise.kernels import Kernel
@@ -339,6 +341,46 @@ def ks_statistic(values: np.ndarray, cdf) -> float:
     return float(max(upper, lower))
 
 
+def mean_abs_dev_quad(dist: TargetDistribution, x: float) -> float:
+    """E|x - X| as int_-inf^x F + int_x^inf (1 - F), by quadrature.
+
+    Both integrals run over [-r, r], r = |x| plus 8 pi scale units (JdlVP)
+    or 40 sigma (normal), by 32-point Gauss-Legendre on panels pi scale
+    units (JdlVP) or one sigma wide.  Past r the normal tails are below
+    1e-300.  A JdlVP tail int_r^inf (1 - F) = int_r^inf (v - r) f(v) dv is
+    taken from sin^4(v/2a) = (3 - 4 cos(v/a) + cos(2v/a))/8: the constant
+    part in closed form, the two cosine parts by QUADPACK's Fourier
+    integral (QAWF); the left tail equals it by symmetry.
+    """
+    if dist.family == "jdlvp":
+        a = dist.scale
+        r = abs(x) + 8.0 * math.pi * a
+        width = math.pi * a
+
+        def cos_part(w: float) -> float:
+            # int_r^inf (v - r) v^-4 cos(w v / a) dv with v = r y
+            return scipy.integrate.quad(lambda y: (y - 1.0) / y ** 4, 1.0, np.inf,
+                                        weight="cos", wvar=w * r / a,
+                                        epsabs=1e-14)[0] / (r * r)
+
+        tail = 1.5 * a ** 3 / math.pi * (0.5 / (r * r) - 4.0 * cos_part(1.0)
+                                         + cos_part(2.0))
+    else:
+        r = abs(x) + 40.0 * dist.sigma
+        width = dist.sigma
+        tail = 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+
+    def panels(f, lo: float, hi: float) -> float:
+        edges = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / width)) + 1)
+        half = 0.5 * np.diff(edges)
+        v = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+        return float(np.sum(half * (f(v) @ weights)))
+
+    return (tail + panels(dist.cdf, -r, x)
+            + panels(lambda v: 1.0 - dist.cdf(v), x, r) + tail)
+
+
 def jdlvp_sinc_critical_points(n: int) -> list[float]:
     """Bandwidths with |phi_f(1/h)|^2 = 1/(n+1) for the band-limited
     density, solved branch by branch.
@@ -372,6 +414,18 @@ def jdlvp_sinc_critical_points(n: int) -> list[float]:
 # ---------------------------------------------------------------------------
 # Space-domain oracles (direct quadrature of the pre-Fourier displays)
 # ---------------------------------------------------------------------------
+
+def tail_radius(dist: TargetDistribution, eps: float) -> float:
+    """R with 1 - F(R) <= eps for a catalog target (F(-R) by symmetry).
+
+    JdlVP: the tail envelope 12/(pi x^4) integrated and inverted, with a
+    floor, valid since sin^4 <= 1.  Normal: ndtri inverted at eps/2 so
+    rounding cannot push the mass above eps.
+    """
+    if dist.family == "jdlvp":
+        return dist.scale * max(6.0, (4.0 / (math.pi * eps)) ** (1.0 / 3.0))
+    return dist.sigma * float(scipy.special.ndtri(1.0 - min(0.5 * eps, 0.499)))
+
 
 def _kernel_truncation_radius(kernel: Kernel) -> float:
     # The inner y-integrals run over [-B, B] plus exact boundary terms.
@@ -433,7 +487,7 @@ def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float) -> floa
 
     b_k = _kernel_truncation_radius(kernel)
     y_edges = _panel_edges(-b_k, b_k, min(math.pi, b_k / 16.0))
-    l_x = dist.tail_radius(1e-6) + h * b_k
+    l_x = tail_radius(dist, 1e-6) + h * b_k
     x_edges = _panel_edges(-l_x, l_x, 1.0)
 
     def bias_sq(xs: np.ndarray) -> np.ndarray:
@@ -459,7 +513,7 @@ def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int) 
     _validate_h_n(h, n)
 
     b_k = _kernel_truncation_radius(kernel)
-    l_x = dist.tail_radius(1e-6) + h * b_k
+    l_x = tail_radius(dist, 1e-6) + h * b_k
     x_edges = _panel_edges(-l_x, l_x, 1.0)
 
     if h == 0.0:

@@ -25,8 +25,10 @@ from oracles import (
     jdlvp_cdf_mpmath,
     jdlvp_cf_convolution,
     ks_statistic,
+    mean_abs_dev_quad,
     phi_erf,
     psi_space_quad,
+    tail_radius,
 )
 
 JDLVP = make_jdlvp()
@@ -113,7 +115,7 @@ class TestJdlvpShape:
         np.testing.assert_array_equal(lower, 0.0)
 
     def test_tail_radius_brackets_mass(self):
-        r = JDLVP.tail_radius(1e-6)
+        r = tail_radius(JDLVP, 1e-6)
         assert 1.0 - JDLVP.cdf(r) <= 1e-6
         assert 1.0 - JDLVP.cdf(0.25 * r) > 1e-6
 
@@ -182,8 +184,35 @@ class TestNormal:
     def test_variance_and_tail(self):
         dist = make_normal(2.0)
         assert dist.variance == 4.0
-        r = dist.tail_radius(1e-8)
+        r = tail_radius(dist, 1e-8)
         assert 1.0 - dist.cdf(r) <= 1e-8
+
+
+class TestMeanAbsDev:
+    # E|x - X| at x = +-u times the scale, across the JdlVP series/closed
+    # form switch at u = 2 and out to u = 1e3, for both families at two
+    # scales; the quadrature oracle is good to about 5e-16 relative.
+    US = (0.0, 1e-3, 1.999, 2.0, 2.001, 7.0, 50.0, 1e3)
+
+    @pytest.mark.parametrize("dist", [make_jdlvp(0.5), make_jdlvp(2.0),
+                                      make_normal(0.5), make_normal(2.0)],
+                             ids=lambda d: d.name)
+    def test_matches_quadrature(self, dist):
+        unit = dist.scale if dist.family == "jdlvp" else dist.sigma
+        xs = np.array([sign * u * unit for u in self.US for sign in (1.0, -1.0)])
+        got = dist.mean_abs_dev(xs)
+        for x, value in zip(xs, got):
+            assert value == pytest.approx(mean_abs_dev_quad(dist, x), rel=2e-15, abs=0.0), x
+            assert dist.mean_abs_dev(x) == value
+
+    def test_jdlvp_far_out_and_non_finite(self):
+        # |x| up to the largest float gives |x| without overflow warnings
+        far = np.array([1e20, -1e300, -np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(JDLVP.mean_abs_dev(far), np.abs(far))
+        with pytest.raises(ValueError, match="finite"):
+            JDLVP.mean_abs_dev(np.array([0.0, math.inf]))
 
 
 class TestPsiF:

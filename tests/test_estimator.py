@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from cdf_mise.estimator import (
     monte_carlo_mise,
 )
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise_normal_sinc_closed
+from cdf_mise.mise import mise, mise_normal_sinc_closed
 
 from oracles import (
     cos_tail_over_x2,
@@ -201,7 +202,29 @@ class TestIse:
     def test_empirical_jdlvp_matches_mpmath(self, n):
         s = draw_sample(JDLVP, n, 31)
         expected = ise_step_function_jdlvp(s.values)
-        assert ise(s, NORMAL_K, 0.0, JDLVP) == pytest.approx(expected, rel=1e-11)
+        assert ise(s, NORMAL_K, 0.0, JDLVP) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_makes_no_quadpack_call(self, monkeypatch):
+        # h = 0 for every kernel, and two cells past the Fourier cutoff,
+        # whose sample-free tail is left over: each value is unchanged
+        # with integrate refusing every call in every module
+        cells = [(NORMAL1, kernel, 0.0) for kernel in (NORMAL_K, TRAP, SINC)]
+        cells += [(JDLVP, kernel, 0.0) for kernel in (NORMAL_K, TRAP, SINC)]
+        cells += [(NORMAL1, SINC, 0.5), (make_jdlvp(0.5), TRAP, 1.0)]
+        samples = [draw_sample(dist, 30, 9) for dist, _, _ in cells]
+        expected = [ise(s, kernel, h, dist) for s, (dist, kernel, h) in zip(samples, cells)]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("integrate called")
+
+        for name in ("numerics", "distributions", "kernels", "mise", "estimator"):
+            module = importlib.import_module(f"cdf_mise.{name}")
+            if hasattr(module, "integrate"):
+                monkeypatch.setattr(module, "integrate", refuse)
+        with pytest.raises(RuntimeError, match="integrate called"):
+            mise(JDLVP, TRAP, 0.9, 10)
+        got = [ise(s, kernel, h, dist) for s, (dist, kernel, h) in zip(samples, cells)]
+        assert got == expected
 
     def test_empirical_magnitude(self):
         s = draw_sample(NORMAL1, 100, 17)

@@ -52,6 +52,11 @@ CASES: list[tuple[str, list[str]]] = [
 ] + [
     ("mc-validate --reps 200 --seed 7",
      ["-c", _CLI, "mc-validate", "--reps", "200", "--seed", "7"]),
+    # a scaled target at h = 0, and h = 1 and 2, where the ISE's Fourier
+    # cutoff 2/h falls below d_f = 4 and leaves a sample-free tail
+    ("mc-validate jdlvp:scale=0.5+trapezoidal",
+     ["-c", _CLI, "mc-validate", "--reps", "100", "--seed", "7", "--dist", "jdlvp:scale=0.5",
+      "--kernel", "trapezoidal", "--h-grid", "0:2:3", "--n", "50"]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
     for name in ("01_constants_catalog.py", "02_mise_curves.py", "03_bandwidth_descent.py",
