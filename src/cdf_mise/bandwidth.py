@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
@@ -278,6 +277,9 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < h_lo < h_hi and math.isfinite(h_hi)):
         raise ValueError(f"bracket must satisfy 0 < h_lo < h_hi < inf, got {bracket}")
+
+    # imported here, where brentq is used: no search loads scipy.optimize
+    from scipy import optimize
 
     target = 1.0 / (n + 1.0)
 

@@ -27,11 +27,13 @@ empirical CDF and MISE(0) = psi(F)/n.
 
 n enters only as MISE(h, n) = A(h)/n + B(h), with A = n IV and B = ISB.
 ``mise`` takes its route from one table, ``_exact_route``: the exact
-routes get (IV, ISB) at n from ``_exact_parts``, which ``mise_profile``
-calls at n = 1; the ``fourier`` route gets pi A and pi B from QUADPACK.
-``mise_profile`` computes A and B on a whole bandwidth array by a fixed
-Gauss-Kronrod rule, with an error bound; the bandwidth search runs on it
-alone.
+routes get (IV, ISB) at n from ``_exact_parts``; the ``fourier`` route
+gets pi A and pi B from QUADPACK.  ``mise_profile`` computes A and B on
+a whole bandwidth array, with an error bound, and the bandwidth search
+runs on it alone.  It picks the same routes by mask and computes the
+exact ones on arrays, with the same bits as ``mise``.  The other cells
+go to a fixed Gauss-Kronrod rule: one pass over arrays builds every
+cell's panels, and the rule integrates them a block of cells at a time.
 
 Where QUADPACK misses its tolerance (at very small or very large h),
 the ``fourier`` route takes both terms and their error bounds from the
@@ -116,19 +118,27 @@ def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     _validate_h_n(h, n)
-    iv, isb = _normal_normal_parts(sigma, h, n)
+    iv, isb = _at(_normal_normal_parts, sigma, h, n)
     return iv + isb
 
 
-def _normal_normal_parts(sigma: float, h: float, n: int):
-    # Both differences in the display are rationalized so that no O(s)
-    # terms cancel: with a = sqrt(h^2+s^2), a - h = s^2/(a+h) and
-    # sqrt(2h^2+4s^2) - a - s = (a-s)^2/(sqrt(2h^2+4s^2)+a+s),
-    # where a - s = h^2/(a+s).
-    a = math.sqrt(h * h + sigma * sigma)
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    # The C library's fn (math.exp, math.log, a power) on every element:
+    # numpy's SIMD loops for these round differently, and every array
+    # cell must carry the bits of the scalar call.
+    return np.array([fn(v) for v in x.tolist()])
+
+
+def _normal_normal_parts(sigma: float, h: np.ndarray, n: int):
+    # (IV, ISB) on an array of h.  Both differences in the display are
+    # rationalized so that no O(s) terms cancel: with a = sqrt(h^2+s^2),
+    # a - h = s^2/(a+h) and sqrt(2h^2+4s^2) - a - s =
+    # (a-s)^2/(sqrt(2h^2+4s^2)+a+s), where a - s = h^2/(a+s).
+    a = np.sqrt(h * h + sigma * sigma)
     iv = sigma * sigma / (_SQRT_PI * n * (a + h))
     c = a + sigma
-    isb = h ** 4 / (_SQRT_PI * c * c * (math.sqrt(2.0 * h * h + 4.0 * sigma * sigma) + c))
+    isb = _libm(lambda v: v ** 4, h) / (
+        _SQRT_PI * c * c * (np.sqrt(2.0 * h * h + 4.0 * sigma * sigma) + c))
     return iv, isb
 
 
@@ -144,22 +154,44 @@ def mise_normal_sinc_closed(sigma: float, h: float, n: int) -> float:
         raise ValueError("the closed form requires h > 0 (h = 0 is the "
                          "empirical branch, MISE = psi_f/n)")
     _validate_h_n(h, n)
-    iv, isb = _normal_sinc_parts(sigma, h, n)
+    iv, isb = _at(_normal_sinc_parts, sigma, h, n)
     return iv + isb
 
 
-def _normal_sinc_parts(sigma: float, h: float, n: int):
-    # B(h) = pi ISB(h) = h e^{-y^2} - 2 s sqrt(pi) {1 - Phi(y sqrt(2))}
-    # with y = s/h; since 1 - Phi(y sqrt(2)) = erfc(y)/2 = e^{-y^2}
-    # erfcx(y)/2, B = h e^{-y^2} {1 - sqrt(pi) y erfcx(y)}, which keeps
-    # the common factor e^{-y^2} out of the difference.  pi n IV(h) =
+def _normal_sinc_parts(sigma: float, h: np.ndarray, n: int):
+    # (IV, ISB) on an array of h > 0.  B(h) = pi ISB(h) = h e^{-y^2} -
+    # 2 s sqrt(pi) {1 - Phi(y sqrt(2))} with y = s/h; since
+    # 1 - Phi(y sqrt(2)) = erfc(y)/2 = e^{-y^2} erfcx(y)/2,
+    # B = h e^{-y^2} {1 - sqrt(pi) y erfcx(y)}, which keeps the common
+    # factor e^{-y^2} out of the difference.  pi n IV(h) =
     # s sqrt(pi) - h + B(h); their sum reproduces the display in
     # mise_normal_sinc_closed.
     y = sigma / h
-    b = h * math.exp(-y * y) * (1.0 - _SQRT_PI * y * float(scipy.special.erfcx(y)))
+    b = h * _libm(math.exp, -y * y) * (1.0 - _SQRT_PI * y * scipy.special.erfcx(y))
     iv = (sigma * _SQRT_PI - h + b) / (math.pi * n)
     isb = b / math.pi
     return iv, isb
+
+
+_CLOSED_FORMS = {
+    "closed_form_normal_normal": _normal_normal_parts,
+    "closed_form_normal_sinc": _normal_sinc_parts,
+}
+
+
+def _at(parts, sigma: float, h: float, n: int) -> tuple[float, float]:
+    # A closed form's (IV, ISB) at one h.
+    iv, isb = parts(sigma, np.array([h], dtype=float), n)
+    return float(iv[0]), float(isb[0])
+
+
+def _closed_form(dist: TargetDistribution, kernel: Kernel) -> str | None:
+    # The pair's closed-form route off the linear segment, or None.
+    if dist.family == "normal" and kernel.name == "normal":
+        return "closed_form_normal_normal"
+    if dist.family == "normal" and not kernel.integrable:
+        return "closed_form_normal_sinc"
+    return None
 
 
 def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | None:
@@ -168,11 +200,7 @@ def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | No
     # a band-limited target pass its test.
     if h == 0.0 or h * dist.d_f <= kernel.s_k:
         return "linear_segment"
-    if dist.family == "normal" and kernel.name == "normal":
-        return "closed_form_normal_normal"
-    if dist.family == "normal" and not kernel.integrable:
-        return "closed_form_normal_sinc"
-    return None
+    return _closed_form(dist, kernel)
 
 
 def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
@@ -180,9 +208,7 @@ def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
     # (IV, ISB) at n on an exact route of _exact_route.
     if route == "linear_segment":
         return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
-    if route == "closed_form_normal_normal":
-        return _normal_normal_parts(dist.sigma, h, n)
-    return _normal_sinc_parts(dist.sigma, h, n)
+    return _at(_CLOSED_FORMS[route], dist.sigma, h, n)
 
 
 def _phi_k(kernel: Kernel, u: float) -> float:
@@ -261,8 +287,8 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
 
 # Past t = _GAUSS_CUT/r a Gaussian factor e^{-(r t)^2} is below 1e-39.
 _GAUSS_CUT = 9.5
-# Cells per vectorized evaluation: at most about 40 panels a cell and 15
-# nodes a panel keep every temporary array under 0.2 MB.
+# Cells per evaluation of the rule: at most about 40 panels a cell and 15
+# nodes a panel keep every temporary array of the rule under 0.2 MB.
 _PROFILE_CELLS = 32
 # Rounding allowance per operation chain: 8 units in the last place.
 _ROUNDING = 8.0 * np.finfo(float).eps
@@ -271,100 +297,116 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 _FALLBACK_RTOL = 1e-8
 
 
-def _gauss_tail(v: float) -> float:
+def _gauss_tail(v: np.ndarray) -> np.ndarray:
     # int_v^inf e^{-u^2} u^-2 du = e^{-v^2}/v - sqrt(pi) erfc(v) for v > 0,
     # with erfcx keeping the factor e^{-v^2} out of the difference.
-    return math.exp(-v * v) * (1.0 / v - _SQRT_PI * float(scipy.special.erfcx(v)))
+    return _libm(math.exp, -v * v) * (1.0 / v - _SQRT_PI * scipy.special.erfcx(v))
 
 
-def _kernel_sq_tail(kernel: Kernel, v: float) -> float:
+# A normal target's factor cut at t = _GAUSS_CUT/sigma leaves at most
+# sigma times this in each display.
+_GAUSS_CUT_TAIL = float(_gauss_tail(np.array([_GAUSS_CUT]))[0])
+
+
+def _kernel_sq_tail(kernel: Kernel, v: np.ndarray) -> np.ndarray:
     # int_v^inf phi_k(u)^2 u^-2 du for v > 0, in closed form per kernel.
     if kernel.name == "normal":
         return _gauss_tail(v)
     if kernel.name == "sinc":
-        return max(1.0 / v - 1.0, 0.0)
+        return np.maximum(1.0 / v - 1.0, 0.0)
     if kernel.name == "trapezoidal":
         # 1/u^2 up to 1, then (2 - u)^2/u^2 = 4/u^2 - 4/u + 1 up to 2
-        if v <= 1.0:
-            return 1.0 / v + 2.0 - 4.0 * math.log(2.0)
-        if v < 2.0:
-            return 4.0 / v + 4.0 * math.log(0.5 * v) - v
-        return 0.0
+        return np.where(v <= 1.0, 1.0 / v + 2.0 - 4.0 * math.log(2.0),
+                        np.where(v < 2.0, 4.0 / v + 4.0 * _libm(math.log, 0.5 * v) - v, 0.0))
     raise ValueError(f"no closed-form transform tail for kernel {kernel.name!r}")
 
 
-def _profile_edges(lo: float, hi: float, knots, rates) -> list[float]:
-    # Panel edges from lo to hi, split at every knot in between.  A panel
+def _panels(lo: np.ndarray, hi: np.ndarray, knots, rates):
+    # Panels of every row's range [lo, hi], split at each of the row's
+    # knots in between: arrays (lo, hi, row), ordered by row and then by
+    # t.  knots and rates hold one value or array of rows each.  A panel
     # starting at t > 0 is at most t wide, so the t^-2 pole at 0 stays a
     # panel-length away, and at most 1/r wide while a Gaussian factor of
-    # rate r is active (t < _GAUSS_CUT/r).
-    cuts = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
-    edges = [lo]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        t = a
-        while t < b:
-            w = b - t
-            if t > 0.0:
-                w = min(w, t)
-            for r in rates:
-                if r * t < _GAUSS_CUT:
-                    w = min(w, 1.0 / r)
-            t = b if w >= b - t else t + w
-            edges.append(t)
-    return edges
+    # rate r is active (r t < _GAUSS_CUT).  Every segment between two cuts
+    # steps forward at once, by the arithmetic of a loop over one segment.
+    cuts = np.sort(np.array([lo, *(np.minimum(np.maximum(k, lo), hi) for k in knots), hi]).T,
+                   axis=1)
+    row, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    seg = np.arange(row.size)
+    t, b = cuts[row, col], cuts[row, col + 1]
+    rates = [np.broadcast_to(r, lo.shape)[row] for r in rates]
+    steps = [(seg[:0], t[:0], t[:0])]
+    while t.size:
+        w = b - t
+        w = np.where(t > 0.0, np.minimum(w, t), w)
+        for r in rates:
+            w = np.where(r * t < _GAUSS_CUT, np.minimum(w, 1.0 / r), w)
+        t_next = np.where(w >= b - t, b, t + w)
+        steps.append((seg, t, t_next))
+        go = t_next < b
+        seg, t, b = seg[go], t_next[go], b[go]
+        rates = [r[go] for r in rates]
+    seg, p_lo, p_hi = (np.concatenate(x) for x in zip(*steps))
+    order = np.argsort(seg, kind="stable")
+    return p_lo[order], p_hi[order], row[seg[order]]
 
 
-class _Panels:
-    # Panels [lo, hi] of one display for a block of cells, each with its
-    # bandwidth and the index of the cell it belongs to.
+def _target_end(dist: TargetDistribution):
+    # (t_end, cut, knots, rates) of the fixed rule.  Past t_end the target
+    # factor is zero: exactly beyond d_f, or below 1e-39 beyond 9.5/sigma
+    # for a normal target, whose cut tail is at most `cut` in each display.
+    if math.isfinite(dist.d_f):
+        return dist.d_f, 0.0, [*dist.cf_knots, dist.d_f], []
+    return (_GAUSS_CUT / dist.sigma, dist.sigma * _GAUSS_CUT_TAIL, list(dist.cf_knots),
+            [dist.sigma])
 
-    def __init__(self) -> None:
-        self.lo: list[float] = []
-        self.hi: list[float] = []
-        self.h: list[float] = []
-        self.cell: list[int] = []
 
-    def add(self, edges: list[float], h: float, cell: int) -> None:
-        m = len(edges) - 1
-        self.lo += edges[:-1]
-        self.hi += edges[1:]
-        self.h += [h] * m
-        self.cell += [cell] * m
+def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
+    # The panels of both displays on bandwidths h > 0: (lo, hi, cell) of
+    # the IV on (0, min(ft_support_end/h, t_end)), then of the ISB on
+    # (s_k/h, t_end) for the cells where that range is not empty.
+    t_end, _, knots, rates = _target_end(dist)
+    isb = np.flatnonzero(kernel.s_k / hs < t_end)
+    cells = np.concatenate([np.arange(hs.size), isb])
+    h = hs[cells]
+    lo = np.concatenate([np.zeros(hs.size), kernel.s_k / hs[isb]])
+    hi = np.concatenate([np.minimum(kernel.ft_support_end / hs, t_end),
+                         np.full(isb.size, t_end)])
+    p_lo, p_hi, row = _panels(lo, hi, [k / h for k in kernel.ft_knots] + knots,
+                              rates + ([h] if kernel.name == "normal" else []))
+    split = np.searchsorted(row, hs.size)
+    return ((p_lo[:split], p_hi[:split], cells[row[:split]]),
+            (p_lo[split:], p_hi[split:], cells[row[split:]]))
 
-    def integrate(self, integrand, size: int) -> tuple[np.ndarray, np.ndarray]:
-        # Gauss-Kronrod 15 on every panel, summed per cell of `size` cells
-        # into values and error bounds.  integrand(t, h) returns the values
-        # f and the size g of what their subtractions cancel; the bound is
-        # |K15 - G7| plus rounding, 8 eps (|f| + g) integrated by the rule.
-        if not self.lo:
-            return np.zeros(size), np.zeros(size)
-        lo, hi = np.array(self.lo), np.array(self.hi)
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (hi + lo))[:, None] + half[:, None] * _GK15_NODES
-        f, g = integrand(t, np.array(self.h)[:, None])
+
+def _integrate_panels(integrand, panels, hs: np.ndarray):
+    # Gauss-Kronrod 15 on every panel, summed per cell into values and
+    # error bounds.  integrand(t, h) returns the values f and the size g
+    # of what their subtractions cancel; the bound is |K15 - G7| plus
+    # rounding, 8 eps (|f| + g) integrated by the rule.  The rule runs on
+    # the panels of _PROFILE_CELLS cells at a time.
+    lo, hi, cell = panels
+    val = np.empty(lo.size)
+    err = np.empty(lo.size)
+    ends = np.searchsorted(cell, np.arange(0, hs.size + _PROFILE_CELLS, _PROFILE_CELLS))
+    for p0, p1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        if p0 == p1:
+            continue
+        half = 0.5 * (hi[p0:p1] - lo[p0:p1])
+        t = (0.5 * (hi[p0:p1] + lo[p0:p1]))[:, None] + half[:, None] * _GK15_NODES
+        f, g = integrand(t, hs[cell[p0:p1]][:, None])
         k15 = (f @ _GK15_WEIGHTS) * half
         g7 = (f @ _G7_WEIGHTS) * half
         noise = ((np.abs(f) + g) @ _GK15_WEIGHTS) * half
-        return (np.bincount(self.cell, k15, size),
-                np.bincount(self.cell, np.abs(k15 - g7) + _ROUNDING * noise, size))
+        val[p0:p1] = k15
+        err[p0:p1] = np.abs(k15 - g7) + _ROUNDING * noise
+    return np.bincount(cell, val, hs.size), np.bincount(cell, err, hs.size)
 
 
 def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
     # pi A and pi B on an array of bandwidths h > 0 by the fixed rule of
     # mise_profile, with separate error bounds: arrays (a, b, a_err, b_err).
-    a = np.zeros(hs.size)
-    b = np.zeros(hs.size)
-    a_err = np.zeros(hs.size)
-    b_err = np.zeros(hs.size)
-    # Past t_end the target factor is zero: exactly beyond d_f, or below
-    # 1e-39 beyond 9.5/sigma for a normal target, whose cut tail is at
-    # most sigma int_9.5^inf e^{-u^2} u^-2 du in each display.
-    if math.isfinite(dist.d_f):
-        t_end, cut, rates = dist.d_f, 0.0, []
-        knots = list(dist.cf_knots) + [dist.d_f]
-    else:
-        t_end, rates, knots = _GAUSS_CUT / dist.sigma, [dist.sigma], list(dist.cf_knots)
-        cut = dist.sigma * _gauss_tail(_GAUSS_CUT)
+    t_end, cut, _, _ = _target_end(dist)
 
     def iv(t, h):
         p = kernel.ft(t * h)
@@ -377,29 +419,14 @@ def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
         qq = dist.cf(t) ** 2 / (t * t)
         return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
 
-    for start in range(0, hs.size, _PROFILE_CELLS):
-        iv_panels, isb_panels = _Panels(), _Panels()
-        for i in range(start, min(start + _PROFILE_CELLS, hs.size)):
-            h = float(hs[i])
-            upper = kernel.ft_support_end / h
-            cell_knots = [k / h for k in kernel.ft_knots] + knots
-            cell_rates = rates + ([h] if kernel.name == "normal" else [])
-            iv_panels.add(_profile_edges(0.0, min(upper, t_end), cell_knots, cell_rates),
-                          h, i)
-            if kernel.s_k / h < t_end:
-                isb_panels.add(_profile_edges(kernel.s_k / h, t_end, cell_knots, cell_rates),
-                               h, i)
-            tail = h * _kernel_sq_tail(kernel, h * t_end) if t_end < upper else 0.0
-            a[i] = tail
-            a_err[i] = cut + _ROUNDING * tail
-            b_err[i] = cut
-        iv_val, iv_err = iv_panels.integrate(iv, hs.size)
-        isb_val, isb_err = isb_panels.integrate(isb, hs.size)
-        a += iv_val
-        b += isb_val
-        a_err += iv_err
-        b_err += isb_err
-    return a, b, a_err, b_err
+    iv_panels, isb_panels = _profile_panels(dist, kernel, hs)
+    a, a_err = _integrate_panels(iv, iv_panels, hs)
+    b, b_err = _integrate_panels(isb, isb_panels, hs)
+    # Once 1 - phi_f^2 = 1 the IV is finished in closed form.
+    tail = np.zeros(hs.size)
+    past = t_end < kernel.ft_support_end / hs
+    tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
+    return tail + a, b, cut + _ROUNDING * tail + a_err, cut + b_err
 
 
 def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
@@ -407,14 +434,18 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
 
     MISE(h, n) = A/n + B for every n.  Cells where ``mise`` needs
     no quadrature (h = 0, the linear segment, the normal closed forms)
-    get those exact terms.  Elsewhere both Fourier displays are
-    integrated by Gauss-Kronrod 15 on fixed panels split at every knot
-    (s_k/h and the transform knots over h, the target's knots, d_f); a
-    panel is at most t wide past t, which resolves the t^-2 pole, and at
-    most 1/r wide while a Gaussian factor e^{-(r t)^2} is above 1e-39.
-    Once 1 - phi_f^2 = 1 (past d_f, or past 9.5/sigma, where a normal
-    target's factor is below 1e-39) the IV is finished in closed form,
-    h int phi_k(u)^2 u^-2 du over u > h t.
+    get those exact terms, picked by mask and computed on arrays.
+    Elsewhere both Fourier displays are integrated by Gauss-Kronrod 15
+    on fixed panels split at every knot (s_k/h and the transform knots
+    over h, the target's knots, d_f); a panel is at most t wide past t,
+    which resolves the t^-2 pole, and at most 1/r wide while a Gaussian
+    factor e^{-(r t)^2} is above 1e-39.  The panels of all cells are
+    built in one pass over arrays, every segment between two knots
+    stepping forward at once, and the rule runs on them 32 cells at a
+    time, which bounds the temporary arrays.  Once 1 - phi_f^2 = 1 (past
+    d_f, or past 9.5/sigma, where a normal target's factor is below
+    1e-39) the IV is finished in closed form, h int phi_k(u)^2 u^-2 du
+    over u > h t.
 
     Returns arrays (A, B, err); err bounds |error of A| + |error of B|,
     hence the error of A/n + B at every n >= 1.  It sums the panels'
@@ -426,20 +457,25 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1:
         raise ValueError("hs must be a one-dimensional array of bandwidths")
+    if hs.size and not (hs.min() >= 0.0 and hs.max() < math.inf):
+        raise ValueError("bandwidth h must be finite and >= 0")
+    # the linear segment, with h = 0 on it; h d_f is only formed for a
+    # finite d_f, since 0 inf is nan
+    linear = hs == 0.0
+    if math.isfinite(dist.d_f):
+        linear |= hs * dist.d_f <= kernel.s_k
+    rest = ~linear
     a = np.zeros(hs.size)
     b = np.zeros(hs.size)
-    err = np.zeros(hs.size)
-    quad = []
-    for i, h in enumerate(hs.tolist()):
-        _validate_h(h)
-        route = _exact_route(dist, kernel, h)
-        if route is None:
-            quad.append(i)
-            continue
-        iv, isb = _exact_parts(dist, kernel, route, h, 1)
-        a[i], b[i], err[i] = iv, isb, _ROUNDING * (iv + isb)
-    pa, pb, pa_err, pb_err = _fixed_rule(dist, kernel, hs[quad])
-    a[quad] = pa / math.pi
-    b[quad] = pb / math.pi
-    err[quad] = (pa_err + pb_err) / math.pi
+    a[linear] = dist.psi_f - kernel.psi_k_analytic * hs[linear]
+    route = _closed_form(dist, kernel)
+    if route is not None:
+        a[rest], b[rest] = _CLOSED_FORMS[route](dist.sigma, hs[rest], 1)
+    err = _ROUNDING * (a + b)
+    if route is not None or not rest.any():
+        return a, b, err
+    pa, pb, pa_err, pb_err = _fixed_rule(dist, kernel, hs[rest])
+    a[rest] = pa / math.pi
+    b[rest] = pb / math.pi
+    err[rest] = (pa_err + pb_err) / math.pi
     return a, b, err

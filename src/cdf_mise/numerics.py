@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 __all__ = [
@@ -80,6 +79,10 @@ def std_normal_cdf(x):
 
 
 def _run_quad(f, lower: float, upper: float, points):
+    # imported here: the searches, figures and Monte Carlo never reach
+    # QUADPACK, so they need not load scipy.integrate
+    import scipy.integrate
+
     kwargs = dict(
         epsabs=ABS_TOL,
         epsrel=REL_TOL,

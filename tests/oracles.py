@@ -11,8 +11,10 @@ Fourier displays to 50 digits with mpmath.  ``jdlvp_cdf_mpmath``
 integrates the JdlVP density to 40 digits, the h = 0 ISE oracles
 integrate the step-function error in closed form (normal) or with
 mpmath (JdlVP), and ``mean_abs_dev_quad`` integrates F and 1 - F
-instead of the closed form E|x - X|.  Agreement between routes is
-then evidence, not tautology.
+instead of the closed form E|x - X|.  ``profile_panels`` builds the
+fixed rule's panels one cell at a time by a loop on floats, where the
+library steps every cell's segments at once on arrays.  Agreement
+between routes is then evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import scipy.special
 
 from cdf_mise.distributions import TargetDistribution
 from cdf_mise.kernels import Kernel
-from cdf_mise.mise import _validate_h_n
+from cdf_mise.mise import _GAUSS_CUT, _validate_h_n
 from cdf_mise.numerics import _GK15_NODES, _GK15_WEIGHTS, gauss_kronrod_panels
 
 
@@ -409,6 +411,63 @@ def jdlvp_sinc_critical_points(n: int) -> list[float]:
                 hi = mid
         roots.append(0.5 * (lo + hi))
     return sorted(1.0 / u for u in roots)
+
+
+# ---------------------------------------------------------------------------
+# The fixed rule's panels, cell by cell
+# ---------------------------------------------------------------------------
+
+def profile_edges(lo: float, hi: float, knots, rates) -> list[float]:
+    """Panel edges of the fixed rule from lo to hi, by a loop on floats.
+
+    The range is split at every knot in between.  A panel starting at
+    t > 0 is at most t wide and at most 1/r wide while a Gaussian factor
+    of rate r is active (r t < _GAUSS_CUT).
+    """
+    cuts = sorted({lo, hi, *(k for k in knots if lo < k < hi)})
+    edges = [lo]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        t = a
+        while t < b:
+            w = b - t
+            if t > 0.0:
+                w = min(w, t)
+            for r in rates:
+                if r * t < _GAUSS_CUT:
+                    w = min(w, 1.0 / r)
+            t = b if w >= b - t else t + w
+            edges.append(t)
+    return edges
+
+
+def profile_panels(dist: TargetDistribution, kernel: Kernel, hs):
+    """The fixed rule's panels (lo, hi, cell) of the IV and of the ISB.
+
+    Built one cell at a time from ``profile_edges``: the IV on
+    (0, min(ft_support_end/h, t_end)), the ISB on (s_k/h, t_end) where
+    that range is not empty, with t_end = d_f, or 9.5/sigma and a
+    Gaussian rate sigma for a normal target, and the rate h for the
+    normal kernel.
+    """
+    if math.isfinite(dist.d_f):
+        t_end, knots, rates = dist.d_f, [*dist.cf_knots, dist.d_f], []
+    else:
+        t_end, knots, rates = _GAUSS_CUT / dist.sigma, list(dist.cf_knots), [dist.sigma]
+    iv: tuple[list, list, list] = ([], [], [])
+    isb: tuple[list, list, list] = ([], [], [])
+    for cell, h in enumerate(float(h) for h in hs):
+        cell_knots = [k / h for k in kernel.ft_knots] + knots
+        cell_rates = rates + ([h] if kernel.name == "normal" else [])
+        ranges = [(iv, 0.0, min(kernel.ft_support_end / h, t_end))]
+        if kernel.s_k / h < t_end:
+            ranges.append((isb, kernel.s_k / h, t_end))
+        for out, lo, hi in ranges:
+            edges = profile_edges(lo, hi, cell_knots, cell_rates)
+            out[0].extend(edges[:-1])
+            out[1].extend(edges[1:])
+            out[2].extend([cell] * (len(edges) - 1))
+    return tuple((np.array(lo, dtype=float), np.array(hi, dtype=float),
+                  np.array(cell, dtype=int)) for lo, hi, cell in (iv, isb))
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,12 @@ def test_criterion_3_closed_forms(capsys):
             got = mise(NORMAL1, NORMAL_K, float(h), n, method="fourier").mise
             want = mise_normal_normal_closed(1.0, float(h), n)
             worst = max(worst, abs(got / want - 1.0))
-            assert got == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
         for h in grid[1:]:  # the sinc closed form needs h > 0
             got = mise(NORMAL1, SINC, float(h), n, method="fourier").mise
             want = mise_normal_sinc_closed(1.0, float(h), n)
             worst = max(worst, abs(got / want - 1.0))
-            assert got == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
     elapsed = time.perf_counter() - start
     announce(capsys, "3", elapsed < 30.0,
              f"closed forms, worst relative error = {worst:.2e} on 41-point "
@@ -126,7 +126,7 @@ def test_criterion_4_linear_segment(capsys):
                 got = mise(JDLVP, kernel, h, n).mise
                 want = (JDLVP.psi_f - psi_k(kernel) * h) / n
                 worst = max(worst, abs(got / want - 1.0))
-                assert got == pytest.approx(want, rel=1e-10)
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
         for h in (0.1, 0.25, 0.4, 0.5):
             assert mise(JDLVP, kernel, h, 1, method="fourier").isb == 0.0
         assert mise(JDLVP, kernel, 0.51, 1, method="fourier").isb > 0.0

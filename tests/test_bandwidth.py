@@ -99,7 +99,7 @@ class TestOptimalBandwidth:
         assert r.mise_at_opt <= a[0] / 100 + b[0]
         assert r.mise_at_opt <= a[1] / 100 + b[1]
         assert r.mise_at_opt == pytest.approx(
-            mise(dist, kernel, r.h_opt, 100).mise, rel=1e-12
+            mise(dist, kernel, r.h_opt, 100).mise, rel=1e-12, abs=0.0
         )
         assert r.boundary_flag in ("interior", "at_zero", "at_upper_bracket")
         assert r.grid_points_scanned >= 513  # grid plus the h=0 candidate
@@ -257,7 +257,7 @@ class TestRelativeEfficiency:
         n = 200
         r = optimal_bandwidth(JDLVP, SINC, n)
         assert relative_efficiency(JDLVP, SINC, n) == pytest.approx(
-            r.mise_at_opt / (JDLVP.psi_f / n), rel=1e-12
+            r.mise_at_opt / (JDLVP.psi_f / n), rel=1e-12, abs=0.0
         )
 
 
@@ -274,7 +274,7 @@ class TestAsymptoticRelativeEfficiency:
         for kernel in (TRAP, SINC):
             assert asymptotic_relative_efficiency(JDLVP, kernel) == pytest.approx(
                 1.0 - psi_k(kernel) * kernel.s_k / (JDLVP.psi_f * JDLVP.d_f),
-                rel=1e-12,
+                rel=1e-12, abs=0.0,
             )
 
     def test_degenerate_cases_return_one(self):
@@ -286,7 +286,7 @@ class TestAsymptoticRelativeEfficiency:
         # rescaling moves s_k/d_f and psi_f together, leaving the ratio fixed
         assert asymptotic_relative_efficiency(
             rescale(JDLVP, 2.0), TRAP
-        ) == pytest.approx(asymptotic_relative_efficiency(JDLVP, TRAP), rel=1e-12)
+        ) == pytest.approx(asymptotic_relative_efficiency(JDLVP, TRAP), rel=1e-12, abs=0.0)
 
 
 class TestEfficiencyCurve:
@@ -304,7 +304,7 @@ class TestEfficiencyCurve:
             optimal_bandwidth(JDLVP, SINC, 100).h_opt, abs=1e-12
         )
         assert cur.rel_eff[1] == pytest.approx(
-            relative_efficiency(JDLVP, SINC, 1000), rel=1e-12
+            relative_efficiency(JDLVP, SINC, 1000), rel=1e-12, abs=0.0
         )
 
 

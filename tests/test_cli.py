@@ -175,7 +175,7 @@ class TestMiseCurveCommand:
                 assert row[4] == "linear_segment"
                 assert row[2] == "0"
                 expected = (JDLVP.psi_f - psi_k(TRAP) * h) / 1000.0
-                assert float(row[3]) == pytest.approx(expected, rel=1e-12)
+                assert float(row[3]) == pytest.approx(expected, rel=1e-12, abs=0.0)
             else:
                 assert row[4] == "fourier"
                 assert float(row[2]) > 0.0
@@ -205,13 +205,13 @@ class TestMiseCurveCommand:
         for row in rows:
             h = float(row[0])
             iv, isb, total = (float(c) for c in row[1:4])
-            assert iv + isb == pytest.approx(total, rel=1e-12)
+            assert iv + isb == pytest.approx(total, rel=1e-12, abs=0.0)
             if h == 0.0:
-                assert total == pytest.approx(NORMAL1.psi_f / 50.0, rel=1e-14)
+                assert total == pytest.approx(NORMAL1.psi_f / 50.0, rel=1e-14, abs=0.0)
                 continue
             assert row[4] == "closed_form_normal_normal"
             assert total == pytest.approx(
-                mise_normal_normal_closed(1.0, h, 50), rel=1e-12)
+                mise_normal_normal_closed(1.0, h, 50), rel=1e-12, abs=0.0)
             iv_closed = (math.hypot(h, 1.0) - h) / (SQRT_PI * 50.0)
             assert iv == pytest.approx(iv_closed, rel=1e-9, abs=1e-18)
 
@@ -309,7 +309,7 @@ class TestEfficiencyCurveCommand:
             assert row[2] == g17(r)
             assert row[3] == g17(curve.asymptote)
         assert curve.asymptote == pytest.approx(
-            asymptotic_relative_efficiency(JDLVP, TRAP), rel=1e-15)
+            asymptotic_relative_efficiency(JDLVP, TRAP), rel=1e-15, abs=0.0)
 
 
 class TestFigureCommands:
@@ -421,7 +421,7 @@ class TestMcValidateCommand:
         for row in rows:
             exact, est, se, z = (float(c) for c in row[4:8])
             assert se > 0.0
-            assert z == pytest.approx((est - exact) / se, rel=1e-12)
+            assert z == pytest.approx((est - exact) / se, rel=1e-12, abs=0.0)
             assert abs(z) < 6.0
 
     def test_same_seed_reruns_are_byte_identical(self, capsys, tmp_path):

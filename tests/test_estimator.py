@@ -267,7 +267,7 @@ class TestIse:
         scaled = Sample(values=a * s.values, seed=s.seed, source=s.source)
         for h in (0.1, 0.4, 1.3):
             assert ise(scaled, kernel, a * h, rescale(dist, a)) == pytest.approx(
-                a * ise(s, kernel, h, dist), rel=1e-12)
+                a * ise(s, kernel, h, dist), rel=1e-12, abs=0.0)
 
 
 class TestMonteCarloMise:

@@ -20,7 +20,13 @@ from cdf_mise.mise import (
 )
 from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
 
-from oracles import isb_space_oracle, iv_space_oracle, mise_mpmath
+from oracles import (
+    isb_space_oracle,
+    iv_space_oracle,
+    mise_mpmath,
+    profile_edges,
+    profile_panels,
+)
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
@@ -70,7 +76,7 @@ class TestZeroBandwidth:
     @pytest.mark.parametrize("n", [1, 7, 100])
     def test_reduces_to_empirical_value(self, dist, kernel, n):
         r = mise(dist, kernel, 0.0, n)
-        assert r.mise == pytest.approx(dist.psi_f / n, rel=1e-14)
+        assert r.mise == pytest.approx(dist.psi_f / n, rel=1e-14, abs=0.0)
         assert r.isb == 0.0
         assert r.iv == r.mise
 
@@ -87,7 +93,7 @@ class TestLinearSegment:
         expected = (JDLVP.psi_f - psi_k(kernel) * h) / n
         r = mise(JDLVP, kernel, h, n)
         assert r.method == "linear_segment"
-        assert r.mise == pytest.approx(expected, rel=1e-10)
+        assert r.mise == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert r.isb == 0.0
 
     @pytest.mark.parametrize("kernel", [TRAP, SINC], ids=lambda k: k.name)
@@ -99,16 +105,16 @@ class TestLinearSegment:
         m3 = mise(JDLVP, kernel, h3, n).mise
         slope_a = (m2 - m1) / (h2 - h1)
         slope_b = (m3 - m2) / (h3 - h2)
-        assert slope_a == pytest.approx(slope_b, rel=1e-10)
-        assert slope_a == pytest.approx(-psi_k(kernel) / n, rel=1e-10)
+        assert slope_a == pytest.approx(slope_b, rel=1e-10, abs=0.0)
+        assert slope_a == pytest.approx(-psi_k(kernel) / n, rel=1e-10, abs=0.0)
 
     def test_published_point(self):
         # (psi_f - psi_k * 0.3) / 1000 for the band-limited target
         r = mise(JDLVP, TRAP, 0.3, 1000)
         expected = (JDLVP.psi_f - psi_k(TRAP) * 0.3) / 1000.0
-        assert r.mise == pytest.approx(expected, rel=1e-12)
+        assert r.mise == pytest.approx(expected, rel=1e-12, abs=0.0)
         f = mise(JDLVP, TRAP, 0.3, 1000, method="fourier")
-        assert f.mise == pytest.approx(r.mise, rel=1e-9)
+        assert f.mise == pytest.approx(r.mise, rel=1e-9, abs=0.0)
 
     def test_segment_extends_with_rescaling(self):
         # doubling the scale halves d_f, so the segment reaches h = 1
@@ -117,14 +123,14 @@ class TestLinearSegment:
         r = mise(wide, TRAP, 0.8, n)
         assert r.method == "linear_segment"
         assert r.mise == pytest.approx(
-            (wide.psi_f - psi_k(TRAP) * 0.8) / n, rel=1e-10
+            (wide.psi_f - psi_k(TRAP) * 0.8) / n, rel=1e-10, abs=0.0
         )
 
     def test_iv_is_segment_below_threshold(self):
         for h in (0.05, 0.15, 0.25):
             val = mise(JDLVP, TRAP, h, 25, method="fourier").iv
             assert val == pytest.approx(
-                (JDLVP.psi_f - psi_k(TRAP) * h) / 25.0, rel=1e-9
+                (JDLVP.psi_f - psi_k(TRAP) * h) / 25.0, rel=1e-9, abs=0.0
             )
 
 
@@ -147,7 +153,7 @@ class TestIsbBoundary:
 class TestClosedFormNormalNormal:
     def test_zero_bandwidth(self):
         assert mise_normal_normal_closed(2.0, 0.0, 5) == pytest.approx(
-            2.0 / (SQRT_PI * 5.0), rel=1e-14
+            2.0 / (SQRT_PI * 5.0), rel=1e-14, abs=0.0
         )
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
@@ -157,20 +163,20 @@ class TestClosedFormNormalNormal:
         n = 100
         closed = mise_normal_normal_closed(sigma, h, n)
         four = mise(dist, NORMAL_K, h, n, method="fourier")
-        assert closed == pytest.approx(four.mise, rel=1e-9)
+        assert closed == pytest.approx(four.mise, rel=1e-9, abs=0.0)
 
     def test_auto_routes_to_closed_form(self):
         r = mise(NORMAL1, NORMAL_K, 0.2, 50)
         assert r.method == "closed_form_normal_normal"
-        assert r.mise == pytest.approx(mise_normal_normal_closed(1.0, 0.2, 50), rel=1e-14)
+        assert r.mise == pytest.approx(mise_normal_normal_closed(1.0, 0.2, 50), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [10, 1000])
     def test_iv_isb_split_matches_coefficients(self, n):
         # IV is the 1/n coefficient, ISB the n-free term
         h = 0.5
         r = mise(NORMAL1, NORMAL_K, h, n, method="fourier")
-        assert r.iv == pytest.approx(closed_iv_normal_normal(1.0, h, n), rel=1e-9)
-        assert r.isb == pytest.approx(closed_isb_normal_normal(1.0, h), rel=1e-9)
+        assert r.iv == pytest.approx(closed_iv_normal_normal(1.0, h, n), rel=1e-9, abs=0.0)
+        assert r.isb == pytest.approx(closed_isb_normal_normal(1.0, h), rel=1e-9, abs=0.0)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -182,7 +188,7 @@ class TestClosedFormNormalNormal:
 class TestClosedFormNormalSinc:
     def test_small_h_limit(self):
         assert mise_normal_sinc_closed(1.0, 1e-8, 10) == pytest.approx(
-            1.0 / (SQRT_PI * 10.0), rel=1e-7
+            1.0 / (SQRT_PI * 10.0), rel=1e-7, abs=0.0
         )
 
     def test_rejects_zero_bandwidth(self):
@@ -193,12 +199,12 @@ class TestClosedFormNormalSinc:
     def test_matches_sinc_fourier(self, sigma, h, n):
         closed = mise_normal_sinc_closed(sigma, h, n)
         report = mise(make_normal(sigma), SINC, h, n, method="fourier")
-        assert closed == pytest.approx(report.mise, rel=1e-9)
+        assert closed == pytest.approx(report.mise, rel=1e-9, abs=0.0)
 
     def test_auto_routes_to_closed_form(self):
         r = mise(NORMAL1, SINC, 0.4, 100)
         assert r.method == "closed_form_normal_sinc"
-        assert r.mise == pytest.approx(mise_normal_sinc_closed(1.0, 0.4, 100), rel=1e-14)
+        assert r.mise == pytest.approx(mise_normal_sinc_closed(1.0, 0.4, 100), rel=1e-14, abs=0.0)
 
 
 class TestClosedFormsAgainstMpmath:
@@ -236,8 +242,8 @@ class TestClosedFormsAgainstMpmath:
             iv, isb = self.exact_parts(mpmath, kernel.name, sigma, h)
             assert r.isb >= 0.0, f"h={h!r}"
             if isb > 1e-300:
-                assert r.isb == pytest.approx(isb, rel=1e-12), f"h={h!r}"
-            assert r.iv == pytest.approx(iv, rel=1e-12), f"h={h!r}"
+                assert r.isb == pytest.approx(isb, rel=1e-12, abs=0.0), f"h={h!r}"
+            assert r.iv == pytest.approx(iv, rel=1e-12, abs=0.0), f"h={h!r}"
 
 
 class TestSincFourier:
@@ -245,14 +251,14 @@ class TestSincFourier:
     # runs through the same Fourier integrals as every other kernel.
     def test_zero_bandwidth_is_empirical(self):
         r = mise(JDLVP, SINC, 0.0, 100, method="fourier")
-        assert r.mise == pytest.approx(JDLVP.psi_f / 100.0, rel=1e-14)
+        assert r.mise == pytest.approx(JDLVP.psi_f / 100.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("h", [0.1, 0.3, 0.5])
     def test_band_limited_target_collapses_to_segment(self, h):
         # past 1/h >= d_f the bias integral vanishes identically
         n = 60
         r = mise(JDLVP, SINC, h, n, method="fourier")
-        assert r.mise == pytest.approx((JDLVP.psi_f - h / math.pi) / n, rel=1e-10)
+        assert r.mise == pytest.approx((JDLVP.psi_f - h / math.pi) / n, rel=1e-10, abs=0.0)
         assert r.isb == 0.0
 
     def test_reports_split_and_error(self):
@@ -276,7 +282,7 @@ class TestPathAgreement:
         for h in np.linspace(0.0, 2.0, 21):
             auto = mise(dist, kernel, float(h), n)
             four = mise(dist, kernel, float(h), n, method="fourier")
-            assert auto.mise == pytest.approx(four.mise, rel=1e-9), f"h={h}"
+            assert auto.mise == pytest.approx(four.mise, rel=1e-9, abs=0.0), f"h={h}"
 
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
@@ -303,7 +309,7 @@ class TestAsymptotics:
     def test_small_h_approaches_empirical(self, dist, kernel):
         n = 30
         assert mise(dist, kernel, 1e-7, n).mise == pytest.approx(
-            dist.psi_f / n, rel=1e-6
+            dist.psi_f / n, rel=1e-6, abs=0.0
         )
 
     @pytest.mark.parametrize("dist,kernel,h", [(JDLVP, NORMAL_K, 3.7276e-5),
@@ -322,7 +328,7 @@ class TestAsymptotics:
             base = mise(dist, kernel, h, 1, method="fourier").iv
             for n in (10, 1000, 10**6):
                 iv = mise(dist, kernel, h, n, method="fourier").iv
-                assert n * iv == pytest.approx(base, rel=1e-12), (dist.name, kernel.name)
+                assert n * iv == pytest.approx(base, rel=1e-12, abs=0.0), (dist.name, kernel.name)
 
     def test_mise_tends_to_isb_at_rate_n(self):
         # n * (MISE_n - ISB) is the fixed IV coefficient, bounded in n
@@ -331,8 +337,8 @@ class TestAsymptotics:
             isb = mise(dist, kernel, h, 1, method="fourier").isb
             gaps = [n * (mise(dist, kernel, h, n, method="fourier").mise - isb)
                     for n in (10, 10**3, 10**6)]
-            assert gaps[0] == pytest.approx(gaps[1], rel=1e-9), (dist.name, kernel.name)
-            assert gaps[1] == pytest.approx(gaps[2], rel=1e-9), (dist.name, kernel.name)
+            assert gaps[0] == pytest.approx(gaps[1], rel=1e-9, abs=0.0), (dist.name, kernel.name)
+            assert gaps[1] == pytest.approx(gaps[2], rel=1e-9, abs=0.0), (dist.name, kernel.name)
 
 
 class TestMiseTerms:
@@ -411,7 +417,7 @@ class TestMiseTerms:
             for n in self.NS:
                 r = mise(dist, kernel, h, n, method="fourier")
                 assert r.isb == b / math.pi
-                assert math.pi * n * r.iv == pytest.approx(a, rel=4e-16)
+                assert math.pi * n * r.iv == pytest.approx(a, rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
@@ -493,6 +499,62 @@ class TestMiseProfile:
         assert a.size == b.size == err.size == 0
 
 
+class TestProfilePanels:
+    # The fixed rule builds every cell's panels in one pass over arrays;
+    # they are those of the loop on floats of tests/oracles.py, bit for
+    # bit and in the same order, so the rule sums the same numbers.
+    TARGETS = (JDLVP, make_jdlvp(0.5), NORMAL1, make_normal(2.0))
+
+    @staticmethod
+    def assert_same(got, want):
+        for (lo, hi, cell), (lo_want, hi_want, cell_want) in zip(got, want, strict=True):
+            assert lo.tobytes() == lo_want.tobytes()
+            assert hi.tobytes() == hi_want.tobytes()
+            assert cell.tolist() == cell_want.tolist()
+
+    @pytest.mark.parametrize("kernel", (NORMAL_K, TRAP, SINC), ids=lambda k: k.name)
+    @pytest.mark.parametrize("dist", TARGETS, ids=lambda d: d.name)
+    def test_matches_the_loop_on_floats(self, dist, kernel):
+        t_end = dist.d_f if math.isfinite(dist.d_f) else MISE_MODULE._GAUSS_CUT / dist.sigma
+        rng = np.random.default_rng(13)
+        grids = [np.exp(rng.uniform(math.log(1e-5), math.log(4000.0), 200)),
+                 np.array([1e-5, 4000.0])]
+        if kernel.s_k > 0.0:
+            # the kernel's transform ends at t_end; then s_k/h just below,
+            # at and past t_end, where the ISB range shrinks to nothing
+            # and is left out
+            grids.append(np.array([kernel.ft_support_end / t_end]))
+            h = kernel.s_k / t_end
+            near = [h]
+            for _ in range(3):
+                near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], math.inf)]
+            assert any(kernel.s_k / x == t_end for x in near)
+            grids.append(np.array(near + [0.5 * h, 2.0 * h]))
+        for hs in grids:
+            got = MISE_MODULE._profile_panels(dist, kernel, hs)
+            assert got[0][0].size > 0
+            self.assert_same(got, profile_panels(dist, kernel, hs))
+
+    def test_rows_of_zero_length_and_knots_at_the_ends(self):
+        lo = np.array([0.0, 1.0, 0.5, 0.0, 2.0, 1e-3])
+        hi = np.array([2.0, 1.0, 3.0, 0.0, 7.5, 9.5])
+        knots = [np.array([1.0, 1.0, 0.5, 0.0, 7.5, 2.0]), 2.0,
+                 np.array([0.7, 5.0, 3.0, 1.0, 2.0, 2.0])]
+        # two Gaussian rates, one of them per row
+        rates = [1.3, np.array([0.2, 4.0, 1.0, 1.0, 3.0, 4000.0])]
+        want = ([], [], [])
+        for i in range(lo.size):
+            edges = profile_edges(float(lo[i]), float(hi[i]),
+                                  [float(np.broadcast_to(k, lo.shape)[i]) for k in knots],
+                                  [float(np.broadcast_to(r, lo.shape)[i]) for r in rates])
+            want[0].extend(edges[:-1])
+            want[1].extend(edges[1:])
+            want[2].extend([i] * (len(edges) - 1))
+        got = MISE_MODULE._panels(lo, hi, knots, rates)
+        self.assert_same([got], [tuple(np.array(x) for x in want)])
+        assert 1 not in want[2] and 3 not in want[2]
+
+
 _QUADPACK_MISS = pytest.mark.xfail(
     strict=True,
     reason="QUADPACK reports convergence with pi n IV = 3e-35 (error estimate "
@@ -560,7 +622,7 @@ class TestScaleCovariance:
                 assert got.method == base.method
                 # the exact routes to rounding, the quadrature to QUAD_RTOL
                 rel = 1e-8 if base.method == "fourier" and h > 0.0 else 1e-12
-                assert got.mise == pytest.approx(a * base.mise, rel=rel), (h, n)
+                assert got.mise == pytest.approx(a * base.mise, rel=rel, abs=0.0), (h, n)
 
 
 class TestValidationAndErrors:
@@ -609,8 +671,8 @@ class TestValidationAndErrors:
         assert abs(r.mise - want.mise) <= r.error_estimate + want.error_estimate
         # the fixed rule's values are the profile's, up to the factor pi
         a, b, _ = mise_profile(JDLVP, TRAP, [h])
-        assert r.iv == pytest.approx(a[0] / n, rel=1e-15)
-        assert r.isb == pytest.approx(b[0], rel=1e-15)
+        assert r.iv == pytest.approx(a[0] / n, rel=1e-15, abs=0.0)
+        assert r.isb == pytest.approx(b[0], rel=1e-15, abs=0.0)
 
     def test_fallback_with_a_loose_bound_raises(self, monkeypatch):
         failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)

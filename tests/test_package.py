@@ -1,9 +1,14 @@
-"""The package's exports: every name in an ``__all__`` resolves."""
+"""The package's exports, and what importing and running it loads."""
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +32,43 @@ def test_package_exports_are_the_modules_objects():
         exported.update({attr: getattr(module, attr) for attr in module.__all__})
     for attr in cdf_mise.__all__:
         assert getattr(cdf_mise, attr) is exported[attr], attr
+
+
+# Imports cdf_mise.cli, runs two commands, records which of the lazily
+# imported scipy modules are loaded after each, then runs `constants`.
+_LAZY_SCRIPT = """
+import contextlib, io, json, sys
+from cdf_mise.cli import main
+lazy = ("scipy.integrate", "scipy.optimize")
+loaded = {"import": [m for m in lazy if m in sys.modules]}
+for command in ("figure2", "optimal-bandwidth"):
+    assert main([command, "--out", sys.argv[1]]) == 0
+    loaded[command] = [m for m in lazy if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["constants"]) == 0
+loaded["constants"] = [m for m in lazy if m in sys.modules]
+print(json.dumps({"loaded": loaded, "constants": out.getvalue()}))
+"""
+
+
+def test_searches_load_neither_quadpack_nor_brentq(tmp_path):
+    # The searches and figures run on the fixed-rule profile alone, so
+    # scipy.integrate and scipy.optimize stay unloaded; `constants` still
+    # cross-checks psi_f and psi_k by QUADPACK.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    loaded = got["loaded"]
+    assert loaded["import"] == loaded["figure2"] == loaded["optimal-bandwidth"] == []
+    assert "scipy.integrate" in loaded["constants"]
+    # the |diff| column of the targets' psi_f and the kernels' psi_k rows
+    rows = [line.split() for line in got["constants"].splitlines()]
+    diffs = {row[0]: float(row[3]) for row in rows
+             if len(row) >= 4 and row[1] != "+"
+             and row[0] in ("jdlvp", "normal:sigma=1", "normal", "trapezoidal", "sinc")}
+    assert len(diffs) == 5
+    assert all(d <= 1e-12 for d in diffs.values()), diffs

@@ -5,7 +5,9 @@
 NEW_CHECKOUT defaults to the checkout holding this script.  Every case
 runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
-it writes must be byte-identical.  Prints one line per case with both
+it writes must be byte-identical.  One case prints the sha256 of
+``mise_profile``'s output bytes on every catalog pair's search grid and
+on a random grid, so the profile's bits are compared as well.  Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
 relative change in each numeric column of each such file; bandwidth
 columns (h_opt*, bracket_*), whose tolerance is absolute, also get the
@@ -25,6 +27,25 @@ import time
 from pathlib import Path
 
 _CLI = "import sys; from cdf_mise.cli import console_main; console_main()"
+# The sha256 of mise_profile's (A, B, err) bytes per catalog pair, on the
+# pair's search grid and on one random grid, so the profile's bits are
+# compared directly and not only through the CLI's 17 digits.
+_PROFILE_BYTES = """
+import hashlib
+import numpy as np
+from cdf_mise.bandwidth import _search_grid, default_search
+from cdf_mise.distributions import make_jdlvp, make_normal
+from cdf_mise.kernels import KERNEL_NAMES, kernel_by_name
+from cdf_mise.mise import mise_profile
+random_grid = np.random.default_rng(2024).uniform(1e-5, 50.0, 200)
+for dist in (make_jdlvp(), make_jdlvp(0.5), make_normal(1.0), make_normal(2.0)):
+    for name in KERNEL_NAMES:
+        for grid, hs in (("search", _search_grid(default_search(dist).h_max)),
+                         ("random", random_grid)):
+            a, b, err = mise_profile(dist, kernel_by_name(name), hs)
+            digest = hashlib.sha256(a.tobytes() + b.tobytes() + err.tobytes()).hexdigest()
+            print(f"{dist.name} + {name} {grid}: {digest}")
+"""
 # Columns whose largest absolute change is printed too.
 _ABSOLUTE_PREFIXES = ("h_opt", "bracket_")
 
@@ -57,6 +78,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate jdlvp:scale=0.5+trapezoidal",
      ["-c", _CLI, "mc-validate", "--reps", "100", "--seed", "7", "--dist", "jdlvp:scale=0.5",
       "--kernel", "trapezoidal", "--h-grid", "0:2:3", "--n", "50"]),
+] + [
+    ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
     for name in ("01_constants_catalog.py", "02_mise_curves.py", "03_bandwidth_descent.py",
