@@ -1,7 +1,8 @@
 """Exact MISE of kernel distribution function estimators.
 
 For a kernel estimator F_nh(x) = n^-1 sum K((x - X_j)/h) of a target F,
-the mean integrated squared error decomposes as MISE = IV + ISB with
+the MISE, the mean over samples of int (F_nh - F)^2 dx, splits as
+MISE = IV + ISB with
 
     IV(h)  = (2 pi n)^-1 int t^-2 |phi_k(th)|^2 {1 - |phi_f(t)|^2} dt,
     ISB(h) = (2 pi)^-1   int t^-2 |1 - phi_k(th)|^2 |phi_f(t)|^2 dt.
@@ -28,18 +29,14 @@ empirical CDF and MISE(0) = psi(F)/n.
 n enters only as MISE(h, n) = A(h)/n + B(h), with A = n IV and B = ISB.
 ``mise`` takes its route from one table, ``_exact_route``: the exact
 routes get (IV, ISB) at n from ``_exact_parts``; the ``fourier`` route
-gets pi A and pi B from QUADPACK.  ``mise_profile`` computes A and B on
-a whole bandwidth array, with an error bound, and the bandwidth search
-runs on it alone.  It picks the same routes by mask and computes the
-exact ones on arrays, with the same bits as ``mise``.  The other cells
-go to a fixed Gauss-Kronrod rule: one pass over arrays builds every
-cell's panels, and the rule integrates them a block of cells at a time.
-
-Where QUADPACK misses its tolerance (at very small or very large h),
-the ``fourier`` route takes both terms and their error bounds from the
-fixed rule of ``mise_profile`` for that one h instead, and raises only
-if that bound is also above 1e-8 of A + B.  Every value on which
-QUADPACK converges is QUADPACK's.
+gets pi A and pi B, with their error bounds, from one cell of the fixed
+Gauss-Kronrod rule.  ``mise_profile`` computes A and B on a whole
+bandwidth array with the same rule and an error bound, and the
+bandwidth search runs on it alone.  It picks the same routes by mask
+and computes the exact ones on arrays, with the same bits as ``mise``.
+For the other cells one pass over arrays builds every cell's panels
+(a loop on floats for one or two cells), and the rule sums them a
+block of cells at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import scipy.special
 
 from .distributions import TargetDistribution
 from .kernels import Kernel
-from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS, QuadratureResult, integrate
+from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS
 
 __all__ = [
     "MiseReport",
@@ -77,8 +74,11 @@ _SQRT_PI = math.sqrt(math.pi)
 class MiseReport:
     """One exact MISE evaluation, split into variance and bias parts.
 
-    error_estimate is the quadrature's absolute error bound on ``mise``
-    for the ``fourier`` route and 0.0 for the exact routes.
+    error_estimate bounds the absolute error of ``mise`` on the
+    ``fourier`` route: the fixed rule's bounds on pi A and pi B at h
+    (those of ``mise_profile``), which count the panels' |K15 - G7|
+    differences, rounding on every computed factor and a normal
+    target's cut tails.  The exact routes report 0.0.
     """
 
     h: float
@@ -104,9 +104,18 @@ def _validate_n(n: int) -> None:
         raise ValueError("sample size n must be >= 1")
 
 
+# The bandwidths h > 0 the MISE functions take.  Between these the
+# fixed rule's knots k/h and its t^2 at t ~ 1/h, and the normal closed
+# form's h^4, are finite normal floats.  MISE is psi_f/n to rounding
+# at the lower end, and MISE/h is at its large-h limit at the upper.
+_H_MIN, _H_MAX = 1e-300, 1e75
+_H_RANGE = f"bandwidth h must be 0 or lie in [{_H_MIN:g}, {_H_MAX:g}] for MISE"
+
+
 def _validate_h_n(h: float, n: int) -> None:
-    _validate_h(h)
     _validate_n(n)
+    if not (h == 0.0 or _H_MIN <= h <= _H_MAX):
+        raise ValueError(_H_RANGE)
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -167,7 +176,9 @@ def _normal_sinc_parts(sigma: float, h: np.ndarray, n: int):
     # s sqrt(pi) - h + B(h); their sum reproduces the display in
     # mise_normal_sinc_closed.
     y = sigma / h
-    b = h * _libm(math.exp, -y * y) * (1.0 - _SQRT_PI * y * scipy.special.erfcx(y))
+    # y^2 overflows to inf below h ~ 1e-154 sigma, where e^{-y^2} is 0
+    with np.errstate(over="ignore"):
+        b = h * _libm(math.exp, -y * y) * (1.0 - _SQRT_PI * y * scipy.special.erfcx(y))
     iv = (sigma * _SQRT_PI - h + b) / (math.pi * n)
     isb = b / math.pi
     return iv, isb
@@ -211,49 +222,6 @@ def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
     return _at(_CLOSED_FORMS[route], dist.sigma, h, n)
 
 
-def _phi_k(kernel: Kernel, u: float) -> float:
-    # phi_k(u) for u >= 0: the kernel's constants fix it outside
-    # (s_k, ft_support_end), so its transform is only called in between.
-    if u <= kernel.s_k:
-        return 1.0
-    if u >= kernel.ft_support_end:
-        return 0.0
-    return float(kernel.ft(u))
-
-
-def _quadpack(dist: TargetDistribution, kernel: Kernel,
-              h: float) -> tuple[float, float, float, float]:
-    # (pi A, pi B, a_err, b_err) at one h > 0 by QUADPACK, the per-cell
-    # shape of _fixed_rule.  pi A runs over (0, ft_support_end/h); the ISB
-    # integrand vanishes identically below s_k/h and beyond d_f, so pi B
-    # is exactly zero (no quadrature) while h d_f <= s_k and the flat
-    # segment stays noise-free.  Where QUADPACK misses its tolerance, all
-    # four come from the fixed rule.
-    def iv(t: float) -> float:
-        p = _phi_k(kernel, t * h)
-        q = float(dist.cf(t))
-        return p * p * (1.0 - q * q) / (t * t)
-
-    def isb(t: float) -> float:
-        p = _phi_k(kernel, t * h)
-        q = float(dist.cf(t))
-        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
-
-    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
-    a = integrate(iv, 0.0, kernel.ft_support_end / h,
-                  points=pts + [dist.d_f] if math.isfinite(dist.d_f) else pts)
-    if h * dist.d_f <= kernel.s_k:
-        b = QuadratureResult(0.0, 0.0, 0, True)
-    else:
-        b = integrate(isb, kernel.s_k / h, dist.d_f, points=pts)
-    if a.converged and b.converged:
-        return a.value, b.value, a.error_estimate, b.error_estimate
-    a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
-    if a_err + b_err > _FALLBACK_RTOL * (a + b):
-        raise RuntimeError(f"MISE quadrature failed to converge at h={h!r}")
-    return a, b, a_err, b_err
-
-
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
          method: str = "auto") -> MiseReport:
     """MISE(h) for a (target, kernel) pair, with automatic fast paths.
@@ -262,10 +230,10 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     closed forms, otherwise Fourier quadrature); method="fourier" forces
     the quadrature for h > 0.  At h = 0 both report the exact value
     psi_f/n as ``fourier``.  Every fast path agrees with method="fourier"
-    to well below 1e-9 relative, which the test suite pins.
+    to well below 1e-9 relative, which the test suite pins.  h must be 0
+    or in [1e-300, 1e75]; outside that range it raises ValueError.
     """
-    _validate_n(n)
-    _validate_h(h)
+    _validate_h_n(h, n)
     if method not in ("auto", "fourier"):
         raise ValueError("method must be 'auto' or 'fourier'")
 
@@ -274,7 +242,7 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
         iv, isb = _exact_parts(dist, kernel, route, h, n)
         return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
                           method="fourier" if h == 0.0 else route)
-    a, b, a_err, b_err = _quadpack(dist, kernel, h)
+    a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
     iv = a / (math.pi * n)
     isb = b / math.pi
     return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method="fourier",
@@ -292,9 +260,8 @@ _GAUSS_CUT = 9.5
 _PROFILE_CELLS = 32
 # Rounding allowance per operation chain: 8 units in the last place.
 _ROUNDING = 8.0 * np.finfo(float).eps
-# Where QUADPACK fails, the fixed rule's value is used if its bound is
-# at most this fraction of A + B.
-_FALLBACK_RTOL = 1e-8
+# Up to this many rows _panels builds the panels by a loop on floats.
+_LOOP_ROWS = 4
 
 
 def _gauss_tail(v: np.ndarray) -> np.ndarray:
@@ -329,6 +296,8 @@ def _panels(lo: np.ndarray, hi: np.ndarray, knots, rates):
     # panel-length away, and at most 1/r wide while a Gaussian factor of
     # rate r is active (r t < _GAUSS_CUT).  Every segment between two cuts
     # steps forward at once, by the arithmetic of a loop over one segment.
+    if lo.size <= _LOOP_ROWS:
+        return _panels_by_loop(lo, hi, knots, rates)
     cuts = np.sort(np.array([lo, *(np.minimum(np.maximum(k, lo), hi) for k in knots), hi]).T,
                    axis=1)
     row, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
@@ -349,6 +318,33 @@ def _panels(lo: np.ndarray, hi: np.ndarray, knots, rates):
     seg, p_lo, p_hi = (np.concatenate(x) for x in zip(*steps))
     order = np.argsort(seg, kind="stable")
     return p_lo[order], p_hi[order], row[seg[order]]
+
+
+def _panels_by_loop(lo: np.ndarray, hi: np.ndarray, knots, rates):
+    # _panels by that loop on floats, row by row: the same panels, bit for
+    # bit and in the same order.  The array pass costs some 20 numpy calls
+    # a step, which the one cell of a mise() call does not amortize.
+    knots = [np.broadcast_to(k, lo.shape).tolist() for k in knots]
+    rates = [np.broadcast_to(r, lo.shape).tolist() for r in rates]
+    p_lo, p_hi, rows = [], [], []
+    for i, (start, end) in enumerate(zip(lo.tolist(), hi.tolist())):
+        cuts = sorted([start, *(min(max(k[i], start), end) for k in knots), end])
+        row_rates = [r[i] for r in rates]
+        for t, b in zip(cuts[:-1], cuts[1:]):
+            while t < b:
+                w = b - t
+                if t > 0.0:
+                    w = min(w, t)
+                for r in row_rates:
+                    if r * t < _GAUSS_CUT:
+                        w = min(w, 1.0 / r)
+                t_next = b if w >= b - t else t + w
+                p_lo.append(t)
+                p_hi.append(t_next)
+                rows.append(i)
+                t = t_next
+    return (np.array(p_lo, dtype=float), np.array(p_hi, dtype=float),
+            np.array(rows, dtype=np.intp))
 
 
 def _target_end(dist: TargetDistribution):
@@ -379,11 +375,11 @@ def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
             (p_lo[split:], p_hi[split:], cells[row[split:]]))
 
 
-def _integrate_panels(integrand, panels, hs: np.ndarray):
+def _rule_on_panels(integrand, panels, hs: np.ndarray):
     # Gauss-Kronrod 15 on every panel, summed per cell into values and
     # error bounds.  integrand(t, h) returns the values f and the size g
     # of what their subtractions cancel; the bound is |K15 - G7| plus
-    # rounding, 8 eps (|f| + g) integrated by the rule.  The rule runs on
+    # rounding, 8 eps times the rule's sum of |f| + g.  The rule runs on
     # the panels of _PROFILE_CELLS cells at a time.
     lo, hi, cell = panels
     val = np.empty(lo.size)
@@ -420,8 +416,8 @@ def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
         return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
 
     iv_panels, isb_panels = _profile_panels(dist, kernel, hs)
-    a, a_err = _integrate_panels(iv, iv_panels, hs)
-    b, b_err = _integrate_panels(isb, isb_panels, hs)
+    a, a_err = _rule_on_panels(iv, iv_panels, hs)
+    b, b_err = _rule_on_panels(isb, isb_panels, hs)
     # Once 1 - phi_f^2 = 1 the IV is finished in closed form.
     tail = np.zeros(hs.size)
     past = t_end < kernel.ft_support_end / hs
@@ -435,30 +431,32 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     MISE(h, n) = A/n + B for every n.  Cells where ``mise`` needs
     no quadrature (h = 0, the linear segment, the normal closed forms)
     get those exact terms, picked by mask and computed on arrays.
-    Elsewhere both Fourier displays are integrated by Gauss-Kronrod 15
+    Elsewhere Gauss-Kronrod 15 evaluates both Fourier displays
     on fixed panels split at every knot (s_k/h and the transform knots
     over h, the target's knots, d_f); a panel is at most t wide past t,
     which resolves the t^-2 pole, and at most 1/r wide while a Gaussian
     factor e^{-(r t)^2} is above 1e-39.  The panels of all cells are
     built in one pass over arrays, every segment between two knots
-    stepping forward at once, and the rule runs on them 32 cells at a
+    stepping forward at once (for one or two cells, by the same steps
+    in a loop on floats), and the rule runs on them 32 cells at a
     time, which bounds the temporary arrays.  Once 1 - phi_f^2 = 1 (past
     d_f, or past 9.5/sigma, where a normal target's factor is below
     1e-39) the IV is finished in closed form, h int phi_k(u)^2 u^-2 du
     over u > h t.
 
+    Every h must be 0 or in [1e-300, 1e75], as for ``mise``.
     Returns arrays (A, B, err); err bounds |error of A| + |error of B|,
     hence the error of A/n + B at every n >= 1.  It sums the panels'
     |K15 - G7| differences, a rounding allowance of 8 units in the last
     place on every computed factor, and the normal target's cut tails.
-    The bandwidth search runs on this profile alone, and
-    ``mise`` falls back on the same rule where QUADPACK fails.
+    The bandwidth search runs on this profile alone, and the
+    ``fourier`` route of ``mise`` runs the same rule on its one h.
     """
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1:
         raise ValueError("hs must be a one-dimensional array of bandwidths")
-    if hs.size and not (hs.min() >= 0.0 and hs.max() < math.inf):
-        raise ValueError("bandwidth h must be finite and >= 0")
+    if not np.all((hs == 0.0) | ((hs >= _H_MIN) & (hs <= _H_MAX))):
+        raise ValueError(_H_RANGE)
     # the linear segment, with h = 0 on it; h d_f is only formed for a
     # finite d_f, since 0 inf is nan
     linear = hs == 0.0

@@ -4,11 +4,11 @@
 (21-point rule with largest-error bisection and epsilon extrapolation).
 Semi-infinite ranges are handled by QUADPACK's rational variable
 transformation; known interior breakpoints can be passed so each panel
-stays smooth.  The ``fourier`` route of ``mise`` and the quadrature
-cross-checks ``psi_k`` and ``psi_f_fourier`` use it.  The hot paths run
-fixed rules on panels chosen a priori instead: ``mise_profile`` applies
-the Gauss-Kronrod 15 table below itself, and the sample ISE at h > 0
-uses :func:`gauss_panels`.
+stays smooth.  Only the quadrature cross-checks ``psi_k`` and
+``psi_f_fourier`` of the catalog constants use it.  Every MISE runs
+fixed rules on panels chosen a priori instead: ``mise`` and
+``mise_profile`` apply the Gauss-Kronrod 15 table below themselves, and
+the sample ISE at h > 0 uses :func:`gauss_panels`.
 
 The sine integral uses the normalization Si(x) = int_0^x sin(z)/(pi z) dz,
 so Si(x) -> 1/2 as x -> +infinity.
@@ -79,8 +79,8 @@ def std_normal_cdf(x):
 
 
 def _run_quad(f, lower: float, upper: float, points):
-    # imported here: the searches, figures and Monte Carlo never reach
-    # QUADPACK, so they need not load scipy.integrate
+    # imported here: mise(), the searches, figures and Monte Carlo never
+    # reach QUADPACK, so they need not load scipy.integrate
     import scipy.integrate
 
     kwargs = dict(

@@ -13,7 +13,9 @@ integrate the step-function error in closed form (normal) or with
 mpmath (JdlVP), and ``mean_abs_dev_quad`` integrates F and 1 - F
 instead of the closed form E|x - X|.  ``profile_panels`` builds the
 fixed rule's panels one cell at a time by a loop on floats, where the
-library steps every cell's segments at once on arrays.  Agreement
+library steps every cell's segments at once on arrays, and
+``quadpack_terms`` computes the rule's pi A and pi B by adaptive
+QUADPACK subdivision instead.  Agreement
 between routes is then evidence, not tautology.
 """
 
@@ -30,7 +32,13 @@ import scipy.special
 from cdf_mise.distributions import TargetDistribution
 from cdf_mise.kernels import Kernel
 from cdf_mise.mise import _GAUSS_CUT, _validate_h_n
-from cdf_mise.numerics import _GK15_NODES, _GK15_WEIGHTS, gauss_kronrod_panels
+from cdf_mise.numerics import (
+    _GK15_NODES,
+    _GK15_WEIGHTS,
+    QuadratureResult,
+    gauss_kronrod_panels,
+    integrate,
+)
 
 
 def si_classical(x: float) -> float:
@@ -468,6 +476,53 @@ def profile_panels(dist: TargetDistribution, kernel: Kernel, hs):
             out[2].extend([cell] * (len(edges) - 1))
     return tuple((np.array(lo, dtype=float), np.array(hi, dtype=float),
                   np.array(cell, dtype=int)) for lo, hi, cell in (iv, isb))
+
+
+# ---------------------------------------------------------------------------
+# The MISE terms by QUADPACK
+# ---------------------------------------------------------------------------
+
+def quadpack_terms(dist: TargetDistribution, kernel: Kernel, h: float):
+    """(pi A, pi B, a_err, b_err) at one h > 0 by QUADPACK, or None.
+
+    The adaptive reference for the fixed rule of ``cdf_mise.mise``, in
+    the shape of one cell of its ``_fixed_rule``: both Fourier displays
+    by ``cdf_mise.numerics.integrate`` on scalar integrands, split at
+    the knots of both factors, with QUADPACK's error estimates.  pi A
+    runs over (0, ft_support_end/h); the ISB integrand vanishes below
+    s_k/h and beyond d_f, so pi B is exactly 0 while h d_f <= s_k.
+    None where QUADPACK misses its tolerance (at very small or very
+    large h).  Its estimates can understate the actual error: they
+    leave out the rounding of 1 - phi_f^2 near t = 0.
+    """
+    def phi_k(u: float) -> float:
+        # the kernel's constants fix phi_k outside (s_k, ft_support_end)
+        if u <= kernel.s_k:
+            return 1.0
+        if u >= kernel.ft_support_end:
+            return 0.0
+        return float(kernel.ft(u))
+
+    def iv(t: float) -> float:
+        p = phi_k(t * h)
+        q = float(dist.cf(t))
+        return p * p * (1.0 - q * q) / (t * t)
+
+    def isb(t: float) -> float:
+        p = phi_k(t * h)
+        q = float(dist.cf(t))
+        return (1.0 - p) * (1.0 - p) * q * q / (t * t)
+
+    pts = [k / h for k in kernel.ft_knots] + list(dist.cf_knots)
+    a = integrate(iv, 0.0, kernel.ft_support_end / h,
+                  points=pts + [dist.d_f] if math.isfinite(dist.d_f) else pts)
+    if h * dist.d_f <= kernel.s_k:
+        b = QuadratureResult(0.0, 0.0, 0, True)
+    else:
+        b = integrate(isb, kernel.s_k / h, dist.d_f, points=pts)
+    if not (a.converged and b.converged):
+        return None
+    return a.value, b.value, a.error_estimate, b.error_estimate
 
 
 # ---------------------------------------------------------------------------

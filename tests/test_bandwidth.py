@@ -31,7 +31,7 @@ from cdf_mise.distributions import make_jdlvp, make_normal, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
 from cdf_mise.mise import mise, mise_profile
 
-from oracles import jdlvp_sinc_critical_points, mise_mpmath
+from oracles import jdlvp_sinc_critical_points, mise_mpmath, quadpack_terms
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
@@ -51,7 +51,9 @@ SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
 SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
 FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
 MISE_MODULE = importlib.import_module("cdf_mise.mise")
-NUMERICS_MODULE = importlib.import_module("cdf_mise.numerics")
+# the package's modules that bind the QUADPACK wrapper integrate
+QUADPACK_MODULES = [importlib.import_module(f"cdf_mise.{name}")
+                    for name in ("numerics", "kernels", "distributions")]
 
 
 class TestSearchConfig:
@@ -94,7 +96,7 @@ class TestOptimalBandwidth:
         lo, hi = r.bracket
         assert lo <= r.h_opt <= hi
         # the bracket ends on the engine the search ran on, the profile;
-        # QUADPACK differs from it by up to 1e-13 relative
+        # mise() runs the same rule on one cell, up to the last bits
         a, b, _ = mise_profile(dist, kernel, [lo, hi])
         assert r.mise_at_opt <= a[0] / 100 + b[0]
         assert r.mise_at_opt <= a[1] / 100 + b[1]
@@ -365,19 +367,20 @@ class TestSharedScan:
 
 @functools.lru_cache(maxsize=None)
 def _quadpack_grid(family: str, scale: float, kernel_name: str):
-    # A pair's search grid with the terms of every cell: one QUADPACK
-    # pair (pi A, pi B, a_err, b_err), or None where mise() needs none.
+    # A pair's search grid with the terms of every cell: QUADPACK's
+    # (pi A, pi B, a_err, b_err), or None where mise() takes an exact
+    # route or QUADPACK misses its tolerance.
     dist = rescale(JDLVP if family == "jdlvp" else NORMAL1, scale)
     kernel = kernel_by_name(kernel_name)
     grid = bw._search_grid(default_search(dist).h_max)
     terms = tuple(None if MISE_MODULE._exact_route(dist, kernel, h)
-                  else MISE_MODULE._quadpack(dist, kernel, h) for h in grid.tolist())
+                  else quadpack_terms(dist, kernel, h) for h in grid.tolist())
     return dist, kernel, grid, terms
 
 
 def _cell(dist, kernel, h: float, quad, n: int) -> tuple[float, float, float]:
-    # (iv, isb, mise) of mise(dist, kernel, h, n), bit for bit, from a
-    # cell of _quadpack_grid
+    # (iv, isb, mise) of a cell of _quadpack_grid: QUADPACK's, or where
+    # it has none, those of mise()
     if quad is None:
         r = mise(dist, kernel, h, n)
         return r.iv, r.isb, r.mise
@@ -451,7 +454,9 @@ class TestScanProfile:
         for n in self.ORACLE_NS:
             best = int(bw._scan(a / n + b))
             value = mise(dist, kernel, float(grid[best]), n).mise
-            assert (best, value) == _full_scan(dist, kernel, grid, terms, n), n
+            want_best, want = _full_scan(dist, kernel, grid, terms, n)
+            assert best == want_best, n
+            assert abs(value - want) <= 1e-10 * want, n
 
     @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
@@ -467,14 +472,14 @@ class TestScanProfile:
 
     @staticmethod
     def _count_quadratures(monkeypatch) -> list:
+        # every QUADPACK call the package makes, in each module binding it
         calls = []
-        quadpack = MISE_MODULE._quadpack
+        for module in QUADPACK_MODULES:
+            def counting(f, *args, _integrate=module.integrate, **kwargs):
+                calls.append(f)
+                return _integrate(f, *args, **kwargs)
 
-        def counting(dist, kernel, h):
-            calls.append(h)
-            return quadpack(dist, kernel, h)
-
-        monkeypatch.setattr(MISE_MODULE, "_quadpack", counting)
+            monkeypatch.setattr(module, "integrate", counting)
         return calls
 
     def test_single_search_quadrature_count(self, monkeypatch):
@@ -497,15 +502,15 @@ class TestScanProfile:
 class TestSearchOnProfile:
     # The whole search, scan and zoom, runs on the fixed-rule profile.
     def test_search_runs_without_quadpack(self, monkeypatch):
-        # with integrate refusing every call, mise() fails and every
-        # search still succeeds: the profile is the search's only engine
+        # with integrate refusing every call, every search still
+        # succeeds: the profile is the search's only engine
         def refuse(*args, **kwargs):
             raise RuntimeError("integrate called")
 
-        monkeypatch.setattr(NUMERICS_MODULE, "integrate", refuse)
-        monkeypatch.setattr(MISE_MODULE, "integrate", refuse)
-        with pytest.raises(RuntimeError, match="integrate called"):
-            mise(JDLVP, TRAP, 0.9, 10)
+        for module in QUADPACK_MODULES:
+            monkeypatch.setattr(module, "integrate", refuse)
+            with pytest.raises(RuntimeError, match="integrate called"):
+                module.integrate(lambda t: 1.0, 0.0, 1.0)
         for dist, kernel in SIX_PAIRS:
             results = optimal_bandwidths(dist, kernel, FIGURE_NS)
             assert [r.n for r in results] == list(FIGURE_NS)

@@ -21,7 +21,7 @@ from cdf_mise.estimator import (
     monte_carlo_mise,
 )
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise, mise_normal_sinc_closed
+from cdf_mise.mise import mise_normal_sinc_closed
 
 from oracles import (
     cos_tail_over_x2,
@@ -217,12 +217,15 @@ class TestIse:
         def refuse(*args, **kwargs):
             raise RuntimeError("integrate called")
 
+        patched = 0
         for name in ("numerics", "distributions", "kernels", "mise", "estimator"):
             module = importlib.import_module(f"cdf_mise.{name}")
             if hasattr(module, "integrate"):
                 monkeypatch.setattr(module, "integrate", refuse)
-        with pytest.raises(RuntimeError, match="integrate called"):
-            mise(JDLVP, TRAP, 0.9, 10)
+                with pytest.raises(RuntimeError, match="integrate called"):
+                    module.integrate(lambda t: 1.0, 0.0, 1.0)
+                patched += 1
+        assert patched == 3
         got = [ise(s, kernel, h, dist) for s, (dist, kernel, h) in zip(samples, cells)]
         assert got == expected
 

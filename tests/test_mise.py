@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
+import scipy.integrate
+
+import cdf_mise
 
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
@@ -26,6 +30,7 @@ from oracles import (
     mise_mpmath,
     profile_edges,
     profile_panels,
+    quadpack_terms,
 )
 
 JDLVP = make_jdlvp()
@@ -37,6 +42,8 @@ SINC = kernel_by_name("sinc")
 SQRT_PI = math.sqrt(math.pi)
 EPS = np.finfo(float).eps
 MISE_MODULE = importlib.import_module("cdf_mise.mise")
+PACKAGE_MODULES = ["cdf_mise"] + [f"cdf_mise.{m.name}"
+                                  for m in pkgutil.iter_modules(cdf_mise.__path__)]
 
 ALL_PAIRS = [
     (JDLVP, NORMAL_K),
@@ -46,6 +53,11 @@ ALL_PAIRS = [
     (NORMAL1, TRAP),
     (NORMAL1, SINC),
 ]
+
+
+def rule_terms(dist, kernel, h: float) -> tuple[float, float, float, float]:
+    # (pi A, pi B, a_err, b_err) of the fixed rule's one cell at h
+    return tuple(float(x[0]) for x in MISE_MODULE._fixed_rule(dist, kernel, np.array([h])))
 
 
 def fourier_report(terms, h: float, n: int) -> MiseReport:
@@ -298,7 +310,7 @@ class TestPathAgreement:
                              ids=lambda o: getattr(o, "name", o))
     def test_fourier_reports_quadrature_error(self, dist, kernel):
         # h = 0.8 is past jdlvp's linear segment (s_k/d_f = 0.5), so both
-        # integrals run and their QUADPACK estimates are carried over
+        # integrals run and the fixed rule's bounds are carried over
         r = mise(dist, kernel, 0.8, 50, method="fourier")
         assert 0.0 < r.error_estimate < 1e-9 * r.mise
 
@@ -316,8 +328,8 @@ class TestAsymptotics:
                                                (NORMAL1, TRAP, 3.995e-5)],
                              ids=["jdlvp+normal", "normal+trap"])
     def test_tiny_h_converges_to_linear_term(self, dist, kernel, h):
-        # QUADPACK misses its tolerance here and the fixed rule supplies
-        # the value: n MISE = psi_f - psi_k h + O(h^2)
+        # two h where QUADPACK misses its tolerance:
+        # n MISE = psi_f - psi_k h + O(h^2)
         n = 10
         r = mise(dist, kernel, h, n, method="fourier")
         assert n * r.mise == pytest.approx(dist.psi_f - psi_k(kernel) * h, abs=h * h)
@@ -343,8 +355,8 @@ class TestAsymptotics:
 
 class TestMiseTerms:
     # MISE(h, n) = A(h)/n + B(h): mise() takes its route from one table,
-    # and the terms of each route, the exact (IV, ISB) at n or QUADPACK's
-    # pi A and pi B, must give every report field bit for bit.
+    # and the terms of each route, the exact (IV, ISB) at n or the fixed
+    # rule's pi A and pi B, must give every report field bit for bit.
     NS = (1, 10, 10**3, 10**7)
     FOURIER_HS = (0.7, 1.3, 2.5)
     # the auto route below and above h = 0.5 (jdlvp's s_k/d_f for both
@@ -368,7 +380,7 @@ class TestMiseTerms:
             route = MISE_MODULE._exact_route(dist, kernel, h)
             if h > 0.0 and method == "fourier":
                 route = None
-            quad = MISE_MODULE._quadpack(dist, kernel, h) if route is None else None
+            quad = rule_terms(dist, kernel, h) if route is None else None
             for n in self.NS:
                 got = mise(dist, kernel, h, n, method=method)
                 if quad is not None:
@@ -400,7 +412,7 @@ class TestMiseTerms:
                 elif r.method == "closed_form_normal_sinc":
                     assert r.mise == mise_normal_sinc_closed(dist.sigma, h, n)
                 else:
-                    assert r == fourier_report(MISE_MODULE._quadpack(dist, kernel, h), h, n)
+                    assert r == fourier_report(rule_terms(dist, kernel, h), h, n)
                     assert r.error_estimate > 0.0
                 assert r.mise == r.iv + r.isb
 
@@ -410,8 +422,8 @@ class TestMiseTerms:
         # the quadratures pi A(h) and pi B(h) behind mise() at any n are
         # one and the same pair of numbers
         for h in self.FOURIER_HS:
-            terms = MISE_MODULE._quadpack(dist, kernel, h)
-            assert terms == MISE_MODULE._quadpack(dist, kernel, h)
+            terms = rule_terms(dist, kernel, h)
+            assert terms == rule_terms(dist, kernel, h)
             a, b = terms[:2]
             assert a > 0.0 and b > 0.0
             for n in self.NS:
@@ -425,8 +437,7 @@ class TestMiseTerms:
     def test_n_structure_on_every_route(self, dist, kernel, method):
         # ISB is bit-identical across n and n IV agrees within 4 ulp on
         # whichever route each h takes: h = 0, the linear segment, the
-        # closed forms, QUADPACK and its fixed-rule fallback (h = 50 on
-        # normal+trapezoidal and normal+sinc)
+        # closed forms and the fixed rule
         for h in (0.0, 0.3, *self.FOURIER_HS, 50.0):
             base = mise(dist, kernel, h, 1, method=method)
             for n in self.NS[1:]:
@@ -436,8 +447,9 @@ class TestMiseTerms:
                 assert abs(n * r.iv - base.iv) <= 4.0 * math.ulp(base.iv), (h, n)
 
     def test_terms_are_plain_frozen_data(self):
-        terms = MISE_MODULE._quadpack(JDLVP, TRAP, 0.7)
-        assert [type(x) for x in terms] == [float] * 4
+        r = mise(JDLVP, TRAP, 0.7, 10)
+        assert [type(getattr(r, f)) for f in ("h", "iv", "isb", "mise", "error_estimate")] == [
+            float] * 5
         r = mise(JDLVP, TRAP, 0.3, 10)
         assert r == MiseReport(h=0.3, n=10, iv=r.iv, isb=0.0, mise=r.iv,
                                method="linear_segment")
@@ -470,6 +482,26 @@ class TestMiseProfile:
             # the bound is honest and still tight enough to use
             assert 0.0 < err[i] <= 1e-8 * (a[i] + b[i])
 
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_mise_within_the_profile_cells_bound(self, dist, kernel):
+        # mise() runs the profile's rule on its one h: the same terms up
+        # to the summation order of a block of cells, so both lie within
+        # the cell's err of each other at every n (on random cells they
+        # agree to about 1e-14 relative, and often bit for bit).  Where
+        # the profile takes an exact route, method="fourier" still runs
+        # the rule, and its own error_estimate is added.
+        rng = np.random.default_rng(14)
+        hs = np.exp(rng.uniform(math.log(1e-4), math.log(300.0), 64))
+        a, b, err = mise_profile(dist, kernel, hs)
+        for i, h in enumerate(hs.tolist()):
+            exact = MISE_MODULE._exact_route(dist, kernel, h) is not None
+            for method in ("auto", "fourier"):
+                for n in (1, 10**3, 10**6):
+                    r = mise(dist, kernel, h, n, method=method)
+                    bound = err[i] + (r.error_estimate if exact and method == "fourier" else 0.0)
+                    assert abs(r.mise - (a[i] / n + b[i])) <= bound, (h, n, method)
+
     def test_exact_cells_take_exact_terms(self):
         # h = 0 and the linear segment need no quadrature
         a, b, _ = mise_profile(JDLVP, TRAP, [0.0, 0.3])
@@ -500,9 +532,10 @@ class TestMiseProfile:
 
 
 class TestProfilePanels:
-    # The fixed rule builds every cell's panels in one pass over arrays;
-    # they are those of the loop on floats of tests/oracles.py, bit for
-    # bit and in the same order, so the rule sums the same numbers.
+    # The fixed rule builds every cell's panels in one pass over arrays,
+    # or for a few rows by a loop on floats; both give those of the loop
+    # of tests/oracles.py, bit for bit and in the same order, so the rule
+    # sums the same numbers.
     TARGETS = (JDLVP, make_jdlvp(0.5), NORMAL1, make_normal(2.0))
 
     @staticmethod
@@ -512,9 +545,13 @@ class TestProfilePanels:
             assert hi.tobytes() == hi_want.tobytes()
             assert cell.tolist() == cell_want.tolist()
 
+    # _LOOP_ROWS of 0 sends every row count to the array pass, and 10**9
+    # to the loop on floats; by default the loop takes a few rows only.
+    PATHS = (0, 10**9)
+
     @pytest.mark.parametrize("kernel", (NORMAL_K, TRAP, SINC), ids=lambda k: k.name)
     @pytest.mark.parametrize("dist", TARGETS, ids=lambda d: d.name)
-    def test_matches_the_loop_on_floats(self, dist, kernel):
+    def test_matches_the_loop_on_floats(self, dist, kernel, monkeypatch):
         t_end = dist.d_f if math.isfinite(dist.d_f) else MISE_MODULE._GAUSS_CUT / dist.sigma
         rng = np.random.default_rng(13)
         grids = [np.exp(rng.uniform(math.log(1e-5), math.log(4000.0), 200)),
@@ -531,11 +568,14 @@ class TestProfilePanels:
             assert any(kernel.s_k / x == t_end for x in near)
             grids.append(np.array(near + [0.5 * h, 2.0 * h]))
         for hs in grids:
-            got = MISE_MODULE._profile_panels(dist, kernel, hs)
-            assert got[0][0].size > 0
-            self.assert_same(got, profile_panels(dist, kernel, hs))
+            want = profile_panels(dist, kernel, hs)
+            for loop_rows in self.PATHS:
+                monkeypatch.setattr(MISE_MODULE, "_LOOP_ROWS", loop_rows)
+                got = MISE_MODULE._profile_panels(dist, kernel, hs)
+                assert got[0][0].size > 0
+                self.assert_same(got, want)
 
-    def test_rows_of_zero_length_and_knots_at_the_ends(self):
+    def test_rows_of_zero_length_and_knots_at_the_ends(self, monkeypatch):
         lo = np.array([0.0, 1.0, 0.5, 0.0, 2.0, 1e-3])
         hi = np.array([2.0, 1.0, 3.0, 0.0, 7.5, 9.5])
         knots = [np.array([1.0, 1.0, 0.5, 0.0, 7.5, 2.0]), 2.0,
@@ -550,24 +590,23 @@ class TestProfilePanels:
             want[0].extend(edges[:-1])
             want[1].extend(edges[1:])
             want[2].extend([i] * (len(edges) - 1))
-        got = MISE_MODULE._panels(lo, hi, knots, rates)
-        self.assert_same([got], [tuple(np.array(x) for x in want)])
+        for loop_rows in self.PATHS:
+            monkeypatch.setattr(MISE_MODULE, "_LOOP_ROWS", loop_rows)
+            got = MISE_MODULE._panels(lo, hi, knots, rates)
+            self.assert_same([got], [tuple(np.array(x) for x in want)])
         assert 1 not in want[2] and 3 not in want[2]
 
 
-_QUADPACK_MISS = pytest.mark.xfail(
-    strict=True,
-    reason="QUADPACK reports convergence with pi n IV = 3e-35 (error estimate "
-    "6e-35) against a true 6.6e-4: its first panel [0, 1] misses the kernel "
-    "factor's e^{-(4000 t)^2} peak, so MISE(n=1000) is 2.3e-10 relative low "
-    "at an error_estimate of 1.1e-14.  Converged values keep their bits.")
-# The large-h grid of TestAgainstMpmath; jdlvp+normal at h = 4000 is the
-# documented QUADPACK miss above.
+# The large-h grid of TestAgainstMpmath.  At jdlvp+normal, h = 4000,
+# the whole IV sits under the kernel factor's e^{-(4000 t)^2} peak,
+# which a first panel [0, 1] misses; the rule's panels are at most 1/h
+# wide there.
 _LARGE_H = [
-    pytest.param(dist, kernel, h, id=f"{dist.name}+{kernel.name}-{h:g}",
-                 marks=_QUADPACK_MISS if (dist, kernel, h) == (JDLVP, NORMAL_K, 4000.0)
-                 else ())
+    pytest.param(dist, kernel, h, id=f"{dist.name}+{kernel.name}-{h:g}")
     for dist, kernel in ALL_PAIRS for h in (50.0, 200.0, 1000.0, 4000.0)]
+
+# The pairs with a Fourier route off the linear segment
+_FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
 
 
 class TestAgainstMpmath:
@@ -576,8 +615,8 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("method", ["auto", "fourier"])
     @pytest.mark.parametrize("dist,kernel,h", _LARGE_H)
     def test_large_h_is_finite_and_covered(self, dist, kernel, h, method):
-        # QUADPACK fails on many of these; the fixed rule stands in.  The
-        # exact routes report 0, so every value also gets 8 eps of rounding.
+        # The exact routes report 0, so every value also gets 8 eps of
+        # rounding.
         n = 1000
         r = mise(dist, kernel, h, n, method=method)
         assert math.isfinite(r.mise) and r.mise > 0.0
@@ -586,8 +625,7 @@ class TestAgainstMpmath:
         assert gap <= r.error_estimate + 8.0 * EPS * r.mise, (gap, r)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("dist,kernel", [(JDLVP, NORMAL_K), (JDLVP, TRAP),
-                                             (JDLVP, SINC), (NORMAL1, TRAP)],
+    @pytest.mark.parametrize("dist,kernel", _FOURIER_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
     def test_profile_within_its_bound(self, dist, kernel, scale):
         # the profile decides the bandwidth scan; A/n + B must lie within
@@ -601,12 +639,30 @@ class TestAgainstMpmath:
                 gap = float(abs(mise_mpmath(dist, kernel, float(h), n) - (a[i] / n + b[i])))
                 assert gap <= err[i], (h, n, gap, err[i])
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dist,kernel", _FOURIER_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_mise_within_its_error_estimate(self, dist, kernel, scale):
+        # error_estimate is honest: the 50-digit value lies within it
+        # from h = 1e-5 (where QUADPACK's estimate was 3e5 times too low
+        # on jdlvp+normal) to 4000.  The exact routes (the linear segment
+        # under auto) report 0 and get 8 eps.
+        dist = rescale(dist, scale)
+        for h in (scale * np.array([1e-5, 1e-3, 0.3, 0.977, 5.0, 300.0, 4000.0])).tolist():
+            for n in (1, 10**6):
+                truth = mise_mpmath(dist, kernel, h, n)
+                for method in ("auto", "fourier"):
+                    r = mise(dist, kernel, h, n, method=method)
+                    bound = r.error_estimate if r.method == "fourier" else 8.0 * EPS * r.mise
+                    gap = float(abs(truth - r.mise))
+                    assert gap <= bound, (h, n, method, gap, r)
+
 
 class TestScaleCovariance:
     # MISE_{f_a}(a h, n) = a MISE_f(h, n) for the rescaled target
     # f_a(x) = f(x/a)/a: h = 0, the linear segment of the jdlvp
-    # superkernels (0.3), the normal closed forms and the Fourier region;
-    # at h = 50 QUADPACK fails on several pairs and the fixed rule answers.
+    # superkernels (0.3), the normal closed forms and the Fourier region
+    # out to h = 50.
     HS = (0.0, 0.3, 0.8, 2.5, 50.0)
 
     @pytest.mark.parametrize("a", [0.5, 2.0])
@@ -620,9 +676,13 @@ class TestScaleCovariance:
                 base = mise(dist, kernel, h, n, method=method)
                 got = mise(scaled, kernel, a * h, n, method=method)
                 assert got.method == base.method
-                # the exact routes to rounding, the quadrature to QUAD_RTOL
-                rel = 1e-8 if base.method == "fourier" and h > 0.0 else 1e-12
-                assert got.mise == pytest.approx(a * base.mise, rel=rel, abs=0.0), (h, n)
+                # the exact routes to rounding, the quadrature within the
+                # two reports' own error estimates
+                gap = abs(got.mise - a * base.mise)
+                if base.method == "fourier" and h > 0.0:
+                    assert gap <= got.error_estimate + a * base.error_estimate, (h, n)
+                else:
+                    assert gap <= 1e-12 * got.mise, (h, n)
 
 
 class TestValidationAndErrors:
@@ -655,44 +715,44 @@ class TestValidationAndErrors:
         with pytest.raises(RuntimeError, match="failed to converge"):
             call()
 
-    def test_non_converged_mise_falls_back_to_fixed_rule(self, monkeypatch):
-        # with every QUADPACK result failed, the fourier route takes both
-        # terms and their bounds from the fixed rule of mise_profile
-        h, n = 0.7, 10
-        want = mise(JDLVP, TRAP, h, n, method="fourier")
-        failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)
-        monkeypatch.setattr(MISE_MODULE, "integrate", lambda *args, **kwargs: failed)
-        terms = MISE_MODULE._quadpack(JDLVP, TRAP, h)
-        rule = MISE_MODULE._fixed_rule(JDLVP, TRAP, np.array([h]))
-        assert terms == tuple(float(x[0]) for x in rule)
-        r = mise(JDLVP, TRAP, h, n, method="fourier")
-        assert r == fourier_report(terms, h, n)
-        assert 0.0 < r.error_estimate <= 1e-8 * r.mise
-        assert abs(r.mise - want.mise) <= r.error_estimate + want.error_estimate
-        # the fixed rule's values are the profile's, up to the factor pi
-        a, b, _ = mise_profile(JDLVP, TRAP, [h])
-        assert r.iv == pytest.approx(a[0] / n, rel=1e-15, abs=0.0)
-        assert r.isb == pytest.approx(b[0], rel=1e-15, abs=0.0)
+    def test_mise_makes_no_quadpack_call(self, monkeypatch):
+        # every value of mise() is the same bits with integrate refusing
+        # every call in every module that binds it, and QUADPACK too
+        hs = (0.0, 3.7276e-5, 0.3, 0.7, 2.5, 50.0, 4000.0)
+        want = [mise(dist, kernel, h, 10, method=method) for dist, kernel in ALL_PAIRS
+                for h in hs for method in ("auto", "fourier")]
 
-    def test_fallback_with_a_loose_bound_raises(self, monkeypatch):
-        failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)
-        monkeypatch.setattr(MISE_MODULE, "integrate", lambda *args, **kwargs: failed)
-        loose = tuple(np.array([x]) for x in (1.0, 1.0, 1e-8, 2e-8))
-        monkeypatch.setattr(MISE_MODULE, "_fixed_rule", lambda *args: loose)
-        with pytest.raises(RuntimeError, match="failed to converge"):
-            mise(JDLVP, TRAP, 0.7, 10, method="fourier")
+        def refuse(*args, **kwargs):
+            raise RuntimeError("integrate called")
+
+        modules = [m for m in map(importlib.import_module, PACKAGE_MODULES)
+                   if hasattr(m, "integrate")]
+        assert {m.__name__ for m in modules} >= {"cdf_mise.numerics", "cdf_mise.kernels",
+                                                 "cdf_mise.distributions"}
+        for module in modules:
+            monkeypatch.setattr(module, "integrate", refuse)
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        for module in modules:
+            with pytest.raises(RuntimeError, match="integrate called"):
+                module.integrate(lambda t: 1.0, 0.0, 1.0)
+        got = [mise(dist, kernel, h, 10, method=method) for dist, kernel in ALL_PAIRS
+               for h in hs for method in ("auto", "fourier")]
+        assert [repr(r) for r in got] == [repr(r) for r in want]
 
     def test_segments_held_to_their_own_tolerance(self):
         # QUADPACK converges on both ISB segments here (estimates 6.3e-17
-        # and 9.9997e-13), but their sum exceeds ABS_TOL = 1e-12
-        r = mise(NORMAL1, TRAP, 0.6269760855485063, 16015)
+        # and 9.9997e-13), but their sum exceeds ABS_TOL = 1e-12; the
+        # fixed rule has no such edge
+        h = 0.6269760855485063
+        assert quadpack_terms(NORMAL1, TRAP, h) is not None
+        r = mise(NORMAL1, TRAP, h, 16015)
         assert r.method == "fourier" and r.mise > 0.0
 
     def test_fourier_integrands_never_see_t_zero(self, monkeypatch):
-        # QUADPACK never evaluates an endpoint, so no integrand needs a
-        # value at its removable singularity t = 0
+        # Neither QUADPACK nor the fixed rule evaluates an endpoint, so no
+        # integrand needs a value at its removable singularity t = 0
         seen = []
-        for name in ("cdf_mise.mise", "cdf_mise.kernels", "cdf_mise.distributions"):
+        for name in ("oracles", "cdf_mise.kernels", "cdf_mise.distributions"):
             module = importlib.import_module(name)
 
             def recording(f, *args, _integrate=module.integrate, **kwargs):
@@ -706,11 +766,67 @@ class TestValidationAndErrors:
             psi_k(kernel)
         for dist in (JDLVP, NORMAL1):
             psi_f_fourier(dist)
+        hs = (3.7276e-5, 3.995e-5, 0.1, 0.7, 2.5)
         for dist, kernel in ALL_PAIRS:
-            for h in (3.7276e-5, 3.995e-5, 0.1, 0.7, 2.5):
-                mise(dist, kernel, h, 10, method="fourier")
+            for h in hs:
+                quadpack_terms(dist, kernel, h)
         assert len(seen) > 1000
         assert 0.0 not in seen
+        # the fixed rule, through the target factor of both displays
+        nodes = []
+        for dist, kernel in ALL_PAIRS:
+            def cf(t, _cf=dist.cf):
+                nodes.append(np.min(np.abs(t)))
+                return _cf(t)
+
+            spied = dataclasses.replace(dist, cf=cf)
+            mise_profile(spied, kernel, hs)
+            for h in hs:
+                mise(spied, kernel, h, 10, method="fourier")
+        assert len(nodes) > 50
+        assert min(nodes) > 0.0
+
+
+class TestBandwidthRange:
+    # MISE is finite on h = 0 and on [1e-300, 1e75], and outside that
+    # range every MISE function raises a ValueError naming it: never nan,
+    # inf or OverflowError.  At the top MISE/h is the kernel's large-h
+    # slope (1/pi) int_0^inf u^-2 (1 - phi_k(u))^2 du, the MISE of the
+    # estimator K(x/h) of a point mass, whatever the target and n.
+    SLOPES = {
+        "normal": (2.0 - math.sqrt(2.0)) / math.sqrt(2.0 * math.pi),
+        "trapezoidal": (2.0 - 2.0 * math.log(2.0)) / math.pi,
+        "sinc": 1.0 / math.pi,
+    }
+
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_finite_or_out_of_range(self, dist, kernel):
+        for h in (1e-300, 1e75):
+            a, b, err = mise_profile(dist, kernel, [h])
+            assert np.isfinite([a[0], b[0], err[0]]).all() and a[0] + b[0] > 0.0
+            for method in ("auto", "fourier"):
+                for n in (1, 10**6):
+                    r = mise(dist, kernel, h, n, method=method)
+                    assert math.isfinite(r.mise) and math.isfinite(r.error_estimate)
+                    if h < 1.0:
+                        assert r.mise == pytest.approx(dist.psi_f / n, rel=1e-9, abs=0.0)
+                    else:
+                        assert r.mise / h == pytest.approx(self.SLOPES[kernel.name],
+                                                           rel=1e-12, abs=0.0)
+        for h in (1e80, 1e300, 1e-301, 5e-324, math.inf, math.nan):
+            for method in ("auto", "fourier"):
+                with pytest.raises(ValueError, match=r"\[1e-300, 1e\+75\]"):
+                    mise(dist, kernel, h, 10, method=method)
+            with pytest.raises(ValueError, match=r"\[1e-300, 1e\+75\]"):
+                mise_profile(dist, kernel, [1.0, h])
+
+    def test_closed_forms_reject_out_of_range(self):
+        # the normal closed form forms h^4, which overflowed past 1.2e77
+        assert math.isfinite(mise_normal_normal_closed(1.0, 1e75, 1))
+        for fn in (mise_normal_normal_closed, mise_normal_sinc_closed):
+            with pytest.raises(ValueError, match="for MISE"):
+                fn(1.0, 1e80, 1)
 
 
 class TestSpaceOracles:

@@ -34,16 +34,17 @@ def test_package_exports_are_the_modules_objects():
         assert getattr(cdf_mise, attr) is exported[attr], attr
 
 
-# Imports cdf_mise.cli, runs two commands, records which of the lazily
+# Imports cdf_mise.cli, runs four commands, records which of the lazily
 # imported scipy modules are loaded after each, then runs `constants`.
 _LAZY_SCRIPT = """
 import contextlib, io, json, sys
 from cdf_mise.cli import main
 lazy = ("scipy.integrate", "scipy.optimize")
 loaded = {"import": [m for m in lazy if m in sys.modules]}
-for command in ("figure2", "optimal-bandwidth"):
-    assert main([command, "--out", sys.argv[1]]) == 0
-    loaded[command] = [m for m in lazy if m in sys.modules]
+for command in (["figure2"], ["optimal-bandwidth"], ["mise-curve"],
+                ["mc-validate", "--reps", "100"]):
+    assert main([*command, "--out", sys.argv[1]]) == 0
+    loaded[command[0]] = [m for m in lazy if m in sys.modules]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["constants"]) == 0
@@ -53,7 +54,8 @@ print(json.dumps({"loaded": loaded, "constants": out.getvalue()}))
 
 
 def test_searches_load_neither_quadpack_nor_brentq(tmp_path):
-    # The searches and figures run on the fixed-rule profile alone, so
+    # The searches and figures run on the fixed-rule profile alone, and
+    # mise() and the Monte Carlo check on the same rule, so
     # scipy.integrate and scipy.optimize stay unloaded; `constants` still
     # cross-checks psi_f and psi_k by QUADPACK.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -63,7 +65,8 @@ def test_searches_load_neither_quadpack_nor_brentq(tmp_path):
                           capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
     got = json.loads(proc.stdout.splitlines()[-1])
     loaded = got["loaded"]
-    assert loaded["import"] == loaded["figure2"] == loaded["optimal-bandwidth"] == []
+    assert loaded == {**loaded, "import": [], "figure2": [], "optimal-bandwidth": [],
+                      "mise-curve": [], "mc-validate": []}
     assert "scipy.integrate" in loaded["constants"]
     # the |diff| column of the targets' psi_f and the kernels' psi_k rows
     rows = [line.split() for line in got["constants"].splitlines()]
