@@ -2,9 +2,7 @@
 
 Replicated sampling gives an unbiased ISE average whose distance from
 the exact MISE, in standard errors, should look like a standard normal
-draw.  Everything is seeded, so reruns reproduce the table bit for bit;
-a second worker count is thrown in to show the split does not change
-the result.
+draw.  Everything is seeded, so reruns reproduce the table bit for bit.
 """
 
 from cdf_mise.distributions import make_jdlvp, make_normal
@@ -34,10 +32,7 @@ def main() -> None:
 
     dist, kernel, h, n = cells[0]
     again = monte_carlo_mise(dist, kernel, h, n, reps, seed=seed)
-    split = monte_carlo_mise(dist, kernel, h, n, reps, seed=seed, workers=2)
     print(f"\nsame seed, rerun:    {again.estimate:.17g}")
-    print(f"same seed, 2 workers: {split.estimate:.17g}")
-    print(f"identical: {again.estimate == split.estimate}")
 
 
 if __name__ == "__main__":

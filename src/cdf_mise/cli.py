@@ -8,6 +8,9 @@ failure.  CSV output is UTF-8 with LF line endings, a header row, and
 17-significant-digit numbers, so reruns with a fixed configuration are
 byte-identical.  Files are written atomically (temp file + rename), and
 every SVG chart is a pure function of the CSV it accompanies.
+
+``mc-validate`` runs its cells on one pool of the CPUs in the affinity
+mask; each cell runs serially in one worker, so no byte depends on the pool.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import sys
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -392,6 +397,16 @@ def cmd_figure3(cfg: RunConfig) -> int:
     return 0
 
 
+def _mc_cell(task: tuple) -> tuple:
+    """One validation row from a task of spec strings and numbers only."""
+    dist_spec, kernel_spec, h, n, reps, seed = task
+    dist, kernel = _parse_dist(dist_spec), _parse_kernel(kernel_spec)
+    exact = mise(dist, kernel, h, n).mise
+    mc = monte_carlo_mise(dist, kernel, h, n, reps, seed=seed)
+    z = (mc.estimate - exact) / mc.std_error if mc.std_error > 0.0 else 0.0
+    return dist.name, kernel.name, h, n, exact, mc.estimate, mc.std_error, z, reps
+
+
 def cmd_mc_validate(cfg: RunConfig) -> int:
     if cfg.replications < 100:
         raise UsageError(
@@ -406,25 +421,27 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
     else:
         cells = [(d, k, h, n) for d, k in _MC_SUITE_PAIRS
                  for h in _MC_SUITE_H for n in _MC_SUITE_N]
+    # A bad spec is a usage error before any process starts.
+    for dist_spec, kernel_spec in dict.fromkeys(cell[:2] for cell in cells):
+        _parse_dist(dist_spec), _parse_kernel(kernel_spec)
+    tasks = [(*cell, cfg.replications, cfg.seed + index)
+             for index, cell in enumerate(cells)]
 
-    rows, flagged = [], []
-    for index, (dist_spec, kernel_spec, h, n) in enumerate(cells):
-        dist = _parse_dist(dist_spec)
-        kernel = _parse_kernel(kernel_spec)
-        exact = mise(dist, kernel, h, n).mise
-        mc = monte_carlo_mise(dist, kernel, h, n, cfg.replications,
-                              seed=cfg.seed + index)
-        z = (mc.estimate - exact) / mc.std_error if mc.std_error > 0.0 else 0.0
-        rows.append((dist.name, kernel.name, h, n, exact, mc.estimate,
-                     mc.std_error, z, cfg.replications))
-        print(f"{dist.name} + {kernel.name}  h={h:g}  n={n}  "
-              f"exact={exact:.6g}  mc={mc.estimate:.6g}  z={z:+.2f}", flush=True)
-        if abs(z) > 4.0:
-            flagged.append((dist.name, kernel.name, h, n, z))
+    # taskset and cgroup cpusets narrow the affinity mask, not os.cpu_count().
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1, len(tasks))
+    rows = []
+    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+        for row in (map if pool is None else pool.imap)(_mc_cell, tasks):
+            rows.append(row)
+            dist_name, kernel_name, h, n, exact, estimate, _, z, _ = row
+            print(f"{dist_name} + {kernel_name}  h={h:g}  n={n}  "
+                  f"exact={exact:.6g}  mc={estimate:.6g}  z={z:+.2f}", flush=True)
 
     _emit(cfg, "mc_validate", ("dist", "kernel", "h", "n", "exact_mise", "mc_estimate",
                                "std_error", "z_score", "replications"), rows)
-    for dist_name, kernel_name, h, n, z in flagged:
+    flagged = [row for row in rows if abs(row[7]) > 4.0]
+    for dist_name, kernel_name, h, n, _, _, _, z, _ in flagged:
         print(f"VALIDATION FAILURE: {dist_name} + {kernel_name} h={h:g} "
               f"n={n} |z|={abs(z):.2f} > 4", file=sys.stderr)
     return 2 if flagged else 0

@@ -24,9 +24,6 @@ hold for the raw estimator only.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,65 +183,19 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     return gauss_panels(sq_diff, edges, chunk=64) / math.pi + tail
 
 
-# Context of the replication loop ``_mc_span``, which runs in process or
-# in fork-based pool workers.  Target distributions and kernels hold
-# closures, so they cross into workers by fork-time memory inheritance
-# rather than pickling; tasks only carry index ranges.
-_MC_CONTEXT: tuple | None = None
-
-
-def _mc_span(span: tuple[int, int]) -> tuple[int, list[float]]:
-    dist, kernel, h, n, seed = _MC_CONTEXT
-    lo, hi = span
-    out = []
-    for r in range(lo, hi):
-        s = draw_sample(dist, n, seed, rep=r)
-        out.append(ise(s, kernel, h, dist))
-    return lo, out
-
-
 def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
-                     n: int, replications: int, seed: int, *,
-                     workers: int | None = None) -> MonteCarloMise:
+                     n: int, replications: int, seed: int) -> MonteCarloMise:
     """Mean ISE over independently seeded replications, with standard error.
 
-    Replication r draws its sample from the stream keyed by (seed, r), so
-    the estimate is deterministic for a fixed seed.  Replications run
-    concurrently across fork-based worker processes (defaulting to the
-    CPUs this process may run on); results are placed by replication
-    index and reduced in fixed order, so the aggregate is independent of
-    worker count and completion order.
+    Replication r draws its sample from the stream keyed by (seed, r).
+    The replications run serially, in index order, in this process, so
+    the estimate is deterministic for a fixed seed.
     """
     _validate_h(h)
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    if workers is None:
-        # The affinity mask (taskset, cgroup cpusets) can be narrower
-        # than the machine, and os.cpu_count() ignores it.
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-    workers = max(1, min(int(workers), replications))
-    if workers > 1:
-        try:
-            mp = multiprocessing.get_context("fork")
-        except ValueError:
-            workers = 1
-
-    values = np.empty(replications, dtype=float)
-    step = max(1, math.ceil(replications / (8 * workers)))
-    spans = [(lo, min(lo + step, replications))
-             for lo in range(0, replications, step)]
-    global _MC_CONTEXT
-    _MC_CONTEXT = (dist, kernel, h, n, seed)
-    try:
-        with mp.Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-            run = map if pool is None else pool.imap_unordered
-            for lo, chunk in run(_mc_span, spans):
-                values[lo:lo + len(chunk)] = chunk
-    finally:
-        _MC_CONTEXT = None
+    values = np.array([ise(draw_sample(dist, n, seed, rep=r), kernel, h, dist)
+                       for r in range(replications)])
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(replications))
     return MonteCarloMise(

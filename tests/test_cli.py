@@ -13,6 +13,7 @@ import csv
 import gc
 import json
 import math
+import multiprocessing
 import re
 import types
 import xml.etree.ElementTree as ET
@@ -461,6 +462,9 @@ class TestMcValidateCommand:
         def far_off(dist, kernel, h, n, replications, seed=0, **kwargs):
             return types.SimpleNamespace(estimate=999.0, std_error=1e-3)
 
+        # one CPU runs the cells in this process, where the patch holds
+        # under any start method
+        set_affinity(monkeypatch, 1)
         monkeypatch.setattr(cli, "monte_carlo_mise", far_off)
         rc, out, err = run_cli(["mc-validate", "--dist", "jdlvp",
                                 "--kernel", "trapezoidal", "--n", "30",
@@ -471,6 +475,71 @@ class TestMcValidateCommand:
         _, rows = read_csv(tmp_path / "mc_validate.csv")
         assert len(rows) == 2
         assert all(abs(float(r[7])) > 4.0 for r in rows)
+
+
+def set_affinity(monkeypatch, cpus: int) -> None:
+    """Give this process an affinity mask of cpus CPUs on a machine of 8."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+
+
+class TestMcValidatePool:
+    """mc-validate maps its cells over one pool sized by the affinity mask."""
+
+    ARGS = ["mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
+            "--n", "20", "--h-grid", "0.25:0.5:2", "--reps", "100", "--seed", "11"]
+
+    def run(self, capsys, out: Path) -> tuple[int, str, str, bytes]:
+        rc, stdout, err = run_cli(self.ARGS + ["--out", str(out)], capsys)
+        return (rc, stdout.replace(str(out), "OUT"), err,
+                (out / "mc_validate.csv").read_bytes())
+
+    def test_worker_count_does_not_change_bytes(self, capsys, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was created")
+
+        set_affinity(monkeypatch, 1)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "multiprocessing", types.SimpleNamespace(Pool=no_pool))
+            lone = self.run(capsys, tmp_path / "one")
+        set_affinity(monkeypatch, 2)
+        duo = self.run(capsys, tmp_path / "two")
+        assert lone[0] == 0
+        assert lone == duo
+
+    def test_pool_size_follows_affinity_mask(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                return map(func, tasks)
+
+        monkeypatch.setattr(cli, "multiprocessing",
+                            types.SimpleNamespace(Pool=InProcessPool))
+        outputs = set()
+        for cpus in (1, 2, 5):  # the run has 2 cells
+            set_affinity(monkeypatch, cpus)
+            outputs.add(self.run(capsys, tmp_path / str(cpus)))
+        assert sizes == [2, 2]
+        assert len(outputs) == 1
+
+    def test_spawn_pool_gives_same_bytes(self, capsys, tmp_path, monkeypatch):
+        # tasks carry only spec strings and numbers, so the pool needs no fork
+        set_affinity(monkeypatch, 1)
+        lone = self.run(capsys, tmp_path / "one")
+        set_affinity(monkeypatch, 2)
+        monkeypatch.setattr(cli, "multiprocessing", multiprocessing.get_context("spawn"))
+        assert self.run(capsys, tmp_path / "spawn") == lone
 
 
 class TestConstantsCommand:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -287,12 +288,23 @@ class TestMonteCarloMise:
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
     def test_rejects_bad_bandwidth_before_sampling(self, h, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("sampled or started a pool before checking h")
+            raise AssertionError("sampled or started a process before checking h")
 
         monkeypatch.setattr(estimator, "draw_sample", forbidden)
-        monkeypatch.setattr(estimator.multiprocessing, "get_context", forbidden)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            monte_carlo_mise(NORMAL1, NORMAL_K, h, 10, 4, seed=1, workers=2)
+            monte_carlo_mise(NORMAL1, NORMAL_K, h, 10, 4, seed=1)
+
+    def test_runs_in_process_in_replication_order(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
+        run = monte_carlo_mise(JDLVP, TRAP, 0.3, 25, 8, seed=3)
+        values = np.array([ise(draw_sample(JDLVP, 25, 3, rep=r), TRAP, 0.3, JDLVP)
+                           for r in range(8)])
+        assert run.estimate == float(np.mean(values))
+        assert run.std_error == float(np.std(values, ddof=1) / math.sqrt(8))
 
     def test_deterministic_for_seed(self):
         a = monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 12, seed=5)
@@ -303,25 +315,6 @@ class TestMonteCarloMise:
         assert a.estimate != c.estimate
         assert a.replications == 12
         assert (a.h, a.n) == (0.3, 20)
-
-    def test_worker_count_does_not_change_result(self):
-        lone = monte_carlo_mise(JDLVP, TRAP, 0.3, 25, 8, seed=3, workers=1)
-        duo = monte_carlo_mise(JDLVP, TRAP, 0.3, 25, 8, seed=3, workers=2)
-        assert lone.estimate == duo.estimate
-        assert lone.std_error == duo.std_error
-
-    def test_default_workers_follow_affinity_mask(self, monkeypatch):
-        # one allowed CPU means one worker, however many the machine has
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was created")
-
-        monkeypatch.setattr(estimator.os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(estimator.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(estimator.multiprocessing, "get_context", no_pool)
-        run = monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 6, seed=5)
-        assert run.estimate == monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 6, seed=5,
-                                                workers=1).estimate
 
     @pytest.mark.slow
     def test_empirical_case_matches_exact_mise(self):

@@ -78,6 +78,10 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate jdlvp:scale=0.5+trapezoidal",
      ["-c", _CLI, "mc-validate", "--reps", "100", "--seed", "7", "--dist", "jdlvp:scale=0.5",
       "--kernel", "trapezoidal", "--h-grid", "0:2:3", "--n", "50"]),
+    # one cell, so one worker: the cell runs in the CLI's own process
+    ("mc-validate one cell normal:sigma=1+sinc",
+     ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
+      "--h-grid", "0.25:0.25:1", "--n", "50", "--reps", "100"]),
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
 ] + [
