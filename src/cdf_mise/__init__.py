@@ -48,9 +48,6 @@ from .kernels import (
     KERNEL_NAMES,
     Kernel,
     kernel_by_name,
-    make_normal_kernel,
-    make_sinc_kernel,
-    make_trapezoidal_superkernel,
     psi_k,
 )
 from .mise import (
@@ -100,9 +97,6 @@ __all__ = [
     "limit_bandwidth",
     "make_jdlvp",
     "make_normal",
-    "make_normal_kernel",
-    "make_sinc_kernel",
-    "make_trapezoidal_superkernel",
     "mise",
     "mise_normal_normal_closed",
     "mise_normal_sinc_closed",

@@ -138,9 +138,7 @@ class SandwichReport:
 
 def default_search(dist: TargetDistribution) -> SearchConfig:
     """Search window wide enough to contain every catalog optimum."""
-    if dist.family == "normal" and dist.sigma is not None:
-        return SearchConfig(h_max=4.0 * dist.sigma)
-    return SearchConfig(h_max=8.0 * dist.scale)
+    return SearchConfig(h_max=(4.0 if dist.family == "normal" else 8.0) * dist.scale)
 
 
 def _search_grid(h_max: float) -> np.ndarray:
@@ -225,14 +223,15 @@ def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
 
     A dense log-spaced scan (plus the h = 0 candidate) locates the best
     grid cell, and a zoom shrinks the bracket of its two neighbours to a
-    width of at most 1e-6 but, once zoomed, above 2.5e-7.  Both run on the fixed-rule
-    ``mise_profile`` alone: the grid is evaluated once for all n, and
-    each zoom level evaluates every n's open bracket in one call.  Each
-    result equals a single-n search.  A minimizer landing at h_max is
-    flagged at_upper_bracket and warned about, once per such n, never
-    silently returned as interior.  One DEBUG record per n goes to the
-    ``cdf_mise.bandwidth`` logger: the pair, n, the grid size and the
-    profile cells the search evaluated (the grid plus its zoom).
+    width of at most 1e-6; a bracket that needed zooming ends wider than
+    2.5e-7.  Both run on the fixed-rule ``mise_profile`` alone: the grid
+    is evaluated once for all n, and each zoom level evaluates every n's
+    open bracket in one call.  Each result equals a single-n search.  A
+    minimizer landing at h_max is flagged at_upper_bracket and warned
+    about, once per such n, never silently returned as interior.  One
+    DEBUG record per n goes to the ``cdf_mise.bandwidth`` logger: the
+    pair, n, the grid size and the profile cells the search evaluated
+    (the grid plus its zoom).
     """
     return _search(dist, kernel, n_values, search)
 

@@ -138,7 +138,7 @@ def _parse_dist(spec: str) -> TargetDistribution:
 def _parse_kernel(spec: str) -> Kernel:
     try:
         return kernel_by_name(spec.strip())
-    except (KeyError, ValueError):
+    except ValueError:
         raise UsageError(
             f"unknown kernel {spec!r}; available: {', '.join(KERNEL_NAMES)}") from None
 

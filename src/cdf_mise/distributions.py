@@ -1,8 +1,10 @@
 """Target distribution catalog: Jackson-de la Vallee Poussin and normal.
 
-Each distribution carries its density f, distribution function F,
-characteristic function phi_f (real-valued for these symmetric targets),
-its mean absolute deviation E|x - X|, the spectral support constants
+Each target is its family's unit form at one scale a (sigma for the
+normal family), f_a(x) = f(x/a)/a.  It carries its distribution function
+F, characteristic function phi_f (real-valued for these symmetric
+targets), its mean absolute deviation E|x - X|, the spectral support
+constants
 
     c_f = sup { r >= 0 : phi_f(t) != 0 a.e. on [0, r] },
     d_f = sup { t >= 0 : phi_f(t) != 0 },
@@ -17,8 +19,8 @@ ndtr, the JdlVP one through the sine integral, and so is E|x - X|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.special
@@ -46,17 +48,16 @@ JDLVP_PSI_F = (96.0 * math.log(2.0) - 43.0) / (8.0 * math.pi)
 class TargetDistribution:
     """Immutable target distribution descriptor.
 
-    density, cdf, cf and mean_abs_dev are vectorized callables;
+    cdf, cf and mean_abs_dev are vectorized callables;
     mean_abs_dev(x) = E|x - X| = int_-inf^x F + int_x^inf (1 - F).
     scale is the rescaling parameter a relative to the family's unit
-    form (f_a(x) = f(x/a)/a).  cf_knots lists the non-smooth points of
-    phi_f, and sampler draws from the distribution given a numpy
-    Generator.
+    form (f_a(x) = f(x/a)/a), which is sigma for the normal family.
+    cf_knots lists the non-smooth points of phi_f, and sampler draws
+    from the distribution given a numpy Generator.
     """
 
     name: str
     family: str
-    density: Callable[[np.ndarray], np.ndarray]
     cdf: Callable[[np.ndarray], np.ndarray]
     cf: Callable[[np.ndarray], np.ndarray]
     c_f: float
@@ -67,7 +68,6 @@ class TargetDistribution:
     cf_knots: tuple
     mean_abs_dev: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, np.random.Generator], np.ndarray]
-    sigma: Optional[float] = field(default=None)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.c_f <= self.d_f):
@@ -213,9 +213,6 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
     a = float(scale)
     name = "jdlvp" if a == 1.0 else f"jdlvp:scale={a:g}"
 
-    def density(x):
-        return _jdlvp_density_unit(np.asarray(x, dtype=float) / a) / a
-
     def cdf(x):
         return _jdlvp_cdf_unit(np.asarray(x, dtype=float) / a)
 
@@ -231,7 +228,6 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
     return TargetDistribution(
         name=name,
         family="jdlvp",
-        density=density,
         cdf=cdf,
         cf=cf,
         c_f=2.0 / a,
@@ -250,14 +246,10 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
 # ---------------------------------------------------------------------------
 
 def make_normal(sigma: float) -> TargetDistribution:
-    """Centered normal target N(0, sigma^2): psi(F) = sigma/sqrt(pi)."""
+    """Centered normal target N(0, sigma^2) at scale sigma: psi(F) = sigma/sqrt(pi)."""
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError("sigma must be positive and finite")
     s = float(sigma)
-
-    def density(x):
-        x = np.asarray(x, dtype=float) / s
-        return np.exp(-0.5 * x * x) / (s * math.sqrt(_TWO_PI))
 
     def cdf(x):
         return std_normal_cdf(np.asarray(x, dtype=float) / s)
@@ -268,10 +260,12 @@ def make_normal(sigma: float) -> TargetDistribution:
         return float(out) if out.ndim == 0 else out
 
     def mean_abs_dev(x):
-        # E|x - X| = x (2 Phi(x/s) - 1) + 2 s phi(x/s), with erf for
+        # E|x - X| = x (2 Phi(x/s) - 1) + 2 s^2 f(x), with erf for
         # 2 Phi - 1 so that nothing cancels near x = 0.
         x = np.asarray(x, dtype=float)
-        out = x * scipy.special.erf(x / (s * math.sqrt(2.0))) + 2.0 * s * s * density(x)
+        u = x / s
+        out = (x * scipy.special.erf(x / (s * math.sqrt(2.0)))
+               + 2.0 * s * s * (np.exp(-0.5 * u * u) / (s * math.sqrt(_TWO_PI))))
         return float(out) if out.ndim == 0 else out
 
     def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,18 +274,16 @@ def make_normal(sigma: float) -> TargetDistribution:
     return TargetDistribution(
         name=f"normal:sigma={s:g}",
         family="normal",
-        density=density,
         cdf=cdf,
         cf=cf,
         c_f=math.inf,
         d_f=math.inf,
         psi_f=s / _SQRT_PI,
-        scale=1.0,
+        scale=s,
         variance=s * s,
         cf_knots=(),
         mean_abs_dev=mean_abs_dev,
         sampler=sampler,
-        sigma=s,
     )
 
 
@@ -300,17 +292,18 @@ def rescale(dist: TargetDistribution, a: float) -> TargetDistribution:
 
     Transforms phi_{f_a}(t) = phi_f(a t), c/d_{f_a} = c/d_f / a and
     psi_{f_a} = a psi_f.  Rescaling is closed within each family, so the
-    result is rebuilt exactly from the family constructor (composition
-    of rescales is associative to the last bit).
+    result is the family constructor at scale a times dist.scale (so
+    rescale(make_normal(1), 3) is make_normal(3), and composition of
+    rescales is associative to the last bit).
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("rescale factor must be positive and finite")
+    # The constructor is looked up at call time, not from a table built
+    # at import, so a wrapper installed on the module attribute applies.
     if dist.family == "jdlvp":
-        return make_jdlvp(scale=dist.scale * a)
+        return make_jdlvp(dist.scale * a)
     if dist.family == "normal":
-        out = make_normal(dist.sigma * a)
-        return replace(out, scale=dist.scale * a, name=f"{out.name},scale={dist.scale * a:g}"
-                       if dist.scale * a != 1.0 else out.name)
+        return make_normal(dist.scale * a)
     raise ValueError(f"rescale does not support family {dist.family!r}")
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import TargetDistribution, sample as draw_values
-from .kernels import Kernel, make_sinc_kernel
+from .kernels import Kernel, kernel_by_name
 from .mise import _validate_h, mise_profile
 from .numerics import gauss_panels
 
@@ -54,7 +54,7 @@ _NORMAL_FT_CUTOFF = 8.0
 # 1 to 200.
 _PANEL_WIDTH = 1.5
 
-_SINC = make_sinc_kernel()
+_SINC = kernel_by_name("sinc")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Kernel catalog: normal, trapezoidal superkernel, and sinc.
 
-Each kernel carries its density k, integrated form K(x) = int_{-inf}^x k,
-Fourier transform phi_k (real-valued, since all built-ins are symmetric),
-and the spectral flatness constants
+The catalog is one table of frozen descriptors.  Each kernel carries
+its integrated form K(x) = int_{-inf}^x k, its Fourier transform phi_k
+(real-valued, since all built-ins are symmetric), and the spectral
+flatness constants
 
     s_k = inf { t >= 0 : phi_k(t) != 1 },
     t_k = inf { r >= 0 : phi_k(t) != 1 a.e. for t >= r }.
@@ -25,25 +26,20 @@ from .numerics import integrate, sine_integral, std_normal_cdf
 
 __all__ = [
     "Kernel",
-    "make_normal_kernel",
-    "make_trapezoidal_superkernel",
-    "make_sinc_kernel",
     "kernel_by_name",
     "psi_k",
     "KERNEL_NAMES",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class Kernel:
     """Immutable kernel descriptor.
 
-    kernel_fn is the pointwise density k; the sinc density exists
-    pointwise but is not Lebesgue integrable, which ``integrable=False``
-    records.  integrated_fn is K; for the trapezoidal and sinc kernels K
-    is not monotone but still has limits 0 and 1 at -/+ infinity.
+    integrated_fn is K; for the trapezoidal and sinc kernels K is not
+    monotone but still has limits 0 and 1 at -/+ infinity.  The sinc
+    density exists pointwise but is not Lebesgue integrable, which
+    ``integrable=False`` records.
 
     ft_knots lists the points where phi_k is not smooth, ft_support_end
     is the frequency beyond which phi_k vanishes identically (inf when
@@ -52,13 +48,11 @@ class Kernel:
     """
 
     name: str
-    kernel_fn: Callable[[np.ndarray], np.ndarray]
     integrated_fn: Callable[[np.ndarray], np.ndarray]
     ft: Callable[[np.ndarray], np.ndarray]
     s_k: float
     t_k: float
     integrable: bool
-    abs_first_moment_finite: bool
     psi_k_analytic: float
     ft_knots: tuple = field(default=())
     ft_support_end: float = field(default=math.inf)
@@ -68,49 +62,17 @@ class Kernel:
             raise ValueError("kernel constants must satisfy 0 <= s_k <= t_k")
 
 
-def _normal_density(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / _SQRT2PI
-
-
 def _normal_ft(t):
     t = np.asarray(t, dtype=float)
     return np.exp(-0.5 * t * t)
 
 
-def make_normal_kernel() -> Kernel:
-    """Standard normal kernel: k = phi, K = Phi, phi_k(t) = exp(-t^2/2)."""
-    return Kernel(
-        name="normal",
-        kernel_fn=_normal_density,
-        integrated_fn=std_normal_cdf,
-        ft=_normal_ft,
-        s_k=0.0,
-        t_k=0.0,
-        integrable=True,
-        abs_first_moment_finite=True,
-        psi_k_analytic=1.0 / math.sqrt(math.pi),
-        ft_knots=(),
-        ft_support_end=math.inf,
-    )
-
-
-def _trapezoidal_density(x):
-    # k(x) = (cos x - cos 2x) / (pi x^2), with the removable value
-    # k(0) = 3/(2 pi); the series branch avoids cancellation near 0.
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-3
-    xs = np.where(small, 1.0, x)
-    direct = (np.cos(xs) - np.cos(2.0 * xs)) / (math.pi * xs * xs)
-    series = (1.5 - 0.625 * x * x) / math.pi
-    return np.where(small, series, direct)
-
-
 def _trapezoidal_integrated(x):
-    # Antiderivative of k in terms of the sine integral:
+    # Antiderivative of k(x) = (cos x - cos 2x) / (pi x^2) in terms of the
+    # sine integral:
     #   K(x) = 1/2 + 2 Si(2x) - Si(x) - (cos x - cos 2x)/(pi x),
-    # obtained by integrating (cos x - cos 2x)/(pi x^2) by parts.  The
-    # series branch handles the removable point at 0.
+    # obtained by integrating by parts.  The series branch handles the
+    # removable point at 0.
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-2
     xs = np.where(small, 1.0, x)
@@ -132,40 +94,8 @@ def _trapezoidal_ft(t):
     return float(out) if out.ndim == 0 else out
 
 
-def make_trapezoidal_superkernel() -> Kernel:
-    """Trapezoidal superkernel with s_k = t_k = 1.
-
-    k(x) = (pi x^2)^-1 {cos x - cos 2x}; its transform equals 1 on
-    [0, 1], falls linearly to 0 at 2, and vanishes beyond.  K is stored
-    in closed form through the sine integral (exact, no interpolation).
-    """
-    return Kernel(
-        name="trapezoidal",
-        kernel_fn=_trapezoidal_density,
-        integrated_fn=_trapezoidal_integrated,
-        ft=_trapezoidal_ft,
-        s_k=1.0,
-        t_k=1.0,
-        integrable=True,
-        # int |y k(y)| dy diverges logarithmically (|cos y - cos 2y|/|y|
-        # has nonvanishing mean), even though all Fourier-side formulas
-        # remain valid for this kernel.
-        abs_first_moment_finite=False,
-        psi_k_analytic=(4.0 * math.log(2.0) - 2.0) / math.pi,
-        ft_knots=(1.0, 2.0),
-        ft_support_end=2.0,
-    )
-
-
-def _sinc_density(x):
-    x = np.asarray(x, dtype=float)
-    # sin(x)/(pi x) = sinc(x/pi) in numpy's normalization; exact at 0.
-    return np.sinc(x / math.pi) / math.pi
-
-
 def _sinc_integrated(x):
-    out = 0.5 + sine_integral(x)
-    return out
+    return 0.5 + sine_integral(x)
 
 
 def _sinc_ft(t):
@@ -174,39 +104,33 @@ def _sinc_ft(t):
     return float(out) if out.ndim == 0 else out
 
 
-def make_sinc_kernel() -> Kernel:
-    """Sinc kernel: K(x) = 1/2 + Si(x), phi_k = indicator of [-1, 1].
+_KERNELS = {kernel.name: kernel for kernel in (
+    # Standard normal kernel: k = phi, K = Phi, phi_k(t) = exp(-t^2/2).
+    Kernel(name="normal", integrated_fn=std_normal_cdf, ft=_normal_ft,
+           s_k=0.0, t_k=0.0, integrable=True,
+           psi_k_analytic=1.0 / math.sqrt(math.pi)),
+    # Trapezoidal superkernel, k(x) = (pi x^2)^-1 {cos x - cos 2x}: its
+    # transform equals 1 on [0, 1], falls linearly to 0 at 2, and
+    # vanishes beyond.  K is in closed form through the sine integral.
+    Kernel(name="trapezoidal", integrated_fn=_trapezoidal_integrated,
+           ft=_trapezoidal_ft, s_k=1.0, t_k=1.0, integrable=True,
+           psi_k_analytic=(4.0 * math.log(2.0) - 2.0) / math.pi,
+           ft_knots=(1.0, 2.0), ft_support_end=2.0),
+    # Sinc kernel, k(x) = sin(x)/(pi x): K(x) = 1/2 + Si(x) and phi_k is
+    # the indicator of [-1, 1].  k is not Lebesgue integrable, so the
+    # estimator and all formulas use K directly.
+    Kernel(name="sinc", integrated_fn=_sinc_integrated, ft=_sinc_ft,
+           s_k=1.0, t_k=1.0, integrable=False, psi_k_analytic=1.0 / math.pi,
+           ft_knots=(1.0,), ft_support_end=1.0),
+)}
 
-    The density sin(x)/(pi x) is not Lebesgue integrable, so the
-    estimator and all formulas use the integrated form directly.
-    """
-    return Kernel(
-        name="sinc",
-        kernel_fn=_sinc_density,
-        integrated_fn=_sinc_integrated,
-        ft=_sinc_ft,
-        s_k=1.0,
-        t_k=1.0,
-        integrable=False,
-        abs_first_moment_finite=False,
-        psi_k_analytic=1.0 / math.pi,
-        ft_knots=(1.0,),
-        ft_support_end=1.0,
-    )
-
-
-KERNEL_NAMES = ("normal", "trapezoidal", "sinc")
+KERNEL_NAMES = tuple(_KERNELS)
 
 
 def kernel_by_name(name: str) -> Kernel:
     """Look up a built-in kernel: 'normal' | 'trapezoidal' | 'sinc'."""
-    table = {
-        "normal": make_normal_kernel,
-        "trapezoidal": make_trapezoidal_superkernel,
-        "sinc": make_sinc_kernel,
-    }
     try:
-        return table[name]()
+        return _KERNELS[name]
     except KeyError:
         raise ValueError(
             f"unknown kernel {name!r}; available: {', '.join(KERNEL_NAMES)}"

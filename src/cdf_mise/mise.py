@@ -219,7 +219,7 @@ def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
     # (IV, ISB) at n on an exact route of _exact_route.
     if route == "linear_segment":
         return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
-    return _at(_CLOSED_FORMS[route], dist.sigma, h, n)
+    return _at(_CLOSED_FORMS[route], dist.scale, h, n)
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
@@ -353,8 +353,8 @@ def _target_end(dist: TargetDistribution):
     # for a normal target, whose cut tail is at most `cut` in each display.
     if math.isfinite(dist.d_f):
         return dist.d_f, 0.0, [*dist.cf_knots, dist.d_f], []
-    return (_GAUSS_CUT / dist.sigma, dist.sigma * _GAUSS_CUT_TAIL, list(dist.cf_knots),
-            [dist.sigma])
+    return (_GAUSS_CUT / dist.scale, dist.scale * _GAUSS_CUT_TAIL, list(dist.cf_knots),
+            [dist.scale])
 
 
 def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
@@ -468,7 +468,7 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     a[linear] = dist.psi_f - kernel.psi_k_analytic * hs[linear]
     route = _closed_form(dist, kernel)
     if route is not None:
-        a[rest], b[rest] = _CLOSED_FORMS[route](dist.sigma, hs[rest], 1)
+        a[rest], b[rest] = _CLOSED_FORMS[route](dist.scale, hs[rest], 1)
     err = _ROUNDING * (a + b)
     if route is not None or not rest.any():
         return a, b, err

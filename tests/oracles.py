@@ -6,17 +6,18 @@ instead of ndtr, a triangle self-convolution instead of the closed
 piecewise transform, and QUADPACK with analytic oscillatory tails
 instead of fixed Gauss panels.  The space-domain IV/ISB oracles
 integrate the pre-Fourier displays directly, sharing no transform code
-with the library's Fourier route, and ``mise_mpmath`` evaluates both
-Fourier displays to 50 digits with mpmath.  ``jdlvp_cdf_mpmath``
-integrates the JdlVP density to 40 digits, the h = 0 ISE oracles
-integrate the step-function error in closed form (normal) or with
-mpmath (JdlVP), and ``mean_abs_dev_quad`` integrates F and 1 - F
-instead of the closed form E|x - X|.  ``profile_panels`` builds the
-fixed rule's panels one cell at a time by a loop on floats, where the
-library steps every cell's segments at once on arrays, and
-``quadpack_terms`` computes the rule's pi A and pi B by adaptive
-QUADPACK subdivision instead.  Agreement
-between routes is then evidence, not tautology.
+with the library's Fourier route; they take the kernel densities k,
+which the library does not carry, from ``kernel_density``.
+``mise_mpmath`` evaluates both Fourier displays to 50 digits with
+mpmath.  ``jdlvp_cdf_mpmath`` integrates the JdlVP density to 40
+digits, the h = 0 ISE oracles integrate the step-function error in
+closed form (normal) or with mpmath (JdlVP), and ``mean_abs_dev_quad``
+integrates F and 1 - F instead of the closed form E|x - X|.
+``profile_panels`` builds the fixed rule's panels one cell at a time by
+a loop on floats, where the library steps every cell's segments at once
+on arrays, and ``quadpack_terms`` computes the rule's pi A and pi B by
+adaptive QUADPACK subdivision instead.  Agreement between routes is
+then evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -121,6 +122,49 @@ def numeric_cosine_transform(fn, t: float, b: float, limit: int = 2000) -> float
         lambda x: fn(x) * math.cos(t * x), 0.0, b, limit=limit,
         epsabs=1e-12, epsrel=1e-12)
     return 2.0 * value
+
+
+def jdlvp_density(x):
+    """Unit JdlVP density (3/(4 pi)) (sin(x/2)/(x/2))^4, exact at 0."""
+    u = 0.5 * np.asarray(x, dtype=float)
+    safe = np.where(u == 0.0, 1.0, u)
+    ratio = np.where(u == 0.0, 1.0, np.sin(safe) / safe)
+    return 0.75 / math.pi * ratio ** 4
+
+
+def _normal_kernel_density(x):
+    x = np.asarray(x, dtype=float)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def _trapezoidal_kernel_density(x):
+    # k(x) = (cos x - cos 2x) / (pi x^2), with the removable value
+    # k(0) = 3/(2 pi); the series branch avoids cancellation near 0.
+    # k decays like x^-2, so it is integrable, but its absolute first
+    # moment diverges logarithmically.
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-3
+    xs = np.where(small, 1.0, x)
+    direct = (np.cos(xs) - np.cos(2.0 * xs)) / (math.pi * xs * xs)
+    series = (1.5 - 0.625 * x * x) / math.pi
+    return np.where(small, series, direct)
+
+
+def _sinc_kernel_density(x):
+    # sin(x)/(pi x) = sinc(x/pi) in numpy's normalization; exact at 0.  It
+    # exists pointwise but is not Lebesgue integrable.
+    x = np.asarray(x, dtype=float)
+    return np.sinc(x / math.pi) / math.pi
+
+
+_KERNEL_DENSITIES = {"normal": _normal_kernel_density,
+                     "trapezoidal": _trapezoidal_kernel_density,
+                     "sinc": _sinc_kernel_density}
+
+
+def kernel_density(kernel: Kernel):
+    """The pointwise density k of a catalog kernel, by its name."""
+    return _KERNEL_DENSITIES[kernel.name]
 
 
 def trapezoid_ft_tail(t: float, b: float) -> float:
@@ -376,8 +420,8 @@ def mean_abs_dev_quad(dist: TargetDistribution, x: float) -> float:
         tail = 1.5 * a ** 3 / math.pi * (0.5 / (r * r) - 4.0 * cos_part(1.0)
                                          + cos_part(2.0))
     else:
-        r = abs(x) + 40.0 * dist.sigma
-        width = dist.sigma
+        r = abs(x) + 40.0 * dist.scale
+        width = dist.scale
         tail = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(32)
 
@@ -460,7 +504,7 @@ def profile_panels(dist: TargetDistribution, kernel: Kernel, hs):
     if math.isfinite(dist.d_f):
         t_end, knots, rates = dist.d_f, [*dist.cf_knots, dist.d_f], []
     else:
-        t_end, knots, rates = _GAUSS_CUT / dist.sigma, list(dist.cf_knots), [dist.sigma]
+        t_end, knots, rates = _GAUSS_CUT / dist.scale, list(dist.cf_knots), [dist.scale]
     iv: tuple[list, list, list] = ([], [], [])
     isb: tuple[list, list, list] = ([], [], [])
     for cell, h in enumerate(float(h) for h in hs):
@@ -538,7 +582,7 @@ def tail_radius(dist: TargetDistribution, eps: float) -> float:
     """
     if dist.family == "jdlvp":
         return dist.scale * max(6.0, (4.0 / (math.pi * eps)) ** (1.0 / 3.0))
-    return dist.sigma * float(scipy.special.ndtri(1.0 - min(0.5 * eps, 0.499)))
+    return dist.scale * float(scipy.special.ndtri(1.0 - min(0.5 * eps, 0.499)))
 
 
 def _kernel_truncation_radius(kernel: Kernel) -> float:
@@ -570,7 +614,7 @@ def _smoothed_cdf(dist, kernel, h, xs, y_edges, squared_weight: bool):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     ys = (mid[:, None] + half[:, None] * _GK15_NODES[None, :]).ravel()
-    w = kernel.kernel_fn(ys)
+    w = kernel_density(kernel)(ys)
     if squared_weight:
         w = 2.0 * kernel.integrated_fn(ys) * w
     vals = dist.cdf(xs[:, None] - h * ys[None, :]) * w[None, :]
@@ -673,7 +717,7 @@ def mise_mpmath(dist: TargetDistribution, kernel: Kernel, h: float, n: int):
     with mp.workdps(50):
         hh = mp.mpf(h)
         if dist.family == "normal" and kernel.name in ("normal", "sinc"):
-            a, b = _normal_closed_parts(mp, kernel.name, mp.mpf(dist.sigma), hh)
+            a, b = _normal_closed_parts(mp, kernel.name, mp.mpf(dist.scale), hh)
         else:
             a, b = _fourier_parts(mp, dist, kernel, hh)
         return +(a / n + b)
@@ -715,7 +759,7 @@ def _fourier_parts(mp, dist, kernel, h):
                 return a * a * (1.5 - 0.75 * s) * (1 + q(t))
             return (1 - q(t) ** 2) / (t * t) if s < 2 else 1 / (t * t)
     else:
-        sigma = mp.mpf(dist.sigma)
+        sigma = mp.mpf(dist.scale)
         t_end = mp.inf
         knots = [c / sigma for c in (0.5, 1, 2, 4, 8, 16)]
 
@@ -776,6 +820,6 @@ def _fourier_parts(mp, dist, kernel, h):
     if t_end < mp.inf:
         isb = quad(bias, s_k, t_end) if s_k < t_end else mp.mpf(0)
     else:
-        sigma = mp.mpf(dist.sigma)
+        sigma = mp.mpf(dist.scale)
         isb = quad(bias, s_k, k_end) + sigma * _gauss_tail_mp(mp, sigma * k_end)
     return iv / mp.pi, isb / mp.pi

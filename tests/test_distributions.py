@@ -12,18 +12,22 @@ import scipy.integrate
 
 from cdf_mise.distributions import (
     JDLVP_PSI_F,
+    _jdlvp_density_unit,
     make_jdlvp,
     make_normal,
     psi_f_fourier,
     rescale,
     sample,
 )
+from cdf_mise.kernels import KERNEL_NAMES, kernel_by_name
+from cdf_mise.mise import mise_profile
 
 from oracles import (
     cos_tail_over_x2,
     jdlvp_cdf_closed_mp,
     jdlvp_cdf_mpmath,
     jdlvp_cf_convolution,
+    jdlvp_density,
     ks_statistic,
     mean_abs_dev_quad,
     phi_erf,
@@ -45,16 +49,22 @@ CDF_GRID = np.concatenate([_MAGNITUDES, -_MAGNITUDES])
 class TestJdlvpShape:
     def test_density_peak(self):
         # f(0) = 3 / (4 pi)
-        assert JDLVP.density(0.0) == pytest.approx(3.0 / (4.0 * math.pi), abs=1e-15)
+        assert jdlvp_density(0.0) == pytest.approx(3.0 / (4.0 * math.pi), abs=1e-15)
+
+    def test_sampler_density_matches_oracle(self):
+        # the density the rejection sampler accepts against
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 60)])
+        np.testing.assert_allclose(_jdlvp_density_unit(xs), jdlvp_density(xs),
+                                   rtol=1e-14, atol=0.0)
 
     def test_density_even_and_nonnegative(self):
         xs = np.linspace(0.0, 30.0, 400)
-        f = JDLVP.density(xs)
+        f = jdlvp_density(xs)
         assert np.all(f >= 0.0)
-        np.testing.assert_allclose(JDLVP.density(-xs), f, rtol=0.0, atol=1e-16)
+        np.testing.assert_allclose(jdlvp_density(-xs), f, rtol=0.0, atol=1e-16)
 
     def test_density_integrates_to_one(self):
-        total, _ = scipy.integrate.quad(JDLVP.density, -np.inf, np.inf, limit=400)
+        total, _ = scipy.integrate.quad(jdlvp_density, -np.inf, np.inf, limit=400)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_variance_matches_second_moment(self):
@@ -62,7 +72,7 @@ class TestJdlvpShape:
         # analytic tail of its 3/8 - cos(x)/2 + cos(2x)/8 expansion
         b = 200.0 * math.pi
         head, _ = scipy.integrate.quad(
-            lambda x: x * x * JDLVP.density(x), 0.0, b, limit=800
+            lambda x: x * x * jdlvp_density(x), 0.0, b, limit=800
         )
         tail = (12.0 / math.pi) * (
             0.375 / b
@@ -82,7 +92,7 @@ class TestJdlvpShape:
     @pytest.mark.parametrize("x", [-4.0, -1.2, 0.7, 3.0, 11.0])
     def test_cdf_matches_integrated_density(self, x):
         # finite symmetric range sidesteps infinite-range oscillation error
-        val, _ = scipy.integrate.quad(JDLVP.density, 0.0, abs(x), limit=400)
+        val, _ = scipy.integrate.quad(jdlvp_density, 0.0, abs(x), limit=400)
         expected = 0.5 + val if x >= 0.0 else 0.5 - val
         assert JDLVP.cdf(x) == pytest.approx(expected, abs=1e-12)
 
@@ -149,7 +159,7 @@ class TestJdlvpCharacteristicFunction:
         # numeric FT of the density as a second independent route
         for t in (0.5, 1.2, 1.9):
             val, _ = scipy.integrate.quad(
-                lambda x: JDLVP.density(x) * math.cos(t * x),
+                lambda x: jdlvp_density(x) * math.cos(t * x),
                 0.0,
                 600.0,
                 limit=2000,
@@ -198,8 +208,7 @@ class TestMeanAbsDev:
                                       make_normal(0.5), make_normal(2.0)],
                              ids=lambda d: d.name)
     def test_matches_quadrature(self, dist):
-        unit = dist.scale if dist.family == "jdlvp" else dist.sigma
-        xs = np.array([sign * u * unit for u in self.US for sign in (1.0, -1.0)])
+        xs = np.array([sign * u * dist.scale for u in self.US for sign in (1.0, -1.0)])
         got = dist.mean_abs_dev(xs)
         for x, value in zip(xs, got):
             assert value == pytest.approx(mean_abs_dev_quad(dist, x), rel=2e-15, abs=0.0), x
@@ -254,10 +263,9 @@ class TestRescale:
         assert wide.psi_f == pytest.approx(2.0 * JDLVP.psi_f, abs=1e-14)
         assert wide.variance == pytest.approx(4.0 * 3.0, abs=1e-12)
         assert wide.cf_knots == (0.5, 1.0)
-        # cf contracts, cdf/density stretch
+        # cf contracts, cdf stretches
         assert wide.cf(0.5) == pytest.approx(JDLVP.cf(1.0), abs=1e-14)
         assert wide.cdf(2.0) == pytest.approx(JDLVP.cdf(1.0), abs=1e-14)
-        assert wide.density(2.0) == pytest.approx(0.5 * JDLVP.density(1.0), abs=1e-15)
 
     def test_normal_scale_matches_sigma(self):
         # scaling a unit normal by 3 is the sigma=3 normal
@@ -267,6 +275,21 @@ class TestRescale:
         assert stretched.psi_f == pytest.approx(direct.psi_f, abs=1e-14)
         xs = np.array([-2.0, 0.3, 5.0])
         np.testing.assert_allclose(stretched.cdf(xs), direct.cdf(xs), atol=1e-14)
+
+    @pytest.mark.parametrize("make", [make_jdlvp, make_normal], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_rescale_is_the_constructor_at_scale(self, make, a):
+        # rescale(make_X(1), a) is make_X(a): same name, constants and
+        # profile bits
+        got, want = rescale(make(1.0), a), make(a)
+        for field in ("name", "family", "c_f", "d_f", "psi_f", "scale", "variance",
+                      "cf_knots"):
+            assert getattr(got, field) == getattr(want, field), field
+        hs = np.concatenate([[0.0], np.geomspace(1e-3, 10.0, 40)])
+        for name in KERNEL_NAMES:
+            kernel = kernel_by_name(name)
+            assert all(x.tobytes() == y.tobytes() for x, y in
+                       zip(mise_profile(got, kernel, hs), mise_profile(want, kernel, hs))), name
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from oracles import (
     cos_tail_over_x2,
     ise_step_function_jdlvp,
     ise_step_function_normal,
+    kernel_density,
     phi_erf,
 )
 
@@ -154,7 +155,7 @@ class TestEstimateCdf:
 
             def integrand(z):
                 count = np.searchsorted(s.values, x - h * z, side="right")
-                return (count / s.values.size) * kernel.kernel_fn(z)
+                return (count / s.values.size) * kernel_density(kernel)(z)
 
             val, _ = scipy.integrate.quad(
                 integrand, -b, b, points=inner, limit=600

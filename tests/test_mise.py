@@ -408,9 +408,9 @@ class TestMiseTerms:
                     v = (dist.psi_f - kernel.psi_k_analytic * h) / n
                     assert (r.iv, r.isb, r.mise) == (v, 0.0, v)
                 elif r.method == "closed_form_normal_normal":
-                    assert r.mise == mise_normal_normal_closed(dist.sigma, h, n)
+                    assert r.mise == mise_normal_normal_closed(dist.scale, h, n)
                 elif r.method == "closed_form_normal_sinc":
-                    assert r.mise == mise_normal_sinc_closed(dist.sigma, h, n)
+                    assert r.mise == mise_normal_sinc_closed(dist.scale, h, n)
                 else:
                     assert r == fourier_report(rule_terms(dist, kernel, h), h, n)
                     assert r.error_estimate > 0.0
@@ -552,7 +552,7 @@ class TestProfilePanels:
     @pytest.mark.parametrize("kernel", (NORMAL_K, TRAP, SINC), ids=lambda k: k.name)
     @pytest.mark.parametrize("dist", TARGETS, ids=lambda d: d.name)
     def test_matches_the_loop_on_floats(self, dist, kernel, monkeypatch):
-        t_end = dist.d_f if math.isfinite(dist.d_f) else MISE_MODULE._GAUSS_CUT / dist.sigma
+        t_end = dist.d_f if math.isfinite(dist.d_f) else MISE_MODULE._GAUSS_CUT / dist.scale
         rng = np.random.default_rng(13)
         grids = [np.exp(rng.uniform(math.log(1e-5), math.log(4000.0), 200)),
                  np.array([1e-5, 4000.0])]

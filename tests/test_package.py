@@ -75,3 +75,42 @@ def test_searches_load_neither_quadpack_nor_brentq(tmp_path):
              and row[0] in ("jdlvp", "normal:sigma=1", "normal", "trapezoidal", "sinc")}
     assert len(diffs) == 5
     assert all(d <= 1e-12 for d in diffs.values()), diffs
+
+
+# Installs the benchmark's tracer over ./src, makes one mise() and one
+# ise() call through the patched modules, and prints what it counted.
+_TRACER_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+d, k, e, m = (tracer.mods[name] for name in ("distributions", "kernels", "estimator", "mise"))
+dist = d.make_jdlvp()
+kernel = k.kernel_by_name("trapezoidal")
+m.mise(dist, kernel, 0.75, 100)
+e.ise(e.draw_sample(dist, 20, 5), kernel, 0.75, dist)
+wrapped = [hasattr(x, "__wrapped__") for x in
+           (dist.cf, kernel.ft, d.rescale(d.make_normal(1.0), 2.0).cf)]
+tracer.uninstall()
+print(json.dumps({"calls": dict(tracer.calls), "wrapped": wrapped,
+                  "restored": not hasattr(m.mise, "__wrapped__")}))
+"""
+
+
+def test_benchmark_tracer_hooks_the_package():
+    # The benchmark's tracer patches cdf_mise functions by name and rebuilds
+    # targets and kernels with dataclasses.replace; a rename or a removed
+    # field would make every traced run raise.  -B keeps the run from
+    # writing bytecode next to the tracer.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-B", "-c", _TRACER_SCRIPT,
+                           str(root / "perfbench")],
+                          capture_output=True, text=True, env=env, cwd=root, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["calls"]["mise.call"] == 1
+    assert got["calls"]["estimator.ise"] == 1
+    assert got["calls"]["kernels.ft"] > 0
+    assert got["wrapped"] == [True, True, True]
+    assert got["restored"]
