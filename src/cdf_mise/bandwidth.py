@@ -67,6 +67,7 @@ _ZOOM_POINTS = 9
 # Values within _TIE relative of the minimum are ties, won by the smaller h.
 _TIE = 1e-14
 _BOUNDARY_FLAGS = ("interior", "at_zero", "at_upper_bracket")
+_LIMIT_TOL = 0.2
 
 _log = logging.getLogger(__name__)
 
@@ -336,14 +337,13 @@ def _bound_ratio(num: float, den: float) -> float:
 
 
 def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
-                             search: SearchConfig | None = None,
-                             limit_tol: float = 0.2) -> SandwichReport:
+                             search: SearchConfig | None = None) -> SandwichReport:
     """Verify the optimal-bandwidth sandwich along a sample-size sweep.
 
     Every finite-n optimum must sit above the limit s_k/d_f (up to the
     refinement tolerance); when s_k > 0 and d_f < inf, the largest-n
-    optimum must lie within limit_tol of that limit and below the
-    complementary bound min{s_k/c_f, t_k/d_f} + limit_tol.  Violations
+    optimum must lie within _LIMIT_TOL = 0.2 of that limit and below the
+    complementary bound min{s_k/c_f, t_k/d_f} + _LIMIT_TOL.  Violations
     are itemized in the report messages.
     """
     ns = sorted(int(n) for n in n_list)
@@ -363,14 +363,14 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
 
     if kernel.s_k > 0.0 and math.isfinite(dist.d_f):
         h_last = hs[-1]
-        if abs(h_last - lower) > limit_tol:
+        if abs(h_last - lower) > _LIMIT_TOL:
             messages.append(
-                f"h_opt(n={ns[-1]}) = {h_last:.9g} is not within {limit_tol} "
+                f"h_opt(n={ns[-1]}) = {h_last:.9g} is not within {_LIMIT_TOL} "
                 f"of the limit s_k/d_f = {lower:.9g}")
-        if h_last > upper + limit_tol:
+        if h_last > upper + _LIMIT_TOL:
             messages.append(
                 f"h_opt(n={ns[-1]}) = {h_last:.9g} exceeds the bound "
-                f"min(s_k/c_f, t_k/d_f) = {upper:.9g} by more than {limit_tol}")
+                f"min(s_k/c_f, t_k/d_f) = {upper:.9g} by more than {_LIMIT_TOL}")
 
     return SandwichReport(
         passed=not messages,

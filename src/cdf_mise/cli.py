@@ -1,7 +1,10 @@
 """Command-line surface: figures, constants, and validation suites.
 
 Each command is declared once, in ``_COMMANDS``: its help line, its
-handler, its defaults and the formats under which it draws SVG charts.
+handler and the keys it takes with their defaults.  Each key is a flag
+(``h_grid`` is ``--h-grid``) and a ``--config`` key; a command accepts no
+other.  ``figure2`` and ``figure3`` always draw SVG charts, the commands
+that take ``--format`` under ``csv+svg`` only, and the other two never.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failure.  CSV output is UTF-8 with LF line endings, a header row, and
@@ -9,8 +12,10 @@ failure.  CSV output is UTF-8 with LF line endings, a header row, and
 byte-identical.  Files are written atomically (temp file + rename), and
 every SVG chart is a pure function of the CSV it accompanies.
 
-``mc-validate`` runs its cells on one pool of the CPUs in the affinity
-mask; each cell runs serially in one worker, so no byte depends on the pool.
+``mc-validate`` crosses its suite pairs, or one ``--dist``/``--kernel`` pair,
+with ``--h-grid`` and ``--n``.  It runs these cells on one pool of the CPUs
+in the affinity mask; each cell runs serially in one worker, so no byte
+depends on the pool.
 """
 
 from __future__ import annotations
@@ -71,8 +76,6 @@ _MC_SUITE_PAIRS = (
     ("normal:sigma=1", "normal"),
     ("normal:sigma=1", "sinc"),
 )
-_MC_SUITE_H = (0.0, 0.25, 0.5)
-_MC_SUITE_N = (50, 200)
 
 _DEFAULT_SEED = 1729
 _DEFAULT_REPS = 2000
@@ -84,17 +87,21 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: flags over config file over defaults."""
+    """Fully resolved invocation: flags over config file over defaults.
+
+    A command reads only the fields of the keys it takes, and ``format``:
+    one without ``--format`` draws every chart it has.
+    """
 
     command: str
-    dist_spec: str
-    kernel_spec: str
-    n_list: tuple[int, ...]
-    h_grid: tuple[float, float, int]
-    seed: int
-    replications: int
-    output_dir: Path
-    format: str
+    dist_spec: str = ""
+    kernel_spec: str = ""
+    n_list: tuple[int, ...] = ()
+    h_grid: tuple[float, float, int] = (0.0, 0.0, 1)
+    seed: int = _DEFAULT_SEED
+    replications: int = _DEFAULT_REPS
+    output_dir: Path = Path(".")
+    format: str = "csv+svg"
 
     def __post_init__(self) -> None:
         if self.command not in _COMMANDS:
@@ -172,10 +179,34 @@ def _parse_h_grid(text) -> tuple[float, float, int]:
     return lo, hi, count
 
 
-_CONFIG_KEYS = ("dist", "kernel", "n", "h_grid", "seed", "reps", "out", "format")
+def _parse_int(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad integer {value!r}: {exc}") from exc
 
 
-def _load_config_file(path: Path) -> dict:
+def _parse_format(value) -> str:
+    if value not in _FORMATS:
+        raise UsageError(f"unknown format {value!r}; choose from {_FORMATS}")
+    return value
+
+
+# Every key a command can take: its RunConfig field, the parser of its
+# flag or config value, and its --help line.
+_KEYS = {
+    "dist": ("dist_spec", str, f"target distribution ({_DIST_USAGE})"),
+    "kernel": ("kernel_spec", str, f"kernel ({', '.join(KERNEL_NAMES)})"),
+    "n": ("n_list", _parse_n_list, "comma-separated sample sizes"),
+    "h_grid": ("h_grid", _parse_h_grid, "bandwidth grid min:max:count"),
+    "seed": ("seed", _parse_int, f"master seed (default {_DEFAULT_SEED})"),
+    "reps": ("replications", _parse_int, f"Monte Carlo replications (default {_DEFAULT_REPS})"),
+    "out": ("output_dir", Path, "output directory (default current)"),
+    "format": ("format", _parse_format, "output format, csv or csv+svg (default csv)"),
+}
+
+
+def _load_config_file(path: Path, keys) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -184,51 +215,26 @@ def _load_config_file(path: Path) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise UsageError(
-            f"unknown config keys {unknown}; allowed: {list(_CONFIG_KEYS)}")
+        raise UsageError(f"unknown config keys {unknown}; allowed: {list(keys)}")
     return data
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(Path(args.config)) if args.config else {}
-    command = _COMMANDS[args.command]
-    defaults = {"dist": command.dist, "kernel": command.kernel, "n": command.n,
-                "h_grid": command.h_grid, "seed": _DEFAULT_SEED,
-                "reps": _DEFAULT_REPS, "out": ".", "format": "csv"}
-    # One pass over the keys: a flag wins over the config file, which
-    # wins over the command's default.
-    merged = {}
-    for key in _CONFIG_KEYS:
+    defaults = _COMMANDS[args.command].defaults
+    path = getattr(args, "config", None)
+    file_cfg = _load_config_file(Path(path), defaults) if path else {}
+    # One pass over the command's keys: a flag wins over the config file,
+    # which wins over the command's default.
+    fields = {}
+    for key, default in defaults.items():
         value = getattr(args, key)
         if value is None:
             value = file_cfg.get(key)
-        merged[key] = defaults[key] if value is None else value
-
-    try:
-        seed, reps = int(merged["seed"]), int(merged["reps"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"seed and reps must be integers: {exc}") from exc
-    if not (0 <= seed < 2 ** 64):
-        raise UsageError(f"seed must fit in 64 unsigned bits, got {seed}")
-    if reps < 2:
-        raise UsageError(f"reps must be at least 2, got {reps}")
-    fmt = merged["format"]
-    if fmt not in _FORMATS:
-        raise UsageError(f"unknown format {fmt!r}; choose from {_FORMATS}")
-
-    return RunConfig(
-        command=args.command,
-        dist_spec=str(merged["dist"]),
-        kernel_spec=str(merged["kernel"]),
-        n_list=_parse_n_list(merged["n"]),
-        h_grid=_parse_h_grid(merged["h_grid"]),
-        seed=seed,
-        replications=reps,
-        output_dir=Path(merged["out"]),
-        format=fmt,
-    )
+        field, parse, _ = _KEYS[key]
+        fields[field] = parse(default if value is None else value)
+    return RunConfig(command=args.command, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +320,12 @@ def svg_from_efficiency_csv(path: Path) -> str:
 def _emit(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: list,
           svg: Callable[[Path], str] | None = None, note: str = "") -> None:
     # Every file a command writes goes through here: the CSV, then, if the
-    # command charts under cfg.format, the SVG that `svg` draws from that file.
+    # command has a chart and cfg.format asks for it, the SVG that `svg`
+    # draws from that file.
     path = cfg.output_dir / f"{stem}.csv"
     _write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows{note})")
-    if cfg.format in _COMMANDS[cfg.command].svg_formats:
+    if svg is not None and cfg.format == "csv+svg":
         svg_path = path.with_suffix(".svg")
         _write_atomic(svg_path, svg(path))
         print(f"wrote {svg_path}")
@@ -331,6 +338,8 @@ def _emit(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: list,
 def cmd_mise_curve(cfg: RunConfig) -> int:
     dist = _parse_dist(cfg.dist_spec)
     kernel = _parse_kernel(cfg.kernel_spec)
+    if len(cfg.n_list) != 1:
+        raise UsageError(f"mise-curve takes one sample size, got {len(cfg.n_list)}")
     n = cfg.n_list[0]
     lo, hi, count = cfg.h_grid
     hs = np.linspace(lo, hi, count)
@@ -411,16 +420,14 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
     if cfg.replications < 100:
         raise UsageError(
             f"mc-validate needs at least 100 replications, got {cfg.replications}")
+    if not (0 <= cfg.seed < 2 ** 64):
+        raise UsageError(f"seed must fit in 64 unsigned bits, got {cfg.seed}")
     if bool(cfg.dist_spec) != bool(cfg.kernel_spec):
         raise UsageError("a custom validation run needs both --dist and --kernel")
 
-    if cfg.dist_spec:
-        lo, hi, count = cfg.h_grid
-        cells = [(cfg.dist_spec, cfg.kernel_spec, float(h), int(n))
-                 for h in np.linspace(lo, hi, count) for n in cfg.n_list]
-    else:
-        cells = [(d, k, h, n) for d, k in _MC_SUITE_PAIRS
-                 for h in _MC_SUITE_H for n in _MC_SUITE_N]
+    pairs = [(cfg.dist_spec, cfg.kernel_spec)] if cfg.dist_spec else _MC_SUITE_PAIRS
+    cells = [(d, k, float(h), int(n)) for d, k in pairs
+             for h in np.linspace(*cfg.h_grid) for n in cfg.n_list]
     # A bad spec is a usage error before any process starts.
     for dist_spec, kernel_spec in dict.fromkeys(cell[:2] for cell in cells):
         _parse_dist(dist_spec), _parse_kernel(kernel_spec)
@@ -484,38 +491,40 @@ def cmd_constants(cfg: RunConfig) -> int:
 
 @dataclass(frozen=True)
 class _Command:
-    """One subcommand: help line, handler, defaults and charting formats."""
+    """One subcommand: help line, handler, and the keys it takes with their defaults."""
 
     help: str
     run: Callable[[RunConfig], int]
-    dist: str = ""
-    kernel: str = ""
-    n: tuple[int, ...] = _SWEEP_N
-    h_grid: tuple[float, float, int] = (0.0, 1.0, 101)
-    svg_formats: tuple[str, ...] = ()  # the --format values that add SVGs
+    defaults: dict
 
+
+_SWEEP_DEFAULTS = {"dist": "jdlvp", "kernel": "trapezoidal", "n": _SWEEP_N,
+                   "out": ".", "format": "csv"}
 
 _COMMANDS = {
     "mise-curve": _Command(
         "exact IV/ISB/MISE along a bandwidth grid", cmd_mise_curve,
-        "jdlvp", "trapezoidal", (1000,), svg_formats=("csv+svg",)),
+        {"dist": "jdlvp", "kernel": "trapezoidal", "n": (1000,),
+         "h_grid": (0.0, 1.0, 101), "out": ".", "format": "csv"}),
     "optimal-bandwidth": _Command(
         "MISE-minimizing bandwidth for each sample size", cmd_optimal_bandwidth,
-        "jdlvp", "trapezoidal", _DECADES_N, svg_formats=("csv+svg",)),
+        {**_SWEEP_DEFAULTS, "n": _DECADES_N}),
     "efficiency-curve": _Command(
         "relative efficiency MISE(h_opt)/MISE(0) sweep", cmd_efficiency_curve,
-        "jdlvp", "trapezoidal", svg_formats=("csv+svg",)),
+        _SWEEP_DEFAULTS),
     "figure2": _Command(
         "bandwidth and efficiency sweeps for a band-limited target", cmd_figure2,
-        "jdlvp", svg_formats=_FORMATS),
+        {"dist": "jdlvp", "n": _SWEEP_N, "out": "."}),
     "figure3": _Command(
         "efficiency sweeps for the normal target, both kernels", cmd_figure3,
-        "normal:sigma=1", svg_formats=_FORMATS),
+        {"dist": "normal:sigma=1", "n": _SWEEP_N, "out": "."}),
+    # An empty --dist and --kernel run the suite pairs.
     "mc-validate": _Command(
         "Monte Carlo validation of the exact MISE formulas", cmd_mc_validate,
-        n=_MC_SUITE_N, h_grid=(0.0, 0.5, 3)),
+        {"dist": "", "kernel": "", "n": (50, 200), "h_grid": (0.0, 0.5, 3),
+         "seed": _DEFAULT_SEED, "reps": _DEFAULT_REPS, "out": "."}),
     "constants": _Command(
-        "catalog constants with quadrature cross-checks", cmd_constants, n=(1,)),
+        "catalog constants with quadrature cross-checks", cmd_constants, {}),
 }
 
 
@@ -533,15 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help, description=command.help)
-        sp.add_argument("--dist", help=f"target distribution ({_DIST_USAGE})")
-        sp.add_argument("--kernel", help=f"kernel ({', '.join(KERNEL_NAMES)})")
-        sp.add_argument("--n", help="comma-separated sample sizes")
-        sp.add_argument("--h-grid", dest="h_grid", help="bandwidth grid min:max:count")
-        sp.add_argument("--seed", help=f"master seed (default {_DEFAULT_SEED})")
-        sp.add_argument("--reps", help=f"Monte Carlo replications (default {_DEFAULT_REPS})")
-        sp.add_argument("--out", help="output directory (default current)")
-        sp.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
-        sp.add_argument("--config", help="JSON config file; explicit flags win")
+        for key in command.defaults:
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEYS[key][2])
+        if command.defaults:
+            sp.add_argument("--config", help="JSON config file; explicit flags win")
     return parser
 
 

@@ -122,7 +122,7 @@ class TestParserReuse:
         assert found < 50  # a new parser tree per call left about 500
 
     def test_shared_parser_survives_usage_errors(self, capsys, tmp_path):
-        argv = ["mise-curve", "--n", "10,20", "--out", str(tmp_path)]
+        argv = ["mise-curve", "--n", "10", "--out", str(tmp_path)]
         assert run_cli(["frobnicate"], capsys)[0] == 1
         assert run_cli(["mise-curve", "--format", "pdf"], capsys)[0] == 1
         assert cli.build_parser() is not cli.build_parser()
@@ -225,13 +225,15 @@ class TestMiseCurveCommand:
         first, second = [(d / "mise_curve.csv").read_bytes() for d in dirs]
         assert first == second
 
-    def test_first_sample_size_wins(self, capsys, tmp_path):
-        rc, out, _ = run_cli(["mise-curve", "--n", "50,99", "--h-grid", "0:0.5:2",
-                              "--out", str(tmp_path)], capsys)
-        assert rc == 0
-        assert "n=50" in out
-        _, rows = read_csv(tmp_path / "mise_curve.csv")
-        assert rows[0][1] == g17(JDLVP.psi_f / 50.0)
+    def test_more_than_one_sample_size_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n": [50, 99]}), encoding="utf-8")
+        for extra in (["--n", "50,99"], ["--config", str(path)]):
+            rc, out, err = run_cli(["mise-curve", *extra, "--h-grid", "0:0.5:2",
+                                    "--out", str(tmp_path)], capsys)
+            assert rc == 1
+            assert "mise-curve takes one sample size, got 2" in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_svg_output_is_pure_function_of_csv(self, capsys, tmp_path):
         rc, out, _ = run_cli(["mise-curve", "--h-grid", "0:1:11", "--n", "100",
@@ -442,6 +444,27 @@ class TestMcValidateCommand:
         assert (tmp_path / "a" / "mc_validate.csv").read_bytes() != \
             (tmp_path / "b" / "mc_validate.csv").read_bytes()
 
+    def test_suite_runs_on_n_and_h_grid(self, capsys, tmp_path):
+        rc, _, _ = run_cli(["mc-validate", "--n", "50", "--h-grid", "0.25:0.25:1",
+                            "--reps", "100", "--out", str(tmp_path)], capsys)
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "mc_validate.csv")
+        assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+            (dist, kernel, g17(0.25), "50") for dist, kernel in
+            (("jdlvp", "trapezoidal"), ("jdlvp", "sinc"),
+             ("normal:sigma=1", "normal"), ("normal:sigma=1", "sinc"))]
+
+    def test_default_grid_is_the_suite_grid(self, capsys, tmp_path):
+        runs = []
+        for name, grid in (("bare", []), ("grid", ["--n", "50,200", "--h-grid", "0:0.5:3"])):
+            out = tmp_path / name
+            rc, stdout, err = run_cli(["mc-validate", "--reps", "100", "--seed", "11",
+                                       *grid, "--out", str(out)], capsys)
+            runs.append((rc, stdout.replace(str(out), "OUT"), err,
+                         (out / "mc_validate.csv").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][3].count(b"\n") == 1 + 24
+
     def test_too_few_replications(self, capsys, tmp_path):
         rc, _, err = run_cli(["mc-validate", "--reps", "99",
                               "--out", str(tmp_path)], capsys)
@@ -543,8 +566,9 @@ class TestMcValidatePool:
 
 
 class TestConstantsCommand:
-    def test_catalog_values_and_cross_checks(self, capsys, tmp_path):
-        rc, out, err = run_cli(["constants", "--out", str(tmp_path)], capsys)
+    def test_catalog_values_and_cross_checks(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(["constants"], capsys)
         assert rc == 0
         for value in ("0.936711563594", "0.564189583548", "0.245922628243",
                       "0.318309886184", "0.86873086775", "0.8300918348"):
@@ -556,37 +580,37 @@ class TestConstantsCommand:
 
 
 class TestFilesWritten:
-    # command line, the CSVs it writes, and the --format values under
-    # which it also writes one SVG per CSV
+    # command line, the CSVs it writes, and for each of its runs (one per
+    # --format value, or one run without it) whether it adds one SVG per CSV
+    BOTH = {"csv": False, "csv+svg": True}
     CASES = {
-        "mise-curve": (["--h-grid", "0:1:3", "--n", "10"],
-                       ["mise_curve.csv"], ["csv+svg"]),
-        "optimal-bandwidth": (["--n", "10"], ["optimal_bandwidth.csv"], ["csv+svg"]),
-        "efficiency-curve": (["--n", "10"], ["efficiency_curve.csv"], ["csv+svg"]),
+        "mise-curve": (["--h-grid", "0:1:3", "--n", "10"], ["mise_curve.csv"], BOTH),
+        "optimal-bandwidth": (["--n", "10"], ["optimal_bandwidth.csv"], BOTH),
+        "efficiency-curve": (["--n", "10"], ["efficiency_curve.csv"], BOTH),
         "figure2": (["--n", "10"], ["figure2_bandwidth.csv", "figure2_efficiency.csv"],
-                    ["csv", "csv+svg"]),
-        "figure3": (["--n", "10"], ["figure3_efficiency.csv"], ["csv", "csv+svg"]),
+                    {None: True}),
+        "figure3": (["--n", "10"], ["figure3_efficiency.csv"], {None: True}),
         "mc-validate": (["--dist", "normal:sigma=1", "--kernel", "normal", "--n", "10",
                          "--h-grid", "0.3:0.3:1", "--reps", "100"],
-                        ["mc_validate.csv"], []),
-        "constants": ([], [], []),
+                        ["mc_validate.csv"], {None: False}),
+        "constants": ([], [], {None: False}),
     }
 
     @pytest.mark.parametrize("command", list(CASES))
-    def test_exact_file_set_per_format(self, command, capsys, tmp_path):
-        args, csvs, svg_formats = self.CASES[command]
-        written = {}
-        for fmt in ("csv", "csv+svg"):
-            out = tmp_path / fmt
+    def test_exact_file_set_per_format(self, command, capsys, tmp_path, monkeypatch):
+        args, csvs, runs = self.CASES[command]
+        written = []
+        for fmt, svg in runs.items():
+            out = tmp_path / str(fmt)
             out.mkdir()
-            rc, _, _ = run_cli([command, *args, "--format", fmt, "--out", str(out)],
-                               capsys)
+            monkeypatch.chdir(out)  # constants takes no --out
+            argv = [command, *args] + ([] if fmt is None else ["--format", fmt])
+            rc, _, _ = run_cli(argv + (["--out", str(out)] if csvs else []), capsys)
             assert rc == 0
-            svgs = [name.replace(".csv", ".svg") for name in csvs]
-            expected = set(csvs) | (set(svgs) if fmt in svg_formats else set())
-            assert {p.name for p in out.iterdir()} == expected
-            written[fmt] = {name: (out / name).read_bytes() for name in csvs}
-        assert written["csv"] == written["csv+svg"]
+            svgs = {name.replace(".csv", ".svg") for name in csvs}
+            assert {p.name for p in out.iterdir()} == set(csvs) | (svgs if svg else set())
+            written.append({name: (out / name).read_bytes() for name in csvs})
+        assert all(files == written[0] for files in written)
 
 
 class TestConfigFile:
@@ -638,3 +662,70 @@ class TestConfigFile:
                               str(tmp_path / "nope.json"),
                               "--out", str(tmp_path)], capsys)
         assert rc == 1
+
+
+class TestCommandKeys:
+    """Each command takes exactly its keys, as flags and as config keys."""
+
+    KEYS = ("dist", "kernel", "n", "h_grid", "seed", "reps", "out", "format")
+    TAKEN = {
+        "mise-curve": {"dist", "kernel", "n", "h_grid", "out", "format"},
+        "optimal-bandwidth": {"dist", "kernel", "n", "out", "format"},
+        "efficiency-curve": {"dist", "kernel", "n", "out", "format"},
+        "figure2": {"dist", "n", "out"},
+        "figure3": {"dist", "n", "out"},
+        "mc-validate": {"dist", "kernel", "n", "h_grid", "seed", "reps", "out"},
+        "constants": set(),
+    }
+    # a value of each key, and its RunConfig field and value, which no
+    # command has as its default
+    VALUES = {"dist": ("normal:sigma=2", "dist_spec", "normal:sigma=2"),
+              "kernel": ("sinc", "kernel_spec", "sinc"),
+              "n": ("50", "n_list", (50,)),
+              "h_grid": ("0:1:3", "h_grid", (0.0, 1.0, 3)),
+              "seed": ("7", "seed", 7),
+              "reps": ("300", "replications", 300),
+              "out": ("results", "output_dir", Path("results")),
+              "format": ("csv+svg", "format", "csv+svg")}
+
+    def test_slot_counts(self):
+        # --config comes with any key
+        flags = sum(len(keys) + bool(keys) for keys in self.TAKEN.values())
+        assert (flags, len(self.TAKEN) * 9 - flags) == (35, 28)
+        config_keys = sum(len(keys) for keys in self.TAKEN.values())
+        assert (config_keys, len(self.TAKEN) * 8 - config_keys) == (29, 27)
+
+    @pytest.mark.parametrize("command", list(TAKEN))
+    def test_flag_matrix(self, command, capsys):
+        taken = self.TAKEN[command] | ({"config"} if self.TAKEN[command] else set())
+        for key in (*self.KEYS, "config"):
+            flag, value = "--" + key.replace("_", "-"), self.VALUES.get(key, ("run.json",))[0]
+            if key in taken:
+                assert getattr(cli._parser().parse_args([command, flag, value]), key) == value
+            else:
+                rc, _, err = run_cli([command, flag, value], capsys)
+                assert rc == 1
+                assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("command", list(TAKEN))
+    def test_config_key_matrix(self, command, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        allowed = [key for key in self.KEYS if key in self.TAKEN[command]]
+        for key, (value, field, parsed) in self.VALUES.items():
+            path.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv = [command, "--config", str(path)]
+            if key in allowed:
+                cfg = cli._merge_config(cli._parser().parse_args(argv))
+                assert getattr(cfg, field) == parsed
+                continue
+            rc, _, err = run_cli(argv, capsys)
+            assert rc == 1
+            if allowed:
+                assert f"unknown config keys ['{key}']; allowed: {allowed}" in err
+            else:
+                assert f"unrecognized arguments: --config {path}" in err
+
+    def test_constants_help_lists_only_help(self, capsys):
+        rc, out, _ = run_cli(["constants", "--help"], capsys)
+        assert rc == 0
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == {"-h", "--help"}

@@ -50,9 +50,10 @@ for dist in (make_jdlvp(), make_jdlvp(0.5), make_normal(1.0), make_normal(2.0)):
 _ABSOLUTE_PREFIXES = ("h_opt", "bracket_")
 
 CASES: list[tuple[str, list[str]]] = [
+    (command, ["-c", _CLI, command]) for command in ("figure2", "figure3")
+] + [
     (f"{command} {fmt}", ["-c", _CLI, command, "--format", fmt])
-    for command in ("figure2", "figure3", "mise-curve", "optimal-bandwidth",
-                    "efficiency-curve")
+    for command in ("mise-curve", "optimal-bandwidth", "efficiency-curve")
     for fmt in ("csv", "csv+svg")
 ] + [
     (f"optimal-bandwidth {dist}+{kernel}",
