@@ -22,10 +22,11 @@ from cdf_mise.estimator import (
     monte_carlo_mise,
 )
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise_normal_sinc_closed
+from cdf_mise.mise import mise_normal_sinc_closed, mise_profile
 
 from oracles import (
     cos_tail_over_x2,
+    ise_energy_mpmath,
     ise_step_function_jdlvp,
     ise_step_function_normal,
     kernel_density,
@@ -273,6 +274,110 @@ class TestIse:
         for h in (0.1, 0.4, 1.3):
             assert ise(scaled, kernel, a * h, rescale(dist, a)) == pytest.approx(
                 a * ise(s, kernel, h, dist), rel=1e-12, abs=0.0)
+
+
+def fourier_route(sample, kernel, h, dist):
+    xs = sample.values
+    return estimator._ise_fourier(xs, kernel, h, dist,
+                                  estimator._fourier_pieces(xs, kernel, h, dist))
+
+
+def energy_route(sample, h, dist):
+    return estimator._ise_energy(sample.values, dist.scale, h)
+
+
+def rel_to(got, ref):
+    mp = pytest.importorskip("mpmath")
+    return float(abs(mp.mpf(got) - ref) / abs(ref))
+
+
+# The energy route against the 40-digit oracle.  It is not held to 1e-14:
+# with n >= 2 its two sums are O(sigma) and cancel to an ISE near
+# psi_f/n, as in the Cramer identity at h = 0, which is itself 1.2e-14
+# off a 40-digit evaluation at n = 200 (seed 7); summing the same pairs
+# in other row blocks moves an n = 60 value by 1.1e-13.
+ENERGY_GATE = 1e-12
+
+
+class TestIseEnergy:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 5, 50, 200])
+    @pytest.mark.parametrize("h_over", [("abs", 1e-4), ("abs", 1e-2), ("abs", 0.25),
+                                        ("abs", 1.0), ("sigma", 4.0)],
+                             ids=["1e-4", "1e-2", "0.25", "1", "4sigma"])
+    def test_matches_mpmath(self, sigma, n, h_over):
+        kind, value = h_over
+        h = value * sigma if kind == "sigma" else value
+        dist = make_normal(sigma)
+        s = draw_sample(dist, n, 7)
+        got = ise(s, NORMAL_K, h, dist)
+        # the whole grid lies on the energy side of the crossover
+        assert got == energy_route(s, h, dist)
+        assert rel_to(got, ise_energy_mpmath(s.values, sigma, h)) <= ENERGY_GATE
+
+    @pytest.mark.parametrize("sigma,n,h,energy", [
+        (1.0, 400, 0.5, True), (1.0, 400, 2.0, False),
+        (2.0, 50, 2.0, True), (2.0, 1000, 2.0, False),
+    ])
+    def test_routes_agree_across_crossover(self, sigma, n, h, energy):
+        dist = make_normal(sigma)
+        s = draw_sample(dist, n, 7)
+        by_energy = energy_route(s, h, dist)
+        by_fourier = fourier_route(s, NORMAL_K, h, dist)
+        assert ise(s, NORMAL_K, h, dist) == (by_energy if energy else by_fourier)
+        assert by_energy == pytest.approx(by_fourier, rel=ENERGY_GATE, abs=0.0)
+
+    def test_small_bandwidth_needs_no_panels(self, monkeypatch):
+        # At h = 1e-3 the Fourier route would need some 7 * 10^4 nodes per
+        # sample point; the energy route takes the cell with no panel rule.
+        s = draw_sample(NORMAL1, 50, 7)
+        expected = ise(s, NORMAL_K, 1e-3, NORMAL1)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("gauss_panels called")
+
+        monkeypatch.setattr(estimator, "gauss_panels", refuse)
+        with pytest.raises(RuntimeError, match="gauss_panels called"):
+            fourier_route(s, NORMAL_K, 1e-3, NORMAL1)
+        assert ise(s, NORMAL_K, 1e-3, NORMAL1) == expected
+        assert rel_to(expected, ise_energy_mpmath(s.values, 1.0, 1e-3)) <= ENERGY_GATE
+
+    def test_row_blocks_sum_the_same_pairs(self, monkeypatch):
+        # only the order of summation changes: 2 rows a block, not all 60
+        s = draw_sample(NORMAL1, 60, 3)
+        whole = energy_route(s, 0.3, NORMAL1)
+        monkeypatch.setattr(estimator, "_PAIR_BLOCK", 120)
+        assert energy_route(s, 0.3, NORMAL1) == pytest.approx(whole, rel=ENERGY_GATE, abs=0.0)
+
+    def test_extreme_bandwidths_stay_finite(self):
+        s = draw_sample(NORMAL1, 20, 5)
+        # below the float range of d/h the pair terms are d; above it
+        # F_nh is flat and the ISE grows like sqrt(2/pi) h (1 - 1/sqrt 2)
+        tiny = ise(s, NORMAL_K, 1e-310, NORMAL1)
+        assert tiny == pytest.approx(ise(s, NORMAL_K, 0.0, NORMAL1), rel=1e-13, abs=0.0)
+        huge = ise(s, NORMAL_K, 1e200, NORMAL1)
+        limit = math.sqrt(2.0 / math.pi) * (1.0 - 1.0 / math.sqrt(2.0)) * 1e200
+        assert huge == pytest.approx(limit, rel=1e-12, abs=0.0)
+
+
+class TestSincTail:
+    # The ISE's sample-free tail past the Fourier cutoff T is the sinc
+    # kernel's B(1/T), from the ISB half of the fixed rule alone.
+    @pytest.mark.parametrize("dist,kernel,h,rules", [
+        (make_jdlvp(0.5), TRAP, 1.0, 1), (JDLVP, SINC, 0.7, 1), (NORMAL1, SINC, 0.5, 0),
+    ], ids=["jdlvp:scale=0.5+trapezoidal", "jdlvp+sinc", "normal+sinc"])
+    def test_equals_profile_bits(self, dist, kernel, h, rules, monkeypatch):
+        cutoff = min(kernel.ft_support_end, 8.0) / h
+        assert cutoff < dist.d_f
+        expected = mise_profile(dist, SINC, [1.0 / cutoff])[1][0]
+        mise_module = importlib.import_module("cdf_mise.mise")
+        rule = mise_module._rule_on_panels
+        calls = []
+        monkeypatch.setattr(mise_module, "_rule_on_panels",
+                            lambda *args: calls.append(1) or rule(*args))
+        assert estimator._sinc_tail(dist, cutoff) == expected
+        assert len(calls) == rules
 
 
 class TestMonteCarloMise:
