@@ -12,14 +12,13 @@ by Parseval it is pi^-1 int_0^inf t^-2 |phi_k(t h) phi_n(t) - phi_f(t)|^2 dt
 with phi_n the empirical characteristic function, cut at t h =
 ft_support_end, or at t h = 8 for the normal kernel, which drops at
 most 2 e^-32 h / 8; the sample-free rest past the cut is a sinc-kernel
-ISB, by the ISB half of the ``mise_profile`` rule.  Its cost grows with
-n max|X_j| / h.  The normal kernel on a normal target also has an
-energy route: F_nh is then the CDF of a normal mixture, and Cramer's
-(energy-distance) identity gives the ISE in closed form from O(n^2)
-pair terms at every h; ``ise`` takes whichever route costs less.  At
-h = 0 the ISE of the step function F_n is Cramer's identity, exact in
-O(n) through the target's mean absolute deviation E|x - X|.  No ISE
-calls QUADPACK.
+ISB from ``mise_profile``.  Its cost grows with n max|X_j| / h.  The
+normal kernel on a normal target takes an energy route instead: F_nh is
+then the CDF of a normal mixture, and Cramer's (energy-distance)
+identity gives the ISE in closed form from O(n^2) pair terms, at a cost
+that does not depend on h.  At h = 0 the ISE of the step function F_n
+is Cramer's identity, exact in O(n) through the target's mean absolute
+deviation E|x - X|.  No ISE calls QUADPACK.
 
 Sinc estimates are reported as-is: they may leave [0, 1] slightly and
 are neither clipped nor monotonized, since the exact-MISE identities
@@ -36,7 +35,7 @@ import scipy.special
 
 from .distributions import TargetDistribution, sample as draw_values
 from .kernels import Kernel, kernel_by_name
-from .mise import _isb_profile, _validate_h
+from .mise import _validate_h, mise_profile
 from .numerics import gauss_panels
 
 __all__ = [
@@ -60,16 +59,10 @@ _NORMAL_FT_CUTOFF = 8.0
 # 1 to 200.
 _PANEL_WIDTH = 1.5
 
-# The energy route of the normal kernel is taken while its n(n-1)/2 pair
-# terms number at most this many times the Fourier route's nodes times
-# n.  One pair term costs 11-20 ns and one node per sample point 16-36
-# ns (n from 50 to 1000, h from 0.01 to 2, sigma = 1; numpy 2.4 and
-# scipy 1.17 on a shared 2-vCPU x86-64 box), so their ratio is 1.4.
-_PAIR_PER_NODE = 1.4
-
-# Elements of one row block of the energy route's pair differences: a
+# Elements of one row block of the energy route's pair differences.  A
+# block is whole rows, so it holds at most max(2^16, n - 1) elements: a
 # sample of up to 256 points takes one block, and every temporary array
-# of a block stays under 0.6 MB.
+# of a block stays under 0.6 MB up to n = 65537 and 8 n bytes past it.
 _PAIR_BLOCK = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,15 +148,15 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     ft_support_end/h (8/h for the normal kernel) 7-point Gauss panels,
     split at every knot of phi_k(t h) and phi_f, resolve the fastest
     oscillation of phi_n; beyond T only the sample-free pi^-1
-    int_T^d_f phi_f^2 / t^2 dt is left, which is the ISB B(1/T) of
-    the sinc kernel, with the bits of ``mise_profile``'s.  The normal
-    kernel's cutoff drops at most 2 e^-32 h / 8.  The panels are at
-    most 1.5/max|X_j| wide, so this route costs O(n max|X_j| / h).
+    int_T^d_f phi_f(t)^2 / t^2 dt is left, which is the ISB B(1/T) of
+    the sinc kernel, taken from ``mise_profile``.  The normal kernel's
+    cutoff drops at most 2 e^-32 h / 8.  The panels are at most
+    1.5/max|X_j| wide, so this route costs O(n max|X_j| / h).
 
-    The normal kernel on a normal target N(0, s^2) has a second route,
-    taken while it is the cheaper one.  There F_nh is the CDF of the
-    mixture n^-1 sum_j N(X_j, h^2), so Cramer's (energy) identity holds
-    at every h, with every term in closed form through
+    The normal kernel on a normal target N(0, s^2) takes another route,
+    whose cost does not depend on h or on max|X_j|.  There F_nh is the
+    CDF of the mixture n^-1 sum_j N(X_j, h^2), so Cramer's (energy)
+    identity holds at every h, with every term in closed form through
     g(m, r) = E|m + r Z|:
 
         ISE = n^-1 sum_j g(X_j, sqrt(s^2 + h^2))
@@ -180,10 +173,13 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
 
     So one point X_1 near 0 at h near s, whose ISE is near 0, keeps its
     relative accuracy; with more points the two sums are O(s) and cancel
-    to an ISE near psi(F)/n, as in the h = 0 identity below.  The pair
-    sum costs O(n^2) whatever h is, in row blocks that bound its memory.
-    ``ise`` takes this route while its n(n-1)/2 pairs number at most 1.4
-    times the Fourier route's nodes times n, its measured cost ratio.
+    to an ISE near psi(F)/n, as in the h = 0 identity below.  This
+    route is within 1e-12 relative of the identity summed at 40 digits
+    for n up to 200 (h from 1e-4 to 4 s), and of the Fourier route for n
+    up to 2000.  The pair sum costs O(n^2) whatever h is, in row blocks
+    that bound its memory: 6 to 15 ms a replication at n = 1000 (h from 2
+    down to 0.05; numpy 2.4 on a shared 2-vCPU x86-64 box), where the
+    Fourier route, O(n / h), is the faster one from h near 0.3 on.
 
     At h = 0 the ISE of the step function F_n is Cramer's identity
 
@@ -198,40 +194,23 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
         n = sample.n
         ranks = np.arange(1 - n, n, 2, dtype=float)
         return float(np.mean(dist.mean_abs_dev(xs)) - (ranks @ xs) / (n * n) - dist.psi_f)
-    pieces = _fourier_pieces(xs, kernel, h, dist)
     if kernel.name == "normal" and dist.family == "normal":
-        n = sample.n
-        nodes = 7.0 * sum(count for _, _, count in pieces)  # 7-point Gauss
-        if n * (n - 1) / 2 <= _PAIR_PER_NODE * nodes * n:
-            return _ise_energy(xs, dist.scale, h)
-    return _ise_fourier(xs, kernel, h, dist, pieces)
+        return _ise_energy(xs, dist.scale, h)
 
-
-def _fourier_pieces(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribution):
-    # The Fourier route's range (0, T), split at every knot, as triples
-    # (a, b, (b - a)/step) of a piece and its panel count before rounding
-    # up.  phi_n oscillates at frequencies up to max|X_j|, and the
-    # Gaussian factors phi_f^2 and phi_k(t h)^2 fall off on the scales
-    # 1/sigma and 1/h.  Past a knot a > 0 the piece no longer vanishes at
-    # t = 0, so the pole of t^-2 limits each panel there to a quarter of a.
     cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
     knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
     bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
+    # phi_n oscillates at frequencies up to max|X_j|, and the Gaussian
+    # factors phi_f^2 and phi_k(t h)^2 fall off on the scales 1/sigma
+    # and 1/h.  Past a knot a > 0 the piece no longer vanishes at t = 0,
+    # so the pole of t^-2 limits each panel there to a quarter of a.
     width = _PANEL_WIDTH / max(float(np.max(np.abs(xs))),
                                2.0 * math.sqrt(dist.variance), 2.0 * h)
     pieces = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         step = min(width, a / 4.0) if a > 0.0 else width
-        pieces.append((a, b, (b - a) / step))
-    return pieces
-
-
-def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribution,
-                 pieces) -> float:
-    # The Fourier route of ise on the pieces of _fourier_pieces.
-    cutoff = pieces[-1][1]
-    edges = np.append(np.concatenate(
-        [np.linspace(a, b, math.ceil(count) + 1)[:-1] for a, b, count in pieces]), cutoff)
+        pieces.append(np.linspace(a, b, math.ceil((b - a) / step) + 1)[:-1])
+    edges = np.append(np.concatenate(pieces), cutoff)
 
     def sq_diff(t: np.ndarray) -> np.ndarray:
         tx = t[:, None] * xs[None, :]
@@ -240,15 +219,12 @@ def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribut
         im = p * np.sin(tx).mean(axis=1)
         return (re * re + im * im) / (t * t)
 
-    return gauss_panels(sq_diff, edges, chunk=64) / math.pi + _sinc_tail(dist, cutoff)
-
-
-def _sinc_tail(dist: TargetDistribution, cutoff: float) -> float:
-    # pi^-1 int_T^d_f phi_f^2 / t^2 dt.  The sinc kernel at bandwidth 1/T
-    # has phi_k = 1 up to T and 0 beyond, so this is its ISB B(1/T).
-    if cutoff >= dist.d_f:
-        return 0.0
-    return float(_isb_profile(dist, _SINC, [1.0 / cutoff])[0])
+    tail = 0.0
+    if cutoff < dist.d_f:
+        # The sinc kernel at bandwidth 1/T has phi_k = 1 up to T and 0
+        # beyond, so pi B(1/T) = int_T^d_f phi_f^2 / t^2.
+        tail = float(mise_profile(dist, _SINC, [1.0 / cutoff])[1][0])
+    return gauss_panels(sq_diff, edges, chunk=64) / math.pi + tail
 
 
 def _ise_energy(xs: np.ndarray, sigma: float, h: float) -> float:

@@ -357,24 +357,20 @@ def _target_end(dist: TargetDistribution):
             [dist.scale])
 
 
-def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray,
-                    with_iv: bool = True):
+def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
     # The panels of both displays on bandwidths h > 0: (lo, hi, cell) of
     # the IV on (0, min(ft_support_end/h, t_end)), then of the ISB on
     # (s_k/h, t_end) for the cells where that range is not empty.
-    # Without the IV its panels are empty; each row's panels do not
-    # depend on the other rows, so the ISB's carry the same bits.
     t_end, _, knots, rates = _target_end(dist)
-    iv = np.arange(hs.size if with_iv else 0)
     isb = np.flatnonzero(kernel.s_k / hs < t_end)
-    cells = np.concatenate([iv, isb])
+    cells = np.concatenate([np.arange(hs.size), isb])
     h = hs[cells]
-    lo = np.concatenate([np.zeros(iv.size), kernel.s_k / hs[isb]])
-    hi = np.concatenate([np.minimum(kernel.ft_support_end / hs[iv], t_end),
+    lo = np.concatenate([np.zeros(hs.size), kernel.s_k / hs[isb]])
+    hi = np.concatenate([np.minimum(kernel.ft_support_end / hs, t_end),
                          np.full(isb.size, t_end)])
     p_lo, p_hi, row = _panels(lo, hi, [k / h for k in kernel.ft_knots] + knots,
                               rates + ([h] if kernel.name == "normal" else []))
-    split = np.searchsorted(row, iv.size)
+    split = np.searchsorted(row, hs.size)
     return ((p_lo[:split], p_hi[:split], cells[row[:split]]),
             (p_lo[split:], p_hi[split:], cells[row[split:]]))
 
@@ -414,50 +410,19 @@ def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
         pp = p * p / (t * t)
         return pp * (1.0 - q * q), pp * q * q
 
-    iv_panels, isb_panels = _profile_panels(dist, kernel, hs)
-    a, a_err = _rule_on_panels(iv, iv_panels, hs)
-    b, b_err = _isb_rule(dist, kernel, hs, isb_panels)
-    # Once 1 - phi_f^2 = 1 the IV is finished in closed form.
-    tail = np.zeros(hs.size)
-    past = t_end < kernel.ft_support_end / hs
-    tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
-    return tail + a, b, cut + _ROUNDING * tail + a_err, cut + b_err
-
-
-def _isb_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray, panels):
-    # The ISB half of _fixed_rule on the ISB panels of _profile_panels:
-    # pi B and its bound, without the normal target's cut tail.
     def isb(t, h):
         p = kernel.ft(t * h)
         qq = dist.cf(t) ** 2 / (t * t)
         return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
 
-    return _rule_on_panels(isb, panels, hs)
-
-
-def _linear(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray) -> np.ndarray:
-    # The cells on the linear segment, with h = 0 on it; h d_f is only
-    # formed for a finite d_f, since 0 inf is nan.
-    linear = hs == 0.0
-    if math.isfinite(dist.d_f):
-        linear |= hs * dist.d_f <= kernel.s_k
-    return linear
-
-
-def _isb_profile(dist: TargetDistribution, kernel: Kernel, hs) -> np.ndarray:
-    # B = ISB alone on an array of bandwidths, with the bits of
-    # mise_profile's B: the same routes, but the quadrature cells run
-    # only the ISB half of the fixed rule.
-    hs = np.asarray(hs, dtype=float)
-    rest = ~_linear(dist, kernel, hs)
-    b = np.zeros(hs.size)
-    route = _closed_form(dist, kernel)
-    if route is not None:
-        b[rest] = _CLOSED_FORMS[route](dist.scale, hs[rest], 1)[1]
-    elif rest.any():
-        panels = _profile_panels(dist, kernel, hs[rest], with_iv=False)[1]
-        b[rest] = _isb_rule(dist, kernel, hs[rest], panels)[0] / math.pi
-    return b
+    iv_panels, isb_panels = _profile_panels(dist, kernel, hs)
+    a, a_err = _rule_on_panels(iv, iv_panels, hs)
+    b, b_err = _rule_on_panels(isb, isb_panels, hs)
+    # Once 1 - phi_f^2 = 1 the IV is finished in closed form.
+    tail = np.zeros(hs.size)
+    past = t_end < kernel.ft_support_end / hs
+    tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
+    return tail + a, b, cut + _ROUNDING * tail + a_err, cut + b_err
 
 
 def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
@@ -492,7 +457,11 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
         raise ValueError("hs must be a one-dimensional array of bandwidths")
     if not np.all((hs == 0.0) | ((hs >= _H_MIN) & (hs <= _H_MAX))):
         raise ValueError(_H_RANGE)
-    linear = _linear(dist, kernel, hs)
+    # the linear segment, with h = 0 on it; h d_f is only formed for a
+    # finite d_f, since 0 inf is nan
+    linear = hs == 0.0
+    if math.isfinite(dist.d_f):
+        linear |= hs * dist.d_f <= kernel.s_k
     rest = ~linear
     a = np.zeros(hs.size)
     b = np.zeros(hs.size)

@@ -22,7 +22,7 @@ from cdf_mise.estimator import (
     monte_carlo_mise,
 )
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise_normal_sinc_closed, mise_profile
+from cdf_mise.mise import mise_normal_sinc_closed
 
 from oracles import (
     cos_tail_over_x2,
@@ -276,12 +276,6 @@ class TestIse:
                 a * ise(s, kernel, h, dist), rel=1e-12, abs=0.0)
 
 
-def fourier_route(sample, kernel, h, dist):
-    xs = sample.values
-    return estimator._ise_fourier(xs, kernel, h, dist,
-                                  estimator._fourier_pieces(xs, kernel, h, dist))
-
-
 def energy_route(sample, h, dist):
     return estimator._ise_energy(sample.values, dist.scale, h)
 
@@ -306,42 +300,31 @@ class TestIseEnergy:
     @pytest.mark.parametrize("h_over", [("abs", 1e-4), ("abs", 1e-2), ("abs", 0.25),
                                         ("abs", 1.0), ("sigma", 4.0)],
                              ids=["1e-4", "1e-2", "0.25", "1", "4sigma"])
-    def test_matches_mpmath(self, sigma, n, h_over):
+    def test_matches_mpmath(self, sigma, n, h_over, monkeypatch):
         kind, value = h_over
         h = value * sigma if kind == "sigma" else value
         dist = make_normal(sigma)
         s = draw_sample(dist, n, 7)
-        got = ise(s, NORMAL_K, h, dist)
-        # the whole grid lies on the energy side of the crossover
-        assert got == energy_route(s, h, dist)
-        assert rel_to(got, ise_energy_mpmath(s.values, sigma, h)) <= ENERGY_GATE
-
-    @pytest.mark.parametrize("sigma,n,h,energy", [
-        (1.0, 400, 0.5, True), (1.0, 400, 2.0, False),
-        (2.0, 50, 2.0, True), (2.0, 1000, 2.0, False),
-    ])
-    def test_routes_agree_across_crossover(self, sigma, n, h, energy):
-        dist = make_normal(sigma)
-        s = draw_sample(dist, n, 7)
-        by_energy = energy_route(s, h, dist)
-        by_fourier = fourier_route(s, NORMAL_K, h, dist)
-        assert ise(s, NORMAL_K, h, dist) == (by_energy if energy else by_fourier)
-        assert by_energy == pytest.approx(by_fourier, rel=ENERGY_GATE, abs=0.0)
-
-    def test_small_bandwidth_needs_no_panels(self, monkeypatch):
-        # At h = 1e-3 the Fourier route would need some 7 * 10^4 nodes per
-        # sample point; the energy route takes the cell with no panel rule.
-        s = draw_sample(NORMAL1, 50, 7)
-        expected = ise(s, NORMAL_K, 1e-3, NORMAL1)
 
         def refuse(*args, **kwargs):
             raise RuntimeError("gauss_panels called")
 
+        # the energy route needs no panel rule, however small h is
         monkeypatch.setattr(estimator, "gauss_panels", refuse)
-        with pytest.raises(RuntimeError, match="gauss_panels called"):
-            fourier_route(s, NORMAL_K, 1e-3, NORMAL1)
-        assert ise(s, NORMAL_K, 1e-3, NORMAL1) == expected
-        assert rel_to(expected, ise_energy_mpmath(s.values, 1.0, 1e-3)) <= ENERGY_GATE
+        got = ise(s, NORMAL_K, h, dist)
+        assert got == energy_route(s, h, dist)
+        assert rel_to(got, ise_energy_mpmath(s.values, sigma, h)) <= ENERGY_GATE
+
+    @pytest.mark.parametrize("sigma,n,h", [
+        (1.0, 400, 0.5), (1.0, 400, 2.0), (2.0, 50, 2.0), (2.0, 1000, 2.0), (1.0, 2000, 0.5),
+    ])
+    def test_agrees_with_fourier_route(self, sigma, n, h):
+        # the same target under another family name takes the Fourier route
+        dist = make_normal(sigma)
+        by_fourier = dataclasses.replace(dist, family="normal, by Fourier")
+        s = draw_sample(dist, n, 7)
+        assert ise(s, NORMAL_K, h, dist) == pytest.approx(
+            ise(s, NORMAL_K, h, by_fourier), rel=ENERGY_GATE, abs=0.0)
 
     def test_row_blocks_sum_the_same_pairs(self, monkeypatch):
         # only the order of summation changes: 2 rows a block, not all 60
@@ -359,25 +342,6 @@ class TestIseEnergy:
         huge = ise(s, NORMAL_K, 1e200, NORMAL1)
         limit = math.sqrt(2.0 / math.pi) * (1.0 - 1.0 / math.sqrt(2.0)) * 1e200
         assert huge == pytest.approx(limit, rel=1e-12, abs=0.0)
-
-
-class TestSincTail:
-    # The ISE's sample-free tail past the Fourier cutoff T is the sinc
-    # kernel's B(1/T), from the ISB half of the fixed rule alone.
-    @pytest.mark.parametrize("dist,kernel,h,rules", [
-        (make_jdlvp(0.5), TRAP, 1.0, 1), (JDLVP, SINC, 0.7, 1), (NORMAL1, SINC, 0.5, 0),
-    ], ids=["jdlvp:scale=0.5+trapezoidal", "jdlvp+sinc", "normal+sinc"])
-    def test_equals_profile_bits(self, dist, kernel, h, rules, monkeypatch):
-        cutoff = min(kernel.ft_support_end, 8.0) / h
-        assert cutoff < dist.d_f
-        expected = mise_profile(dist, SINC, [1.0 / cutoff])[1][0]
-        mise_module = importlib.import_module("cdf_mise.mise")
-        rule = mise_module._rule_on_panels
-        calls = []
-        monkeypatch.setattr(mise_module, "_rule_on_panels",
-                            lambda *args: calls.append(1) or rule(*args))
-        assert estimator._sinc_tail(dist, cutoff) == expected
-        assert len(calls) == rules
 
 
 class TestMonteCarloMise:

@@ -79,9 +79,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate jdlvp:scale=0.5+trapezoidal",
      ["-c", _CLI, "mc-validate", "--reps", "100", "--seed", "7", "--dist", "jdlvp:scale=0.5",
       "--kernel", "trapezoidal", "--h-grid", "0:2:3", "--n", "50"]),
-    # the normal kernel on a scaled normal target: the ISE takes its
-    # energy route at n = 50 and at h = 0.05, its Fourier route at
-    # n = 1000 for h = 1.025 and 2, past the crossover
+    # the normal kernel on a scaled normal target, whose ISE takes the
+    # energy route, at n = 1000 too
     ("mc-validate normal:sigma=2+normal",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=2", "--kernel", "normal",
       "--h-grid", "0.05:2:3", "--n", "50,1000", "--reps", "100"]),
