@@ -74,7 +74,7 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Upper end of the bandwidth optimizer's search window."""
+    """Upper end of a target's bandwidth search window."""
 
     h_max: float
 
@@ -138,7 +138,10 @@ class SandwichReport:
 
 
 def default_search(dist: TargetDistribution) -> SearchConfig:
-    """Search window wide enough to contain every catalog optimum."""
+    """dist's search window [0, h_max]: 8a for jdlvp, 4 sigma for normal.
+
+    Optima fall with n; at n = 1 no catalog pair's exceeds 0.47 h_max.
+    """
     return SearchConfig(h_max=(4.0 if dist.family == "normal" else 8.0) * dist.scale)
 
 
@@ -155,18 +158,17 @@ def _scan(values: np.ndarray) -> np.ndarray:
     return np.argmax(values <= low + _TIE * low, axis=-1)
 
 
-def _search(dist: TargetDistribution, kernel: Kernel, n_values,
-            search: SearchConfig | None) -> tuple[BandwidthResult, ...]:
-    # The body of both public searches; each calls it directly, so
+def _search(dist: TargetDistribution, kernel: Kernel,
+            n_values) -> tuple[BandwidthResult, ...]:
+    # The body of every public search; each calls it directly, so
     # stacklevel=3 points a warning at the line that called the search.
-    if search is None:
-        search = default_search(dist)
+    h_max = default_search(dist).h_max
     ns = tuple(int(n) for n in n_values)
     if any(n < 1 for n in ns):
         raise ValueError(f"sample sizes must be >= 1, got {ns}")
     if not ns:
         return ()
-    grid = _search_grid(search.h_max)
+    grid = _search_grid(h_max)
     n = np.array(ns, dtype=float)[:, None]
     a, b, _ = mise_profile(dist, kernel, grid)
     values = a / n + b
@@ -195,11 +197,11 @@ def _search(dist: TargetDistribution, kernel: Kernel, n_values,
         h = float(h_opt[i])
         if h == 0.0:
             flag = "at_zero"
-        elif h >= search.h_max - _REFINE_TOL:
+        elif h >= h_max - _REFINE_TOL:
             flag = "at_upper_bracket"
             warnings.warn(
                 f"bandwidth optimum {h:.6g} sits at the search bound "
-                f"h_max={search.h_max:.6g}; enlarge the search window",
+                f"h_max={h_max:.6g}",
                 stacklevel=3)
         else:
             flag = "interior"
@@ -217,30 +219,28 @@ def _search(dist: TargetDistribution, kernel: Kernel, n_values,
     return tuple(results)
 
 
-def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel, n_values,
-                       search: SearchConfig | None = None
-                       ) -> tuple[BandwidthResult, ...]:
-    """Global MISE minimizers over [0, h_max], one per sample size.
+def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel,
+                       n_values) -> tuple[BandwidthResult, ...]:
+    """Global MISE minimizers over dist's window, one per sample size.
 
     A dense log-spaced scan (plus the h = 0 candidate) locates the best
     grid cell, and a zoom shrinks the bracket of its two neighbours to a
     width of at most 1e-6; a bracket that needed zooming ends wider than
     2.5e-7.  Both run on the fixed-rule ``mise_profile`` alone: the grid
     is evaluated once for all n, and each zoom level evaluates every n's
-    open bracket in one call.  Each result equals a single-n search.  A
-    minimizer landing at h_max is flagged at_upper_bracket and warned
-    about, once per such n, never silently returned as interior.  One
+    open bracket in one call.  Each result equals a single-n search.  The
+    window is ``default_search(dist)``.  A minimizer landing at h_max is
+    flagged at_upper_bracket and warned about, once per such n.  One
     DEBUG record per n goes to the ``cdf_mise.bandwidth`` logger: the
     pair, n, the grid size and the profile cells the search evaluated
     (the grid plus its zoom).
     """
-    return _search(dist, kernel, n_values, search)
+    return _search(dist, kernel, n_values)
 
 
-def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int,
-                      search: SearchConfig | None = None) -> BandwidthResult:
-    """Global MISE minimizer over [0, h_max]: ``optimal_bandwidths`` at one n."""
-    return _search(dist, kernel, (n,), search)[0]
+def optimal_bandwidth(dist: TargetDistribution, kernel: Kernel, n: int) -> BandwidthResult:
+    """Global MISE minimizer over dist's window: ``optimal_bandwidths`` at one n."""
+    return _search(dist, kernel, (n,))[0]
 
 
 def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
@@ -301,10 +301,9 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
     return sorted(1.0 / u for u in roots_u)
 
 
-def relative_efficiency(dist: TargetDistribution, kernel: Kernel, n: int,
-                        search: SearchConfig | None = None) -> float:
-    """MISE(h_0n)/MISE(0); at most 1 because h = 0 is a scan candidate."""
-    res = optimal_bandwidth(dist, kernel, n, search)
+def relative_efficiency(dist: TargetDistribution, kernel: Kernel, n: int) -> float:
+    """MISE(h_0n)/MISE(0) on dist's window; at most 1, since h = 0 is scanned."""
+    res = _search(dist, kernel, (n,))[0]
     return res.mise_at_opt / (dist.psi_f / n)
 
 
@@ -319,11 +318,10 @@ def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> 
     return 1.0 - kernel.psi_k_analytic * kernel.s_k / (dist.psi_f * dist.d_f)
 
 
-def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values,
-                     search: SearchConfig | None = None) -> EfficiencyCurve:
-    """Optimal bandwidth and relative efficiency at each sample size."""
+def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values) -> EfficiencyCurve:
+    """Optimal bandwidth and relative efficiency at each sample size, on dist's window."""
     ns = tuple(int(n) for n in n_values)
-    results = optimal_bandwidths(dist, kernel, ns, search)
+    results = _search(dist, kernel, ns)
     return EfficiencyCurve(
         n_values=ns,
         h_opt=tuple(res.h_opt for res in results),
@@ -336,15 +334,15 @@ def _bound_ratio(num: float, den: float) -> float:
     return 0.0 if math.isinf(den) else num / den
 
 
-def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
-                             search: SearchConfig | None = None) -> SandwichReport:
+def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel,
+                             n_list) -> SandwichReport:
     """Verify the optimal-bandwidth sandwich along a sample-size sweep.
 
-    Every finite-n optimum must sit above the limit s_k/d_f (up to the
-    refinement tolerance); when s_k > 0 and d_f < inf, the largest-n
-    optimum must lie within _LIMIT_TOL = 0.2 of that limit and below the
-    complementary bound min{s_k/c_f, t_k/d_f} + _LIMIT_TOL.  Violations
-    are itemized in the report messages.
+    Every finite-n optimum on dist's window must sit above the limit
+    s_k/d_f (up to the refinement tolerance); when s_k > 0 and d_f <
+    inf, the largest-n optimum must lie within _LIMIT_TOL = 0.2 of that
+    limit and below the complementary bound min{s_k/c_f, t_k/d_f} +
+    _LIMIT_TOL.  Violations are itemized in the report messages.
     """
     ns = sorted(int(n) for n in n_list)
     if not ns:
@@ -353,7 +351,7 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel, n_list,
     lower = 0.0 if kernel.s_k == 0.0 or math.isinf(dist.d_f) else kernel.s_k / dist.d_f
     upper = min(_bound_ratio(kernel.s_k, dist.c_f), _bound_ratio(kernel.t_k, dist.d_f))
 
-    hs = [res.h_opt for res in optimal_bandwidths(dist, kernel, ns, search)]
+    hs = [res.h_opt for res in _search(dist, kernel, ns)]
     messages: list[str] = []
     for n, h in zip(ns, hs):
         if h < lower - _REFINE_TOL:

@@ -59,6 +59,12 @@ _NORMAL_FT_CUTOFF = 8.0
 # 1 to 200.
 _PANEL_WIDTH = 1.5
 
+# Most panels one Fourier ISE may take: 2^22 panels are 34 MB of edges.
+# The default mc-validate cells take 3 to 237, and jdlvp+normal at
+# n = 200, h = 1e-4 takes 2.4e5 to 5.5e5; at n = 50, h = 1e-8 it would
+# take 2e9, so the count is checked before anything is allocated.
+_MAX_PANELS = 1 << 22
+
 # Elements of one row block of the energy route's pair differences.  A
 # block is whole rows, so it holds at most max(2^16, n - 1) elements: a
 # sample of up to 256 points takes one block, and every temporary array
@@ -151,7 +157,8 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     int_T^d_f phi_f(t)^2 / t^2 dt is left, which is the ISB B(1/T) of
     the sinc kernel, taken from ``mise_profile``.  The normal kernel's
     cutoff drops at most 2 e^-32 h / 8.  The panels are at most
-    1.5/max|X_j| wide, so this route costs O(n max|X_j| / h).
+    1.5/max|X_j| wide, so this route costs O(n max|X_j| / h); it raises
+    ValueError, before allocating, where it would need over 2^22 panels.
 
     The normal kernel on a normal target N(0, s^2) takes another route,
     whose cost does not depend on h or on max|X_j|.  There F_nh is the
@@ -206,10 +213,13 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     # so the pole of t^-2 limits each panel there to a quarter of a.
     width = _PANEL_WIDTH / max(float(np.max(np.abs(xs))),
                                2.0 * math.sqrt(dist.variance), 2.0 * h)
-    pieces = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        step = min(width, a / 4.0) if a > 0.0 else width
-        pieces.append(np.linspace(a, b, math.ceil((b - a) / step) + 1)[:-1])
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    counts = [(b - a) / (min(width, a / 4.0) if a > 0.0 else width) for a, b in spans]
+    if sum(counts) > _MAX_PANELS:
+        raise ValueError(
+            f"the Fourier ISE at h = {h:g} needs {sum(counts):.3g} panels, "
+            f"over its bound of {_MAX_PANELS}")
+    pieces = [np.linspace(a, b, math.ceil(c) + 1)[:-1] for (a, b), c in zip(spans, counts)]
     edges = np.append(np.concatenate(pieces), cutoff)
 
     def sq_diff(t: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .distributions import TargetDistribution
+from .distributions import TargetDistribution, _check_scale
 from .kernels import Kernel
 from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS
 
@@ -122,10 +122,11 @@ def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
     """Closed-form MISE for a N(0, sigma^2) target with the normal kernel.
 
     sqrt(pi) MISE(h) = n^-1 {sqrt(h^2+s^2) - h}
-                       + sqrt(2h^2+4s^2) - sqrt(h^2+s^2) - s.
+                       + sqrt(2h^2+4s^2) - sqrt(h^2+s^2) - s,
+
+    for sigma in [1e-60, 1e60], the scales a target may take.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_scale(sigma, "sigma")
     _validate_h_n(h, n)
     iv, isb = _at(_normal_normal_parts, sigma, h, n)
     return iv + isb
@@ -155,10 +156,11 @@ def mise_normal_sinc_closed(sigma: float, h: float, n: int) -> float:
     """Closed-form MISE for a N(0, sigma^2) target with the sinc kernel.
 
     pi MISE(h) = (1 + n^-1) {h e^{-s^2/h^2} + 2 s sqrt(pi) Phi(s sqrt(2)/h)}
-                 - n^-1 h - (2 + n^-1) s sqrt(pi),   for h > 0.
+                 - n^-1 h - (2 + n^-1) s sqrt(pi),
+
+    for h > 0 and sigma in [1e-60, 1e60], the scales a target may take.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_scale(sigma, "sigma")
     if h <= 0.0:
         raise ValueError("the closed form requires h > 0 (h = 0 is the "
                          "empirical branch, MISE = psi_f/n)")

@@ -56,6 +56,12 @@ QUADPACK_MODULES = [importlib.import_module(f"cdf_mise.{name}")
                     for name in ("numerics", "kernels", "distributions")]
 
 
+def narrow_window(monkeypatch, h_max):
+    # every search reads default_search when it runs, so this narrows the
+    # window of every public search
+    monkeypatch.setattr(bw, "default_search", lambda dist: SearchConfig(h_max=h_max))
+
+
 class TestSearchConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -73,6 +79,35 @@ class TestSearchConfig:
         assert default_search(make_normal(2.0)).h_max == 8.0
         assert default_search(JDLVP).h_max == 8.0
         assert default_search(rescale(JDLVP, 2.0)).h_max == 16.0
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dist,kernel", SIX_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_window_holds_every_optimum(self, dist, kernel, scale):
+        # the optima fall with n, so n = 1 has the largest; every search,
+        # from n = 1 to 10^12, ends inside the lower half of the window
+        dist = rescale(dist, scale)
+        h_max = default_search(dist).h_max
+        for r in optimal_bandwidths(dist, kernel, (1, 2, 10, 10**6, 10**12)):
+            assert r.boundary_flag == "interior", r
+            assert r.h_opt <= h_max / 2.0, r
+
+    @pytest.mark.parametrize("search", [
+        lambda: optimal_bandwidth(JDLVP, TRAP, 100),
+        lambda: optimal_bandwidths(JDLVP, TRAP, [100]),
+        lambda: relative_efficiency(JDLVP, TRAP, 100),
+        lambda: efficiency_curve(JDLVP, TRAP, [100]),
+        lambda: bandwidth_sandwich_check(JDLVP, TRAP, [100]),
+    ], ids=["optimal_bandwidth", "optimal_bandwidths", "relative_efficiency",
+            "efficiency_curve", "bandwidth_sandwich_check"])
+    def test_bound_warning_points_at_the_caller(self, search, monkeypatch):
+        # from every public search the warning names the caller's file,
+        # not bandwidth.py
+        narrow_window(monkeypatch, 0.3)
+        with pytest.warns(UserWarning, match="search bound") as record:
+            search()
+        hits = [w for w in record if "search bound" in str(w.message)]
+        assert [w.filename for w in hits] == [__file__]
 
 
 class TestOptimalBandwidth:
@@ -126,9 +161,10 @@ class TestOptimalBandwidth:
         r = optimal_bandwidth(JDLVP, kernel, n)
         assert r.mise_at_opt < JDLVP.psi_f / n
 
-    def test_boundary_hit_is_flagged_and_warned(self):
+    def test_boundary_hit_is_flagged_and_warned(self, monkeypatch):
+        narrow_window(monkeypatch, 0.3)
         with pytest.warns(UserWarning, match="search bound") as record:
-            r = optimal_bandwidth(JDLVP, TRAP, 100, search=SearchConfig(h_max=0.3))
+            r = optimal_bandwidth(JDLVP, TRAP, 100)
         assert r.boundary_flag == "at_upper_bracket"
         # the warning points at the caller's line, not into bandwidth.py
         hits = [w for w in record if "search bound" in str(w.message)]
@@ -136,11 +172,12 @@ class TestOptimalBandwidth:
         assert r.h_opt == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.slow
-    def test_small_window_reaches_tiny_bandwidths(self):
+    def test_small_window_reaches_tiny_bandwidths(self, monkeypatch):
         # the log grid under h_max = 0.2 reaches h = 2e-5, which the
         # fixed-rule profile covers without QUADPACK
+        narrow_window(monkeypatch, 0.2)
         with pytest.warns(UserWarning, match="search bound"):
-            r = optimal_bandwidth(JDLVP, NORMAL_K, 10, search=SearchConfig(h_max=0.2))
+            r = optimal_bandwidth(JDLVP, NORMAL_K, 10)
         assert r.h_opt == pytest.approx(0.2, abs=1e-12)
         assert r.mise_at_opt < JDLVP.psi_f / 10
 
@@ -334,20 +371,20 @@ class TestSharedScan:
             with pytest.raises(ValueError):
                 optimal_bandwidths(JDLVP, TRAP, bad)
 
-    def test_boundary_warning_once_per_n_at_the_bound(self):
+    def test_boundary_warning_once_per_n_at_the_bound(self, monkeypatch):
         # with h_max = 0.3 the normal+normal optimum sits at the bound for
         # small n only; each such n warns once, as a single search would
-        search = SearchConfig(h_max=0.3)
+        narrow_window(monkeypatch, 0.3)
         ns = (10, 30, 10**5)
         with pytest.warns(UserWarning) as swept:
-            results = optimal_bandwidths(NORMAL1, NORMAL_K, ns, search=search)
+            results = optimal_bandwidths(NORMAL1, NORMAL_K, ns)
         flags = [r.boundary_flag for r in results]
         assert flags == ["at_upper_bracket", "at_upper_bracket", "interior"]
         single = []
         for n in ns:
             with warnings.catch_warnings(record=True) as rec:
                 warnings.simplefilter("always")
-                optimal_bandwidth(NORMAL1, NORMAL_K, n, search=search)
+                optimal_bandwidth(NORMAL1, NORMAL_K, n)
             single.extend(str(w.message) for w in rec)
         assert [str(w.message) for w in swept] == single
         assert len(single) == 2

@@ -79,6 +79,22 @@ class TestUsageErrors:
         assert rc == 1
         assert "cdf-mise: error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mise-curve", "--dist", "normal:sigma=1e-320"],
+        ["optimal-bandwidth", "--dist", "normal:sigma=1e-100", "--kernel", "normal",
+         "--n", "10,1000"],
+        ["efficiency-curve", "--dist", "jdlvp:scale=1e61"],
+    ], ids=["sigma=1e-320", "sigma=1e-100", "scale=1e61"])
+    def test_scale_outside_its_range(self, argv, capsys, tmp_path):
+        # a scale whose MISE would be wrong is a usage error, and no file
+        # is written
+        rc, out, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("cdf-mise: error: ") and err.count("\n") == 1
+        assert "must lie in [1e-60, 1e+60]" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_kernel(self, capsys, tmp_path):
         rc, _, err = run_cli(["mise-curve", "--kernel", "box",
                               "--out", str(tmp_path)], capsys)

@@ -344,3 +344,15 @@ class TestValidation:
             make_normal(0.0)
         with pytest.raises(ValueError):
             make_normal(-2.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, 1e-61, 1e-100, 1e-320, 1e61, 1e100,
+                                     math.inf, math.nan])
+    def test_scale_outside_its_range_is_refused(self, bad):
+        # outside [1e-60, 1e60] the MISE loses its scale covariance, so
+        # every constructor refuses, with the range in the message
+        for build in (make_jdlvp, make_normal, lambda a: rescale(NORMAL1, a),
+                      lambda a: rescale(JDLVP, a)):
+            with pytest.raises(ValueError, match=r"must lie in \[1e-60, 1e\+60\]"):
+                build(bad)
+        with pytest.raises(ValueError, match="must lie in"):
+            rescale(make_jdlvp(1e-50), 1e-20)

@@ -6,6 +6,8 @@ import dataclasses
 import importlib
 import math
 import multiprocessing.process
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,22 @@ class TestIse:
         s = draw_sample(NORMAL1, 10, 1)
         with pytest.raises(ValueError, match="finite and >= 0"):
             ise(s, NORMAL_K, h, NORMAL1)
+
+    def test_panel_count_is_bounded(self):
+        # jdlvp+normal at n = 50, h = 1e-8 would need about 2e9 panels,
+        # 18 GB of edges; the count is checked before anything is built
+        s = draw_sample(JDLVP, 50, 1)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=r"h = 1e-08 needs .* panels, over its "
+                                                 r"bound of 4194304"):
+                ise(s, NORMAL_K, 1e-8, JDLVP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
 
     def test_zero_when_estimator_equals_target(self):
         # a one-point "kernel" whose integrated form is the target CDF

@@ -195,6 +195,12 @@ class TestClosedFormNormalNormal:
             mise_normal_normal_closed(-1.0, 0.5, 10)
         with pytest.raises(ValueError):
             mise_normal_normal_closed(0.0, 0.5, 10)
+        # outside the target scales [1e-60, 1e60] h^4 underflows: at
+        # sigma = 1e-100 the value was 68% off, at 1e-150 a nan
+        for closed in (mise_normal_normal_closed, mise_normal_sinc_closed):
+            for sigma in (1e-100, 1e-150, 1e61, math.nan):
+                with pytest.raises(ValueError, match="sigma must lie in"):
+                    closed(sigma, 0.7 * sigma, 10)
 
 
 class TestClosedFormNormalSinc:
@@ -683,6 +689,21 @@ class TestScaleCovariance:
                     assert gap <= got.error_estimate + a * base.error_estimate, (h, n)
                 else:
                     assert gap <= 1e-12 * got.mise, (h, n)
+
+    @pytest.mark.parametrize("a", [1e-60, 1e60])
+    @pytest.mark.parametrize("method", ["auto", "fourier"])
+    @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_holds_at_the_scale_range_ends(self, dist, kernel, method, a):
+        # targets take scales in [1e-60, 1e60]; at both ends every route
+        # is covariant to rounding (1.1e-15 at worst) for h/a from 1e-8
+        # to 1e8, where far outside h^4 underflows and t^2 overflows
+        scaled = rescale(dist, a)
+        for h in np.geomspace(1e-8, 1e8, 9).tolist():
+            for n in (1, 1000):
+                base = mise(dist, kernel, h, n, method=method).mise
+                got = mise(scaled, kernel, a * h, n, method=method).mise
+                assert got == pytest.approx(a * base, rel=1e-14, abs=0.0), (h, n)
 
 
 class TestValidationAndErrors:

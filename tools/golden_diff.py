@@ -38,7 +38,7 @@ from cdf_mise.distributions import make_jdlvp, make_normal
 from cdf_mise.kernels import KERNEL_NAMES, kernel_by_name
 from cdf_mise.mise import mise_profile
 random_grid = np.random.default_rng(2024).uniform(1e-5, 50.0, 200)
-for dist in (make_jdlvp(), make_jdlvp(0.5), make_normal(1.0), make_normal(2.0)):
+for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3), make_normal(1.0), make_normal(2.0)):
     for name in KERNEL_NAMES:
         for grid, hs in (("search", _search_grid(default_search(dist).h_max)),
                          ("random", random_grid)):
@@ -61,6 +61,11 @@ CASES: list[tuple[str, list[str]]] = [
       "--n", "10,1000,100000"])
     for dist, kernel in (("jdlvp", "sinc"), ("jdlvp", "normal"),
                          ("normal:sigma=1", "trapezoidal"))
+] + [
+    # a scale that is not a power of two, so multiplying by it rounds
+    ("optimal-bandwidth normal:sigma=0.3+normal",
+     ["-c", _CLI, "optimal-bandwidth", "--dist", "normal:sigma=0.3", "--kernel", "normal",
+      "--n", "10,1000"]),
 ] + [
     (f"mise-curve {dist}+{kernel}",
      ["-c", _CLI, "mise-curve", "--dist", dist, "--kernel", kernel])
