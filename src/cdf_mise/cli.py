@@ -49,7 +49,7 @@ from .distributions import (
     make_normal,
     psi_f_fourier,
 )
-from .estimator import monte_carlo_mise
+from .estimator import PanelBoundError, monte_carlo_mise
 from .kernels import KERNEL_NAMES, Kernel, kernel_by_name, psi_k
 from .mise import mise
 
@@ -438,12 +438,16 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
     workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1, len(tasks))
     rows = []
-    with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
-        for row in (map if pool is None else pool.imap)(_mc_cell, tasks):
-            rows.append(row)
-            dist_name, kernel_name, h, n, exact, estimate, _, z, _ = row
-            print(f"{dist_name} + {kernel_name}  h={h:g}  n={n}  "
-                  f"exact={exact:.6g}  mc={estimate:.6g}  z={z:+.2f}", flush=True)
+    try:
+        with multiprocessing.Pool(workers) if workers > 1 else nullcontext() as pool:
+            for row in (map if pool is None else pool.imap)(_mc_cell, tasks):
+                rows.append(row)
+                dist_name, kernel_name, h, n, exact, estimate, _, z, _ = row
+                print(f"{dist_name} + {kernel_name}  h={h:g}  n={n}  "
+                      f"exact={exact:.6g}  mc={estimate:.6g}  z={z:+.2f}", flush=True)
+    except PanelBoundError as exc:
+        # an h too small for the sample's ISE is a bad --h-grid
+        raise UsageError(str(exc)) from None
 
     _emit(cfg, "mc_validate", ("dist", "kernel", "h", "n", "exact_mise", "mc_estimate",
                                "std_error", "z_score", "replications"), rows)

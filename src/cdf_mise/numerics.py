@@ -8,7 +8,10 @@ stays smooth.  Only the quadrature cross-checks ``psi_k`` and
 ``psi_f_fourier`` of the catalog constants use it.  Every MISE runs
 fixed rules on panels chosen a priori instead: ``mise`` and
 ``mise_profile`` apply the Gauss-Kronrod 15 table below themselves, and
-the sample ISE at h > 0 uses :func:`gauss_panels`.
+the sample ISE at h > 0 its embedded 7-point Gauss rule.  No caller in
+the package is left for :func:`gauss_panels` or
+:func:`gauss_kronrod_panels`; the tests' oracles use them, and the
+benchmark's tracer looks them up by name.
 
 The sine integral uses the normalization Si(x) = int_0^x sin(z)/(pi z) dz,
 so Si(x) -> 1/2 as x -> +infinity.
@@ -243,8 +246,8 @@ def gauss_panels(fvec, edges: np.ndarray, chunk: int | None = None) -> float:
 
     Same calling convention as :func:`gauss_kronrod_panels` but without
     the embedded error estimate, at roughly half the integrand
-    evaluations.  Used on hot paths whose panel widths are chosen a
-    priori to resolve the integrand.
+    evaluations, for panel widths chosen a priori to resolve the
+    integrand.
     """
     total = 0.0
     for half, vals in _panel_values(fvec, edges, _G7_NODES, chunk):

@@ -14,8 +14,10 @@ digits, the h = 0 ISE oracles integrate the step-function error in
 closed form (normal) or with mpmath (JdlVP), ``ise_energy_mpmath``
 sums the normal-kernel ISE's energy identity as written, every term at
 40 digits, where the library sums it rearranged into nonnegative
-parts, and ``mean_abs_dev_quad`` integrates F and 1 - F instead of the
-closed form E|x - X|.
+parts, ``ise_fourier_direct`` takes the Fourier ISE's empirical CF by
+trig at every node, where the library uses angle addition from the
+panel centres, and ``mean_abs_dev_quad`` integrates F and 1 - F
+instead of the closed form E|x - X|.
 ``profile_panels`` builds the fixed rule's panels one cell at a time by
 a loop on floats, where the library steps every cell's segments at once
 on arrays, and ``quadpack_terms`` computes the rule's pi A and pi B by
@@ -34,13 +36,15 @@ import scipy.integrate
 import scipy.special
 
 from cdf_mise.distributions import TargetDistribution
-from cdf_mise.kernels import Kernel
-from cdf_mise.mise import _GAUSS_CUT, _validate_h_n
+from cdf_mise.estimator import _MAX_PANELS, _NORMAL_FT_CUTOFF, _PANEL_WIDTH
+from cdf_mise.kernels import Kernel, kernel_by_name
+from cdf_mise.mise import _GAUSS_CUT, _validate_h_n, mise_profile
 from cdf_mise.numerics import (
     _GK15_NODES,
     _GK15_WEIGHTS,
     QuadratureResult,
     gauss_kronrod_panels,
+    gauss_panels,
     integrate,
 )
 
@@ -331,6 +335,44 @@ def ise_energy_mpmath(values, sigma: float, h: float):
         pairs = n * g(mp.mpf(0), r2) + 2 * mp.fsum(
             g(xs[j] - xs[i], r2) for i in range(n) for j in range(i + 1, n))
         return cross - pairs / (2 * n * n) - s / mp.sqrt(mp.pi)
+
+
+def ise_fourier_direct(values, kernel: Kernel, h: float, dist: TargetDistribution) -> float:
+    """The Fourier ISE of ``ise`` at h > 0, the empirical CF taken node by node.
+
+    The same cutoff, knots, panel widths, panel bound and sample-free
+    tail as the library's Fourier route, but phi_n(t) is the mean of
+    cos(t X_j) and sin(t X_j) at every Gauss node t, 14 trig calls per
+    panel and sample point, and the panels run through ``gauss_panels``.
+    The library takes trig at the panel centres only and recovers the
+    nodes by angle addition.
+    """
+    if h <= 0.0:
+        raise ValueError("ise_fourier_direct needs h > 0")
+    xs = np.asarray(values, dtype=float)
+    cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
+    knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
+    bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
+    width = _PANEL_WIDTH / max(float(np.max(np.abs(xs))),
+                               2.0 * math.sqrt(dist.variance), 2.0 * h)
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    counts = [(b - a) / (min(width, a / 4.0) if a > 0.0 else width) for a, b in spans]
+    if sum(counts) > _MAX_PANELS:
+        raise ValueError(f"{sum(counts):.3g} panels")
+    pieces = [np.linspace(a, b, math.ceil(c) + 1)[:-1] for (a, b), c in zip(spans, counts)]
+    edges = np.append(np.concatenate(pieces), cutoff)
+
+    def sq_diff(t: np.ndarray) -> np.ndarray:
+        tx = t[:, None] * xs[None, :]
+        p = kernel.ft(t * h)
+        re = p * np.cos(tx).mean(axis=1) - dist.cf(t)
+        im = p * np.sin(tx).mean(axis=1)
+        return (re * re + im * im) / (t * t)
+
+    tail = 0.0
+    if cutoff < dist.d_f:
+        tail = float(mise_profile(dist, kernel_by_name("sinc"), [1.0 / cutoff])[1][0])
+    return gauss_panels(sq_diff, edges, chunk=64) / math.pi + tail
 
 
 def jdlvp_cdf_mpmath(xs) -> np.ndarray:

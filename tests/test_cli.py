@@ -515,6 +515,29 @@ class TestMcValidateCommand:
         assert len(rows) == 2
         assert all(abs(float(r[7])) > 4.0 for r in rows)
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+    def test_panel_bound_is_a_usage_error(self, cpus, capsys, tmp_path, monkeypatch):
+        # both cells' ISE at h = 1e-8 would need about 2e9 panels
+        set_affinity(monkeypatch, cpus)
+        rc, out, err = run_cli(["mc-validate", "--dist", "jdlvp", "--kernel", "normal",
+                                "--h-grid", "1e-8:1e-8:1", "--n", "50,60", "--reps", "100",
+                                "--out", str(tmp_path)], capsys)
+        assert rc == 1
+        assert out == ""
+        assert re.fullmatch(r"cdf-mise: error: the Fourier ISE at h = 1e-08 needs \S+ "
+                            r"panels, over its bound of 4194304\n", err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_other_value_errors_are_not_usage_errors(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a panel bound")
+
+        set_affinity(monkeypatch, 1)
+        monkeypatch.setattr(cli, "monte_carlo_mise", broken)
+        with pytest.raises(ValueError, match="not a panel bound"):
+            cli.main(["mc-validate", "--dist", "jdlvp", "--kernel", "normal", "--n", "50",
+                      "--h-grid", "0.5:0.5:1", "--reps", "100", "--out", str(tmp_path)])
+
 
 def set_affinity(monkeypatch, cpus: int) -> None:
     """Give this process an affinity mask of cpus CPUs on a machine of 8."""

@@ -29,6 +29,7 @@ from cdf_mise.mise import mise_normal_sinc_closed
 from oracles import (
     cos_tail_over_x2,
     ise_energy_mpmath,
+    ise_fourier_direct,
     ise_step_function_jdlvp,
     ise_step_function_normal,
     kernel_density,
@@ -294,6 +295,51 @@ class TestIse:
                 a * ise(s, kernel, h, dist), rel=1e-12, abs=0.0)
 
 
+def fourier_panels(values, kernel, h, dist) -> float:
+    # about how many panels the Fourier ISE takes: the cutoff over the
+    # panel width, without the few more that the knots add
+    cutoff = min(kernel.ft_support_end, estimator._NORMAL_FT_CUTOFF) / h
+    reach = max(float(np.max(np.abs(values))), 2.0 * math.sqrt(dist.variance), 2.0 * h)
+    return cutoff * reach / estimator._PANEL_WIDTH
+
+
+# Every pair whose ISE takes the Fourier route, and normal+normal sent
+# there under another family name.
+FOURIER_PAIRS = [pytest.param(dist, kernel, id=f"{dist.name}+{kernel.name}")
+                 for dist in (JDLVP, make_jdlvp(0.5), NORMAL1, make_normal(2.0))
+                 for kernel in (NORMAL_K, TRAP, SINC)
+                 if dist.family == "jdlvp" or kernel is not NORMAL_K]
+FOURIER_PAIRS += [pytest.param(dataclasses.replace(NORMAL1, family="normal, by Fourier"),
+                               NORMAL_K, id="normal:sigma=1+normal, by Fourier")]
+
+
+class TestIseFourier:
+    @pytest.mark.parametrize("n", [1, 5, 50, 200, 1000])
+    @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS)
+    def test_matches_trig_at_every_node(self, dist, kernel, n):
+        # angle addition from the panel centres against cos and sin of
+        # t X_j at every node; only rounding may differ
+        s = draw_sample(dist, n, 7)
+        for h in (0.01, 0.1, 0.5, 2.0, 8.0):
+            if fourier_panels(s.values, kernel, h, dist) > 1e5:
+                continue
+            assert ise(s, kernel, h, dist) == pytest.approx(
+                ise_fourier_direct(s.values, kernel, h, dist), rel=1e-13, abs=0.0)
+
+    def test_memory_stays_in_panel_blocks(self):
+        # 2.2e4 panels at n = 50: one (panels x n) table would be 8.9 MB
+        s = draw_sample(JDLVP, 50, 1)
+        assert fourier_panels(s.values, NORMAL_K, 1e-3, JDLVP) >= 1e4
+        tracemalloc.start()
+        try:
+            value = ise(s, NORMAL_K, 1e-3, JDLVP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > 0.0
+        assert peak < 4 << 20
+
+
 def energy_route(sample, h, dist):
     return estimator._ise_energy(sample.values, dist.scale, h)
 
@@ -325,10 +371,10 @@ class TestIseEnergy:
         s = draw_sample(dist, n, 7)
 
         def refuse(*args, **kwargs):
-            raise RuntimeError("gauss_panels called")
+            raise RuntimeError("Fourier route called")
 
         # the energy route needs no panel rule, however small h is
-        monkeypatch.setattr(estimator, "gauss_panels", refuse)
+        monkeypatch.setattr(estimator, "_ise_fourier", refuse)
         got = ise(s, NORMAL_K, h, dist)
         assert got == energy_route(s, h, dist)
         assert rel_to(got, ise_energy_mpmath(s.values, sigma, h)) <= ENERGY_GATE

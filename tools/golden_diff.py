@@ -89,6 +89,10 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate normal:sigma=2+normal",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=2", "--kernel", "normal",
       "--h-grid", "0.05:2:3", "--n", "50,1000", "--reps", "100"]),
+    # jdlvp+normal, whose Fourier ISE takes the most panels of any pair
+    ("mc-validate jdlvp+normal",
+     ["-c", _CLI, "mc-validate", "--dist", "jdlvp", "--kernel", "normal",
+      "--h-grid", "0.05:0.5:3", "--n", "50,200", "--reps", "100", "--seed", "7"]),
     # one cell, so one worker: the cell runs in the CLI's own process
     ("mc-validate one cell normal:sigma=1+sinc",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
