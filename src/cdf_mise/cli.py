@@ -51,7 +51,7 @@ from .distributions import (
 )
 from .estimator import PanelBoundError, monte_carlo_mise
 from .kernels import KERNEL_NAMES, Kernel, kernel_by_name, psi_k
-from .mise import mise
+from .mise import _H_MAX, _H_MIN, _H_RANGE, mise
 
 __all__ = [
     "RunConfig",
@@ -176,12 +176,19 @@ def _parse_h_grid(text) -> tuple[float, float, int]:
         raise UsageError(f"h-grid bounds must be finite, got {text!r}")
     if lo < 0.0 or hi < lo:
         raise UsageError(f"h-grid must satisfy 0 <= min <= max, got {text!r}")
+    # Every point must be a bandwidth mise takes; both commands that take
+    # a grid run it with np.linspace.
+    hs = np.linspace(lo, hi, count)
+    bad = hs[(hs != 0.0) & ((hs < _H_MIN) | (hs > _H_MAX))]
+    if bad.size:
+        raise UsageError(f"h-grid point {bad[0]:g} is out of range: {_H_RANGE}")
     return lo, hi, count
 
 
 def _parse_int(value) -> int:
+    # through str, so a config file's 100.9 or true fails as a flag's does
     try:
-        return int(value)
+        return int(str(value))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad integer {value!r}: {exc}") from exc
 
@@ -570,3 +577,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -25,6 +25,7 @@ from cdf_mise.bandwidth import (
     relative_efficiency,
     sinc_critical_bandwidths,
 )
+import cdf_mise.mise as MISE_MODULE
 from cdf_mise import bandwidth as bw
 from cdf_mise.cli import _SWEEP_N as FIGURE_NS
 from cdf_mise.distributions import make_jdlvp, make_normal, rescale
@@ -50,7 +51,6 @@ SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
              for kernel in (NORMAL_K, TRAP, SINC)]
 SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
 FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
-MISE_MODULE = importlib.import_module("cdf_mise.mise")
 # the package's modules that bind the QUADPACK wrapper integrate
 QUADPACK_MODULES = [importlib.import_module(f"cdf_mise.{name}")
                     for name in ("numerics", "kernels", "distributions")]

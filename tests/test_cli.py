@@ -73,6 +73,23 @@ class TestUsageErrors:
         assert rc == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, point", [
+        (["mise-curve", "--h-grid", "0:1e80:3"], "5e+79"),
+        (["mise-curve", "--h-grid", "0:1e-300:3"], "5e-301"),
+        (["mc-validate", "--dist", "jdlvp", "--kernel", "sinc", "--h-grid", "1e80:1e80:1",
+          "--n", "50", "--reps", "100"], "1e+80"),
+    ], ids=["mise-curve-above", "mise-curve-below", "mc-validate-above"])
+    def test_h_grid_outside_mise_range(self, argv, point, capsys, tmp_path, monkeypatch):
+        # every grid point is held to the h range of mise before any file
+        # is written or any worker starts
+        monkeypatch.setattr(cli.multiprocessing, "Pool", None)
+        rc, out, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == (f"cdf-mise: error: h-grid point {point} is out of range: "
+                       "bandwidth h must be 0 or lie in [1e-300, 1e+75] for MISE\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_distribution(self, capsys, tmp_path):
         rc, _, err = run_cli(["mise-curve", "--dist", "cauchy",
                               "--out", str(tmp_path)], capsys)
@@ -680,6 +697,18 @@ class TestConfigFile:
         _, rows = read_csv(tmp_path / "mise_curve.csv")
         assert rows[1][3] == g17(mise(JDLVP, TRAP, 0.4, 500).mise)
         assert rows[1][3] != g17(mise(JDLVP, SINC, 0.4, 500).mise)
+
+    @pytest.mark.parametrize("config", [{"reps": 100.9}, {"seed": True}],
+                             ids=["reps=100.9", "seed=true"])
+    def test_config_integers_are_not_truncated(self, config, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc, out, err = run_cli(["mc-validate", "--config", str(path),
+                                "--out", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"cdf-mise: error: bad integer {next(iter(config.values()))!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_unknown_config_key(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

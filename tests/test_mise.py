@@ -12,6 +12,7 @@ import pytest
 import scipy.integrate
 
 import cdf_mise
+import cdf_mise.mise as MISE_MODULE
 
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
@@ -41,7 +42,6 @@ SINC = kernel_by_name("sinc")
 
 SQRT_PI = math.sqrt(math.pi)
 EPS = np.finfo(float).eps
-MISE_MODULE = importlib.import_module("cdf_mise.mise")
 PACKAGE_MODULES = ["cdf_mise"] + [f"cdf_mise.{m.name}"
                                   for m in pkgutil.iter_modules(cdf_mise.__path__)]
 

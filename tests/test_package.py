@@ -14,7 +14,7 @@ import pytest
 
 import cdf_mise
 
-MODULES = ["cdf_mise"] + [f"cdf_mise.{m.name}" for m in pkgutil.iter_modules(cdf_mise.__path__)]
+MODULES = [f"cdf_mise.{m.name}" for m in pkgutil.iter_modules(cdf_mise.__path__)]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,14 +24,42 @@ def test_every_exported_name_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def test_package_exports_are_the_modules_objects():
-    # each name the package exports is the object a submodule exports
-    exported = {}
-    for name in MODULES[1:]:
-        module = importlib.import_module(name)
-        exported.update({attr: getattr(module, attr) for attr in module.__all__})
-    for attr in cdf_mise.__all__:
-        assert getattr(cdf_mise, attr) is exported[attr], attr
+def _run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    # A fresh interpreter with ./src first on its path.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True)
+
+
+# Imports the bare package, then one module under an alias, and prints
+# what each step loaded.
+_IMPORT_SCRIPT = """
+import json, sys, types
+import cdf_mise
+bare = sorted(m for m in sys.modules if m.startswith("cdf_mise."))
+import cdf_mise.mise as m
+print(json.dumps({"bare": bare, "version": cdf_mise.__version__,
+                  "alias_is_module": isinstance(m, types.ModuleType),
+                  "alias": m.__name__}))
+"""
+
+
+def test_package_is_its_modules(tmp_path):
+    # The package exports only __version__, so importing it loads no
+    # module, and `import cdf_mise.mise as m` binds the module, not the
+    # function of the same name.
+    got = json.loads(_run_python("-c", _IMPORT_SCRIPT, cwd=tmp_path).stdout)
+    assert got == {"bare": [], "version": cdf_mise.__version__,
+                   "alias_is_module": True, "alias": "cdf_mise.mise"}
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    proc = _run_python("-m", "cdf_mise.cli", "constants", cwd=tmp_path)
+    assert proc.stdout.startswith("distribution")
+    assert "normal:sigma=1 + trapezoidal" in proc.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 # Imports cdf_mise.cli, runs four commands, records which of the lazily
@@ -58,11 +86,7 @@ def test_searches_load_neither_quadpack_nor_brentq(tmp_path):
     # mise() and the Monte Carlo check on the same rule, so
     # scipy.integrate and scipy.optimize stay unloaded; `constants` still
     # cross-checks psi_f and psi_k by QUADPACK.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCRIPT, str(tmp_path)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    proc = _run_python("-c", _LAZY_SCRIPT, str(tmp_path), cwd=tmp_path)
     got = json.loads(proc.stdout.splitlines()[-1])
     loaded = got["loaded"]
     assert loaded == {**loaded, "import": [], "figure2": [], "optimal-bandwidth": [],
