@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import TargetDistribution
+from .distributions import TargetDistribution, _check_size
 from .kernels import Kernel
 from .mise import mise_profile
 
@@ -163,9 +163,7 @@ def _search(dist: TargetDistribution, kernel: Kernel,
     # The body of every public search; each calls it directly, so
     # stacklevel=3 points a warning at the line that called the search.
     h_max = default_search(dist).h_max
-    ns = tuple(int(n) for n in n_values)
-    if any(n < 1 for n in ns):
-        raise ValueError(f"sample sizes must be >= 1, got {ns}")
+    ns = tuple(_check_size(n) for n in n_values)
     if not ns:
         return ()
     grid = _search_grid(h_max)
@@ -229,7 +227,8 @@ def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel,
     2.5e-7.  Both run on the fixed-rule ``mise_profile`` alone: the grid
     is evaluated once for all n, and each zoom level evaluates every n's
     open bracket in one call.  Each result equals a single-n search.  The
-    window is ``default_search(dist)``.  A minimizer landing at h_max is
+    window is ``default_search(dist)``, and every n must be a whole
+    number >= 1, else ValueError.  A minimizer landing at h_max is
     flagged at_upper_bracket and warned about, once per such n.  One
     DEBUG record per n goes to the ``cdf_mise.bandwidth`` logger: the
     pair, n, the grid size and the profile cells the search evaluated
@@ -272,8 +271,7 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
     roots in increasing h order; an empty list means no stationary
     point in the bracket.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _check_size(n)
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < h_lo < h_hi and math.isfinite(h_hi)):
         raise ValueError(f"bracket must satisfy 0 < h_lo < h_hi < inf, got {bracket}")
@@ -304,7 +302,7 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
 def relative_efficiency(dist: TargetDistribution, kernel: Kernel, n: int) -> float:
     """MISE(h_0n)/MISE(0) on dist's window; at most 1, since h = 0 is scanned."""
     res = _search(dist, kernel, (n,))[0]
-    return res.mise_at_opt / (dist.psi_f / n)
+    return res.mise_at_opt / (dist.psi_f / res.n)
 
 
 def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> float:
@@ -320,10 +318,9 @@ def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> 
 
 def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values) -> EfficiencyCurve:
     """Optimal bandwidth and relative efficiency at each sample size, on dist's window."""
-    ns = tuple(int(n) for n in n_values)
-    results = _search(dist, kernel, ns)
+    results = _search(dist, kernel, n_values)
     return EfficiencyCurve(
-        n_values=ns,
+        n_values=tuple(res.n for res in results),
         h_opt=tuple(res.h_opt for res in results),
         rel_eff=tuple(res.mise_at_opt / (dist.psi_f / res.n) for res in results),
         asymptote=asymptotic_relative_efficiency(dist, kernel),
@@ -344,14 +341,14 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel,
     limit and below the complementary bound min{s_k/c_f, t_k/d_f} +
     _LIMIT_TOL.  Violations are itemized in the report messages.
     """
-    ns = sorted(int(n) for n in n_list)
-    if not ns:
+    results = _search(dist, kernel, sorted(n_list))
+    if not results:
         raise ValueError("n_list must be non-empty")
+    ns = [res.n for res in results]
+    hs = [res.h_opt for res in results]
 
     lower = 0.0 if kernel.s_k == 0.0 or math.isinf(dist.d_f) else kernel.s_k / dist.d_f
     upper = min(_bound_ratio(kernel.s_k, dist.c_f), _bound_ratio(kernel.t_k, dist.d_f))
-
-    hs = [res.h_opt for res in _search(dist, kernel, ns)]
     messages: list[str] = []
     for n, h in zip(ns, hs):
         if h < lower - _REFINE_TOL:

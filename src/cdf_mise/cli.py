@@ -417,10 +417,13 @@ def _mc_cell(task: tuple) -> tuple:
     """One validation row from a task of spec strings and numbers only."""
     dist_spec, kernel_spec, h, n, reps, seed = task
     dist, kernel = _parse_dist(dist_spec), _parse_kernel(kernel_spec)
-    exact = mise(dist, kernel, h, n).mise
+    report = mise(dist, kernel, h, n)
     mc = monte_carlo_mise(dist, kernel, h, n, reps, seed=seed)
-    z = (mc.estimate - exact) / mc.std_error if mc.std_error > 0.0 else 0.0
-    return dist.name, kernel.name, h, n, exact, mc.estimate, mc.std_error, z, reps
+    # where every replication's ISE is one number to rounding, std_error
+    # is rounding too, and the exact value's error bound is the scale
+    scale = max(mc.std_error, report.error_estimate)
+    z = (mc.estimate - report.mise) / scale if scale > 0.0 else 0.0
+    return dist.name, kernel.name, h, n, report.mise, mc.estimate, mc.std_error, z, reps
 
 
 def cmd_mc_validate(cfg: RunConfig) -> int:

@@ -57,6 +57,13 @@ def _check_scale(value: float, what: str = "scale") -> float:
     return float(value)
 
 
+def _check_size(value, what: str = "sample size n") -> int:
+    """value as an int, or ValueError unless it is a whole number >= 1."""
+    if not (1 <= value < math.inf and value == int(value)):
+        raise ValueError(f"{what} must be a whole number >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TargetDistribution:
     """Immutable target distribution descriptor.
@@ -340,10 +347,9 @@ def psi_f_fourier(dist: TargetDistribution) -> float:
 def sample(dist: TargetDistribution, n: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """Draw n i.i.d. values from dist, deterministically for a given seed.
 
-    seed may be a single integer or a tuple of integers (e.g. a master
-    seed paired with a replication index for independent streams).
+    n must be a whole number >= 1.  seed may be a single integer or a
+    tuple of integers (a master seed and a replication index).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_size(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     return dist.sampler(n, rng)

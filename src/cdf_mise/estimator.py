@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .distributions import TargetDistribution, sample as draw_values
+from .distributions import TargetDistribution, _check_size, sample as draw_values
 from .kernels import Kernel, kernel_by_name
 from .mise import _validate_h, mise_profile
 from .numerics import _G7_NODES, _G7_ONLY_WEIGHTS
@@ -320,6 +320,7 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     the estimate is deterministic for a fixed seed.
     """
     _validate_h(h)
+    replications = _check_size(replications, "replications")
     if replications < 2:
         raise ValueError("replications must be >= 2")
     values = np.array([ise(draw_sample(dist, n, seed, rep=r), kernel, h, dist)
@@ -329,7 +330,7 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     return MonteCarloMise(
         estimate=estimate,
         std_error=std_error,
-        replications=int(replications),
+        replications=replications,
         h=float(h),
         n=int(n),
     )

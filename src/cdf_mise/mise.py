@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .distributions import TargetDistribution, _check_scale
-from .kernels import Kernel
+from .distributions import TargetDistribution, _check_size, make_normal
+from .kernels import Kernel, kernel_by_name
 from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS
 
 __all__ = [
@@ -99,11 +99,6 @@ def _validate_h(h: float) -> None:
         raise ValueError("bandwidth h must be finite and >= 0")
 
 
-def _validate_n(n: int) -> None:
-    if n < 1:
-        raise ValueError("sample size n must be >= 1")
-
-
 # The bandwidths h > 0 the MISE functions take.  Between these the
 # fixed rule's knots k/h and its t^2 at t ~ 1/h, and the normal closed
 # form's h^4, are finite normal floats.  MISE is psi_f/n to rounding
@@ -112,10 +107,11 @@ _H_MIN, _H_MAX = 1e-300, 1e75
 _H_RANGE = f"bandwidth h must be 0 or lie in [{_H_MIN:g}, {_H_MAX:g}] for MISE"
 
 
-def _validate_h_n(h: float, n: int) -> None:
-    _validate_n(n)
+def _validate_h_n(h: float, n: int) -> int:
+    n = _check_size(n)
     if not (h == 0.0 or _H_MIN <= h <= _H_MAX):
         raise ValueError(_H_RANGE)
+    return n
 
 
 def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
@@ -124,12 +120,9 @@ def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
     sqrt(pi) MISE(h) = n^-1 {sqrt(h^2+s^2) - h}
                        + sqrt(2h^2+4s^2) - sqrt(h^2+s^2) - s,
 
-    for sigma in [1e-60, 1e60], the scales a target may take.
+    for sigma in [1e-60, 1e60]: ``mise`` on that pair, its route at h > 0.
     """
-    _check_scale(sigma, "sigma")
-    _validate_h_n(h, n)
-    iv, isb = _at(_normal_normal_parts, sigma, h, n)
-    return iv + isb
+    return mise(make_normal(sigma), kernel_by_name("normal"), h, n).mise
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -158,15 +151,12 @@ def mise_normal_sinc_closed(sigma: float, h: float, n: int) -> float:
     pi MISE(h) = (1 + n^-1) {h e^{-s^2/h^2} + 2 s sqrt(pi) Phi(s sqrt(2)/h)}
                  - n^-1 h - (2 + n^-1) s sqrt(pi),
 
-    for h > 0 and sigma in [1e-60, 1e60], the scales a target may take.
+    for h > 0 and sigma in [1e-60, 1e60]: ``mise`` on that pair.
     """
-    _check_scale(sigma, "sigma")
     if h <= 0.0:
         raise ValueError("the closed form requires h > 0 (h = 0 is the "
                          "empirical branch, MISE = psi_f/n)")
-    _validate_h_n(h, n)
-    iv, isb = _at(_normal_sinc_parts, sigma, h, n)
-    return iv + isb
+    return mise(make_normal(sigma), kernel_by_name("sinc"), h, n).mise
 
 
 def _normal_sinc_parts(sigma: float, h: np.ndarray, n: int):
@@ -192,12 +182,6 @@ _CLOSED_FORMS = {
 }
 
 
-def _at(parts, sigma: float, h: float, n: int) -> tuple[float, float]:
-    # A closed form's (IV, ISB) at one h.
-    iv, isb = parts(sigma, np.array([h], dtype=float), n)
-    return float(iv[0]), float(isb[0])
-
-
 def _closed_form(dist: TargetDistribution, kernel: Kernel) -> str | None:
     # The pair's closed-form route off the linear segment, or None.
     if dist.family == "normal" and kernel.name == "normal":
@@ -221,7 +205,8 @@ def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
     # (IV, ISB) at n on an exact route of _exact_route.
     if route == "linear_segment":
         return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
-    return _at(_CLOSED_FORMS[route], dist.scale, h, n)
+    iv, isb = _CLOSED_FORMS[route](dist.scale, np.array([h], dtype=float), n)
+    return float(iv[0]), float(isb[0])
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
@@ -233,9 +218,9 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     the quadrature for h > 0.  At h = 0 both report the exact value
     psi_f/n as ``fourier``.  Every fast path agrees with method="fourier"
     to well below 1e-9 relative, which the test suite pins.  h must be 0
-    or in [1e-300, 1e75]; outside that range it raises ValueError.
+    or in [1e-300, 1e75] and n a whole number >= 1, else ValueError.
     """
-    _validate_h_n(h, n)
+    n = _validate_h_n(h, n)
     if method not in ("auto", "fourier"):
         raise ValueError("method must be 'auto' or 'fourier'")
 

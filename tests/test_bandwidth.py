@@ -367,9 +367,26 @@ class TestSharedScan:
 
     def test_empty_and_bad_sample_sizes(self):
         assert optimal_bandwidths(JDLVP, TRAP, []) == ()
-        for bad in ([0], [10, -1]):
+        for bad in ([0], [10, -1], [2.5], [math.nan], [math.inf]):
             with pytest.raises(ValueError):
                 optimal_bandwidths(JDLVP, TRAP, bad)
+
+    def test_fractional_sample_sizes_are_refused(self):
+        # a search truncating 2.5 to 2 while the efficiency divides psi_f
+        # by 2.5 would report 0.658, where the n = 2 efficiency is 0.526
+        for call in (lambda: relative_efficiency(JDLVP, TRAP, 2.5),
+                     lambda: efficiency_curve(JDLVP, TRAP, [10.7]),
+                     lambda: bandwidth_sandwich_check(JDLVP, TRAP, [2.5, 10]),
+                     lambda: sinc_critical_bandwidths(JDLVP, 2.5, (0.1, 20.0))):
+            with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
+                call()
+
+    def test_whole_float_and_numpy_sample_sizes_keep_their_bits(self):
+        got = efficiency_curve(JDLVP, TRAP, [10.0, np.int64(20)])
+        want = efficiency_curve(JDLVP, TRAP, [10, 20])
+        assert got.n_values == (10, 20)
+        assert [type(n) for n in got.n_values] == [int, int]
+        assert got.rel_eff == want.rel_eff and got.h_opt == want.h_opt
 
     def test_boundary_warning_once_per_n_at_the_bound(self, monkeypatch):
         # with h_max = 0.3 the normal+normal optimum sits at the bound for

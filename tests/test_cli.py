@@ -498,6 +498,19 @@ class TestMcValidateCommand:
         assert runs[0] == runs[1]
         assert runs[0][3].count(b"\n") == 1 + 24
 
+    @pytest.mark.parametrize("h", ["1e8", "1e10", "1e75"])
+    def test_rounding_only_cell_passes(self, h, capsys, tmp_path):
+        # at such h every replication's ISE is one number to rounding, so
+        # std_error measures rounding and z divides by the exact value's
+        # error bound; by std_error alone z would be about -9.95
+        rc, _, err = run_cli(["mc-validate", "--dist", "jdlvp", "--kernel", "sinc",
+                              "--n", "50", "--reps", "100", "--h-grid", f"{h}:{h}:1",
+                              "--out", str(tmp_path)], capsys)
+        assert rc == 0 and err == ""
+        _, rows = read_csv(tmp_path / "mc_validate.csv")
+        exact, est, se, z = (float(c) for c in rows[0][4:8])
+        assert se > 0.0 and abs(z) < 1e-5
+
     def test_too_few_replications(self, capsys, tmp_path):
         rc, _, err = run_cli(["mc-validate", "--reps", "99",
                               "--out", str(tmp_path)], capsys)

@@ -330,8 +330,9 @@ class TestSampling:
         assert ks_statistic(xs, wide.cdf) < 1.95 / math.sqrt(xs.size)
 
     def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            sample(JDLVP, 0, 1)
+        for n in (0, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sample(JDLVP, n, 1)
 
 
 class TestValidation:

@@ -86,6 +86,10 @@ class TestSampleType:
         assert a.source == JDLVP.name
         assert a.seed == 11
 
+    def test_draw_sample_refuses_a_fractional_size(self):
+        with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
+            draw_sample(JDLVP, 2.5, 1)
+
     def test_replication_streams_differ(self):
         base = draw_sample(JDLVP, 40, 11)
         rep0 = draw_sample(JDLVP, 40, 11, rep=0)
@@ -420,6 +424,9 @@ class TestMonteCarloMise:
     def test_requires_two_replications(self):
         with pytest.raises(ValueError):
             monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, 1, seed=1)
+        for reps in (2.5, math.nan):
+            with pytest.raises(ValueError, match="replications must be a whole number"):
+                monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, reps, seed=1)
 
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
     def test_rejects_bad_bandwidth_before_sampling(self, h, monkeypatch):

@@ -213,6 +213,18 @@ class TestClosedFormNormalSinc:
         with pytest.raises(ValueError):
             mise_normal_sinc_closed(1.0, 0.0, 10)
 
+    def test_closed_forms_are_views_of_mise(self):
+        # the normal form at h = 0 is psi_f/n by the linear route, correctly
+        # rounded; the sinc form keeps refusing h = 0
+        assert mise_normal_normal_closed(1.0, 0.0, 10) == NORMAL1.psi_f / 10
+        with pytest.raises(ValueError, match="requires h > 0"):
+            mise_normal_sinc_closed(1.0, 0.0, 10)
+        for closed, kernel in ((mise_normal_normal_closed, NORMAL_K),
+                               (mise_normal_sinc_closed, SINC)):
+            assert closed(2.0, 0.7, 25) == mise(make_normal(2.0), kernel, 0.7, 25).mise
+            with pytest.raises(ValueError, match="sample size n must be a whole number"):
+                closed(1.0, 0.5, 2.5)
+
     @pytest.mark.parametrize("sigma,h,n", [(1.0, 0.4, 100), (2.0, 0.7, 25), (0.5, 1.5, 10)])
     def test_matches_sinc_fourier(self, sigma, h, n):
         closed = mise_normal_sinc_closed(sigma, h, n)
@@ -469,6 +481,9 @@ class TestMiseTerms:
             mise(JDLVP, TRAP, 0.1, 10, method="linear_segment")
         with pytest.raises(ValueError, match="sample size"):
             mise(JDLVP, TRAP, -0.1, 0)  # n is checked before h
+        for n in (math.nan, 2.5, math.inf):
+            with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
+                mise(JDLVP, TRAP, 0.3, n)
 
 
 class TestMiseProfile:

@@ -97,6 +97,11 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate one cell normal:sigma=1+sinc",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
       "--h-grid", "0.25:0.25:1", "--n", "50", "--reps", "100"]),
+    # jdlvp+sinc at h = 1e8, where every replication's ISE is one number
+    # to rounding and z divides by the exact value's error bound
+    ("mc-validate large-h jdlvp+sinc",
+     ["-c", _CLI, "mc-validate", "--dist", "jdlvp", "--kernel", "sinc", "--n", "50",
+      "--reps", "100", "--h-grid", "1e8:1e8:1"]),
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
 ] + [
