@@ -11,7 +11,7 @@ import math
 
 from cdf_mise.distributions import make_jdlvp, make_normal
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise, mise_normal_normal_closed
+from cdf_mise.mise import mise
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
     print(f"  {'h':>5}{'fourier':>22}{'closed':>22}{'rel diff':>12}")
     for h in (0.1, 0.5, 1.0, 2.0):
         got = mise(normal, nk, h, n, method="fourier").mise
-        want = mise_normal_normal_closed(1.0, h, n)
+        want = mise(normal, nk, h, n).mise
         print(f"  {h:>5.2f}{got:>22.12e}{want:>22.12e}"
               f"{abs(got / want - 1.0):>12.2e}")
 

@@ -16,7 +16,7 @@ from cdf_mise.bandwidth import (
 )
 from cdf_mise.distributions import make_normal
 from cdf_mise.kernels import kernel_by_name
-from cdf_mise.mise import mise_normal_normal_closed, mise_normal_sinc_closed
+from cdf_mise.mise import mise
 
 
 def main() -> None:
@@ -34,9 +34,9 @@ def main() -> None:
     h_nk = optimal_bandwidth(normal, kernel_by_name("normal"), 100).h_opt
     h_sc = 1.0 / math.sqrt(math.log(101.0))
     print(f"  normal kernel: h_opt = {h_nk:.6f}, "
-          f"MISE = {mise_normal_normal_closed(1.0, h_nk, 100):.8e}")
+          f"MISE = {mise(normal, kernel_by_name('normal'), h_nk, 100).mise:.8e}")
     print(f"  sinc kernel:   h_opt = {h_sc:.6f}, "
-          f"MISE = {mise_normal_sinc_closed(1.0, h_sc, 100):.8e}")
+          f"MISE = {mise(normal, kernel_by_name('sinc'), h_sc, 100).mise:.8e}")
     print(f"  empirical CDF: MISE = psi_f/n = {normal.psi_f / 100.0:.8e}")
 
     # The sinc kernel overtakes the normal kernel at moderate n and both

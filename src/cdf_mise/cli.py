@@ -51,7 +51,7 @@ from .distributions import (
 )
 from .estimator import PanelBoundError, monte_carlo_mise
 from .kernels import KERNEL_NAMES, Kernel, kernel_by_name, psi_k
-from .mise import _H_MAX, _H_MIN, _H_RANGE, mise
+from .mise import _H_RANGE, _h_ok, mise
 
 __all__ = [
     "RunConfig",
@@ -108,8 +108,6 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.format not in _FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        if self.h_grid[0] < 0.0:
-            raise ValueError("h-grid minimum must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +170,14 @@ def _parse_h_grid(text) -> tuple[float, float, int]:
         raise UsageError(f"bad h-grid {text!r}: {exc}") from exc
     if count < 1:
         raise UsageError(f"h-grid needs at least one point, got count={count}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"h-grid bounds must be finite, got {text!r}")
-    if lo < 0.0 or hi < lo:
+    if hi < lo:
         raise UsageError(f"h-grid must satisfy 0 <= min <= max, got {text!r}")
-    # Every point must be a bandwidth mise takes; both commands that take
-    # a grid run it with np.linspace.
-    hs = np.linspace(lo, hi, count)
-    bad = hs[(hs != 0.0) & ((hs < _H_MIN) | (hs > _H_MAX))]
+    # Every point must be a bandwidth the package takes; both commands
+    # that take a grid run it with np.linspace.  A bound that is not
+    # finite is checked as it stands, before linspace spreads it.
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    hs = np.linspace(lo, hi, count) if finite else np.array([lo, hi])
+    bad = hs[~_h_ok(hs)]
     if bad.size:
         raise UsageError(f"h-grid point {bad[0]:g} is out of range: {_H_RANGE}")
     return lo, hi, count

@@ -39,7 +39,7 @@ import scipy.special
 
 from .distributions import TargetDistribution, _check_size, sample as draw_values
 from .kernels import Kernel, kernel_by_name
-from .mise import _validate_h, mise_profile
+from .mise import _H_RANGE, _h_ok, mise_profile
 from .numerics import _G7_NODES, _G7_ONLY_WEIGHTS
 
 __all__ = [
@@ -94,7 +94,7 @@ class PanelBoundError(ValueError):
 
 @dataclass(frozen=True)
 class Sample:
-    """A sorted i.i.d. sample with its seed and source distribution."""
+    """A sorted i.i.d. sample of finite values with its seed and source."""
 
     values: np.ndarray
     seed: int
@@ -104,8 +104,12 @@ class Sample:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-D array")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("values must be sorted ascending")
+        # false at any nan, so an ordered array holds none, and then its
+        # two ends bound every value
+        if not np.all(values[1:] >= values[:-1]):
+            raise ValueError("values must be sorted ascending, with no nan")
+        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
 
     @property
@@ -141,11 +145,15 @@ def draw_sample(dist: TargetDistribution, n: int, seed: int,
 def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     """F_nh(x) = n^-1 sum_j K((x - X_j)/h), the empirical CDF at h = 0.
 
-    x may be a scalar or an array; the return matches.  The h = 0 path
-    counts sample points at or below x by binary search.
+    x may be a scalar or an array of finite values; the return matches.
+    h must be 0 or in [1e-300, 1e75], the bandwidth range of ``mise``.
+    The h = 0 path counts sample points at or below x by binary search.
     """
-    _validate_h(h)
+    if not _h_ok(h):
+        raise ValueError(_H_RANGE)
     xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     scalar = xs.ndim == 0
     xs1 = np.atleast_1d(xs)
     if h == 0.0:
@@ -220,8 +228,11 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
                           - n^-2 sum_i (2i - n - 1) X_(i) - psi(F),
 
     in closed form through the target's mean_abs_dev, with no cut-off.
+
+    h must be 0 or in [1e-300, 1e75], the bandwidth range of ``mise``.
     """
-    _validate_h(h)
+    if not _h_ok(h):
+        raise ValueError(_H_RANGE)
     xs = sample.values
     if h == 0.0:
         n = sample.n
@@ -317,9 +328,11 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
 
     Replication r draws its sample from the stream keyed by (seed, r).
     The replications run serially, in index order, in this process, so
-    the estimate is deterministic for a fixed seed.
+    the estimate is deterministic for a fixed seed.  h is checked as by
+    ``ise`` before any sample is drawn.
     """
-    _validate_h(h)
+    if not _h_ok(h):
+        raise ValueError(_H_RANGE)
     replications = _check_size(replications, "replications")
     if replications < 2:
         raise ValueError("replications must be >= 2")

@@ -82,7 +82,9 @@ def _trapezoidal_integrated(x):
         - sine_integral(xs)
         - (np.cos(xs) - np.cos(2.0 * xs)) / (math.pi * xs)
     )
-    series = 0.5 + (1.5 * x - 0.625 * x ** 3 / 3.0) / math.pi
+    # the series only where it is used, so a large x cannot overflow x^3
+    x0 = np.where(small, x, 0.0)
+    series = 0.5 + (1.5 * x0 - 0.625 * x0 ** 3 / 3.0) / math.pi
     out = np.where(small, series, direct)
     return float(out) if out.ndim == 0 else out
 

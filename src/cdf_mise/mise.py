@@ -24,18 +24,20 @@ Low-accuracy space-domain oracles for cross-checking live with the
 tests, in ``tests/oracles.py``.
 
 h = 0 is a first-class input: the estimator degenerates to the
-empirical CDF and MISE(0) = psi(F)/n.
+empirical CDF and MISE(0) = psi(F)/n.  Every function of the package
+that takes a bandwidth takes h = 0 or h in [1e-300, 1e75], by one rule,
+``_h_ok``.
 
 n enters only as MISE(h, n) = A(h)/n + B(h), with A = n IV and B = ISB.
-``mise`` takes its route from one table, ``_exact_route``: the exact
-routes get (IV, ISB) at n from ``_exact_parts``; the ``fourier`` route
-gets pi A and pi B, with their error bounds, from one cell of the fixed
-Gauss-Kronrod rule.  ``mise_profile`` computes A and B on a whole
-bandwidth array with the same rule and an error bound, and the
-bandwidth search runs on it alone.  It picks the same routes by mask
-and computes the exact ones on arrays, with the same bits as ``mise``.
-For the other cells one pass over arrays builds every cell's panels
-(a loop on floats for one or two cells), and the rule sums them a
+``mise`` and ``mise_profile`` pick their routes by the same two tests,
+``_on_linear_segment`` and ``_closed_form``, on a float or on an array:
+the exact routes take closed forms, the ``fourier`` route gets pi A and
+pi B, with their error bounds, from the fixed Gauss-Kronrod rule.
+``mise_profile`` computes A and B on a whole bandwidth array with that
+rule and an error bound, and the bandwidth search runs on it alone; the
+exact routes there are computed on arrays, with the same bits as
+``mise``.  For the other cells one pass over arrays builds every cell's
+panels (a loop on floats for one or two cells), and the rule sums them a
 block of cells at a time.
 """
 
@@ -47,16 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .distributions import TargetDistribution, _check_size, make_normal
-from .kernels import Kernel, kernel_by_name
+from .distributions import TargetDistribution, _check_size
+from .kernels import Kernel
 from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS
 
 __all__ = [
     "MiseReport",
     "mise",
     "mise_profile",
-    "mise_normal_normal_closed",
-    "mise_normal_sinc_closed",
     "MISE_METHODS",
 ]
 
@@ -94,35 +94,20 @@ class MiseReport:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def _validate_h(h: float) -> None:
-    if h < 0.0 or not math.isfinite(h):
-        raise ValueError("bandwidth h must be finite and >= 0")
-
-
-# The bandwidths h > 0 the MISE functions take.  Between these the
-# fixed rule's knots k/h and its t^2 at t ~ 1/h, and the normal closed
-# form's h^4, are finite normal floats.  MISE is psi_f/n to rounding
-# at the lower end, and MISE/h is at its large-h limit at the upper.
+# The bandwidths h > 0 every function of the package takes.  Between
+# these the fixed rule's knots k/h and its t^2 at t ~ 1/h, and the normal
+# closed form's h^4, are finite normal floats.  MISE is psi_f/n to
+# rounding at the lower end, and MISE/h is at its large-h limit at the
+# upper.
 _H_MIN, _H_MAX = 1e-300, 1e75
 _H_RANGE = f"bandwidth h must be 0 or lie in [{_H_MIN:g}, {_H_MAX:g}] for MISE"
 
 
-def _validate_h_n(h: float, n: int) -> int:
-    n = _check_size(n)
-    if not (h == 0.0 or _H_MIN <= h <= _H_MAX):
-        raise ValueError(_H_RANGE)
-    return n
-
-
-def mise_normal_normal_closed(sigma: float, h: float, n: int) -> float:
-    """Closed-form MISE for a N(0, sigma^2) target with the normal kernel.
-
-    sqrt(pi) MISE(h) = n^-1 {sqrt(h^2+s^2) - h}
-                       + sqrt(2h^2+4s^2) - sqrt(h^2+s^2) - s,
-
-    for sigma in [1e-60, 1e60]: ``mise`` on that pair, its route at h > 0.
-    """
-    return mise(make_normal(sigma), kernel_by_name("normal"), h, n).mise
+def _h_ok(h):
+    # True where h is a bandwidth the package takes, on a float or
+    # elementwise on an array; false at nan.  Callers raise
+    # ValueError(_H_RANGE) where it is false.
+    return (h == 0.0) | ((h >= _H_MIN) & (h <= _H_MAX))
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -133,10 +118,16 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _normal_normal_parts(sigma: float, h: np.ndarray, n: int):
-    # (IV, ISB) on an array of h.  Both differences in the display are
-    # rationalized so that no O(s) terms cancel: with a = sqrt(h^2+s^2),
-    # a - h = s^2/(a+h) and sqrt(2h^2+4s^2) - a - s =
-    # (a-s)^2/(sqrt(2h^2+4s^2)+a+s), where a - s = h^2/(a+s).
+    # (IV, ISB) on an array of h for a N(0, s^2) target with the normal
+    # kernel, the closed form
+    #
+    #     sqrt(pi) MISE(h) = n^-1 {sqrt(h^2+s^2) - h}
+    #                        + sqrt(2h^2+4s^2) - sqrt(h^2+s^2) - s.
+    #
+    # Both differences in the display are rationalized so that no O(s)
+    # terms cancel: with a = sqrt(h^2+s^2), a - h = s^2/(a+h) and
+    # sqrt(2h^2+4s^2) - a - s = (a-s)^2/(sqrt(2h^2+4s^2)+a+s), where
+    # a - s = h^2/(a+s).
     a = np.sqrt(h * h + sigma * sigma)
     iv = sigma * sigma / (_SQRT_PI * n * (a + h))
     c = a + sigma
@@ -145,28 +136,18 @@ def _normal_normal_parts(sigma: float, h: np.ndarray, n: int):
     return iv, isb
 
 
-def mise_normal_sinc_closed(sigma: float, h: float, n: int) -> float:
-    """Closed-form MISE for a N(0, sigma^2) target with the sinc kernel.
-
-    pi MISE(h) = (1 + n^-1) {h e^{-s^2/h^2} + 2 s sqrt(pi) Phi(s sqrt(2)/h)}
-                 - n^-1 h - (2 + n^-1) s sqrt(pi),
-
-    for h > 0 and sigma in [1e-60, 1e60]: ``mise`` on that pair.
-    """
-    if h <= 0.0:
-        raise ValueError("the closed form requires h > 0 (h = 0 is the "
-                         "empirical branch, MISE = psi_f/n)")
-    return mise(make_normal(sigma), kernel_by_name("sinc"), h, n).mise
-
-
 def _normal_sinc_parts(sigma: float, h: np.ndarray, n: int):
-    # (IV, ISB) on an array of h > 0.  B(h) = pi ISB(h) = h e^{-y^2} -
-    # 2 s sqrt(pi) {1 - Phi(y sqrt(2))} with y = s/h; since
-    # 1 - Phi(y sqrt(2)) = erfc(y)/2 = e^{-y^2} erfcx(y)/2,
-    # B = h e^{-y^2} {1 - sqrt(pi) y erfcx(y)}, which keeps the common
-    # factor e^{-y^2} out of the difference.  pi n IV(h) =
-    # s sqrt(pi) - h + B(h); their sum reproduces the display in
-    # mise_normal_sinc_closed.
+    # (IV, ISB) on an array of h > 0 for a N(0, s^2) target with the sinc
+    # kernel, the closed form
+    #
+    #     pi MISE(h) = (1 + n^-1) {h e^{-s^2/h^2} + 2 s sqrt(pi) Phi(s sqrt(2)/h)}
+    #                  - n^-1 h - (2 + n^-1) s sqrt(pi).
+    #
+    # B(h) = pi ISB(h) = h e^{-y^2} - 2 s sqrt(pi) {1 - Phi(y sqrt(2))}
+    # with y = s/h; since 1 - Phi(y sqrt(2)) = erfc(y)/2 =
+    # e^{-y^2} erfcx(y)/2, B = h e^{-y^2} {1 - sqrt(pi) y erfcx(y)}, which
+    # keeps the common factor e^{-y^2} out of the difference.
+    # pi n IV(h) = s sqrt(pi) - h + B(h); their sum reproduces the display.
     y = sigma / h
     # y^2 overflows to inf below h ~ 1e-154 sigma, where e^{-y^2} is 0
     with np.errstate(over="ignore"):
@@ -191,22 +172,14 @@ def _closed_form(dist: TargetDistribution, kernel: Kernel) -> str | None:
     return None
 
 
-def _exact_route(dist: TargetDistribution, kernel: Kernel, h: float) -> str | None:
-    # The auto route that needs no quadrature at h, or None.  h = 0 counts
-    # as the linear segment (A = psi_f); with h > 0 only a superkernel and
-    # a band-limited target pass its test.
-    if h == 0.0 or h * dist.d_f <= kernel.s_k:
-        return "linear_segment"
-    return _closed_form(dist, kernel)
-
-
-def _exact_parts(dist: TargetDistribution, kernel: Kernel, route: str,
-                 h: float, n: int) -> tuple[float, float]:
-    # (IV, ISB) at n on an exact route of _exact_route.
-    if route == "linear_segment":
-        return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
-    iv, isb = _CLOSED_FORMS[route](dist.scale, np.array([h], dtype=float), n)
-    return float(iv[0]), float(isb[0])
+def _on_linear_segment(dist: TargetDistribution, kernel: Kernel, h):
+    # True where A = psi_f - psi_k h and B = 0 exactly, on a float or
+    # elementwise on an array: at h = 0, and for a superkernel on a
+    # band-limited target up to h = s_k/d_f.  h d_f is only formed for a
+    # finite d_f, since 0 inf is nan.
+    if math.isfinite(dist.d_f):
+        return (h == 0.0) | (h * dist.d_f <= kernel.s_k)
+    return h == 0.0
 
 
 def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
@@ -218,17 +191,25 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
     the quadrature for h > 0.  At h = 0 both report the exact value
     psi_f/n as ``fourier``.  Every fast path agrees with method="fourier"
     to well below 1e-9 relative, which the test suite pins.  h must be 0
-    or in [1e-300, 1e75] and n a whole number >= 1, else ValueError.
+    or in [1e-300, 1e75], the one bandwidth range of the package, and n a
+    whole number >= 1, else ValueError.
     """
-    n = _validate_h_n(h, n)
+    n = _check_size(n)
+    if not _h_ok(h):
+        raise ValueError(_H_RANGE)
     if method not in ("auto", "fourier"):
         raise ValueError("method must be 'auto' or 'fourier'")
 
-    route = _exact_route(dist, kernel, h) if h == 0.0 or method == "auto" else None
-    if route is not None:
-        iv, isb = _exact_parts(dist, kernel, route, h, n)
-        return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                          method="fourier" if h == 0.0 else route)
+    if h == 0.0 or method == "auto":
+        if _on_linear_segment(dist, kernel, h):
+            iv = (dist.psi_f - kernel.psi_k_analytic * h) / n
+            return MiseReport(h=h, n=n, iv=iv, isb=0.0, mise=iv,
+                              method="fourier" if h == 0.0 else "linear_segment")
+        route = _closed_form(dist, kernel)
+        if route is not None:
+            iv, isb = (float(x[0]) for x in
+                       _CLOSED_FORMS[route](dist.scale, np.array([h], dtype=float), n))
+            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method=route)
     a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
     iv = a / (math.pi * n)
     isb = b / math.pi
@@ -442,13 +423,9 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     hs = np.asarray(hs, dtype=float)
     if hs.ndim != 1:
         raise ValueError("hs must be a one-dimensional array of bandwidths")
-    if not np.all((hs == 0.0) | ((hs >= _H_MIN) & (hs <= _H_MAX))):
+    if not _h_ok(hs).all():
         raise ValueError(_H_RANGE)
-    # the linear segment, with h = 0 on it; h d_f is only formed for a
-    # finite d_f, since 0 inf is nan
-    linear = hs == 0.0
-    if math.isfinite(dist.d_f):
-        linear |= hs * dist.d_f <= kernel.s_k
+    linear = _on_linear_segment(dist, kernel, hs)
     rest = ~linear
     a = np.zeros(hs.size)
     b = np.zeros(hs.size)

@@ -35,10 +35,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from cdf_mise.distributions import TargetDistribution
+from cdf_mise.distributions import TargetDistribution, _check_size
 from cdf_mise.estimator import _MAX_PANELS, _NORMAL_FT_CUTOFF, _PANEL_WIDTH
 from cdf_mise.kernels import Kernel, kernel_by_name
-from cdf_mise.mise import _GAUSS_CUT, _validate_h_n, mise_profile
+from cdf_mise.mise import _GAUSS_CUT, _H_RANGE, _h_ok, mise_profile
 from cdf_mise.numerics import (
     _GK15_NODES,
     _GK15_WEIGHTS,
@@ -653,6 +653,13 @@ def quadpack_terms(dist: TargetDistribution, kernel: Kernel, h: float):
 # Space-domain oracles (direct quadrature of the pre-Fourier displays)
 # ---------------------------------------------------------------------------
 
+def _check_h_n(h: float, n: int) -> None:
+    # the oracles take the h and n that mise takes
+    _check_size(n)
+    if not _h_ok(h):
+        raise ValueError(_H_RANGE)
+
+
 def tail_radius(dist: TargetDistribution, eps: float) -> float:
     """R with 1 - F(R) <= eps for a catalog target (F(-R) by symmetry).
 
@@ -719,7 +726,7 @@ def isb_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float) -> floa
     if not kernel.integrable:
         raise ValueError("space-domain oracle requires an integrable kernel "
                          "(dK must be a finite measure)")
-    _validate_h_n(h, 1)
+    _check_h_n(h, 1)
     if h == 0.0:
         return 0.0
 
@@ -748,7 +755,7 @@ def iv_space_oracle(dist: TargetDistribution, kernel: Kernel, h: float, n: int) 
     if not kernel.integrable:
         raise ValueError("space-domain oracle requires an integrable kernel "
                          "(dK must be a finite measure)")
-    _validate_h_n(h, n)
+    _check_h_n(h, n)
 
     b_k = _kernel_truncation_radius(kernel)
     l_x = tail_radius(dist, 1e-6) + h * b_k
@@ -791,7 +798,7 @@ def mise_mpmath(dist: TargetDistribution, kernel: Kernel, h: float, n: int):
     differences through expm1.  MISE = A/n + B.
     """
     mp = pytest.importorskip("mpmath")
-    _validate_h_n(h, n)
+    _check_h_n(h, n)
     if h == 0.0:
         raise ValueError("mise_mpmath needs h > 0")
     with mp.workdps(50):

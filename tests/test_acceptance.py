@@ -25,11 +25,7 @@ from cdf_mise.bandwidth import (
 )
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import (
-    mise,
-    mise_normal_normal_closed,
-    mise_normal_sinc_closed,
-)
+from cdf_mise.mise import mise
 
 from oracles import isb_space_oracle, iv_space_oracle, psi_space_quad
 
@@ -103,12 +99,12 @@ def test_criterion_3_closed_forms(capsys):
     for n in (10, 1000):
         for h in grid:
             got = mise(NORMAL1, NORMAL_K, float(h), n, method="fourier").mise
-            want = mise_normal_normal_closed(1.0, float(h), n)
+            want = mise(NORMAL1, NORMAL_K, float(h), n).mise
             worst = max(worst, abs(got / want - 1.0))
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
         for h in grid[1:]:  # the sinc closed form needs h > 0
             got = mise(NORMAL1, SINC, float(h), n, method="fourier").mise
-            want = mise_normal_sinc_closed(1.0, float(h), n)
+            want = mise(NORMAL1, SINC, float(h), n).mise
             worst = max(worst, abs(got / want - 1.0))
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
     elapsed = time.perf_counter() - start

@@ -427,7 +427,8 @@ def _quadpack_grid(family: str, scale: float, kernel_name: str):
     dist = rescale(JDLVP if family == "jdlvp" else NORMAL1, scale)
     kernel = kernel_by_name(kernel_name)
     grid = bw._search_grid(default_search(dist).h_max)
-    terms = tuple(None if MISE_MODULE._exact_route(dist, kernel, h)
+    terms = tuple(None if MISE_MODULE._on_linear_segment(dist, kernel, h)
+                  or MISE_MODULE._closed_form(dist, kernel)
                   else quadpack_terms(dist, kernel, h) for h in grid.tolist())
     return dist, kernel, grid, terms
 

@@ -30,7 +30,7 @@ from cdf_mise.bandwidth import (
 )
 from cdf_mise.distributions import make_jdlvp, make_normal
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise, mise_normal_normal_closed
+from cdf_mise.mise import mise
 
 JDLVP = make_jdlvp()
 NORMAL1 = make_normal(1.0)
@@ -245,7 +245,7 @@ class TestMiseCurveCommand:
                 continue
             assert row[4] == "closed_form_normal_normal"
             assert total == pytest.approx(
-                mise_normal_normal_closed(1.0, h, 50), rel=1e-12, abs=0.0)
+                mise(NORMAL1, NORMAL_K, h, 50).mise, rel=1e-12, abs=0.0)
             iv_closed = (math.hypot(h, 1.0) - h) / (SQRT_PI * 50.0)
             assert iv == pytest.approx(iv_closed, rel=1e-9, abs=1e-18)
 

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import math
 import multiprocessing.process
+import re
 import time
 import tracemalloc
 
@@ -24,7 +25,7 @@ from cdf_mise.estimator import (
     monte_carlo_mise,
 )
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import mise_normal_sinc_closed
+from cdf_mise.mise import _H_RANGE, mise
 
 from oracles import (
     cos_tail_over_x2,
@@ -42,6 +43,7 @@ NORMAL_K = kernel_by_name("normal")
 TRAP = kernel_by_name("trapezoidal")
 SINC = kernel_by_name("sinc")
 BAD_BANDWIDTHS = (-0.2, math.nan, math.inf)
+H_RANGE = re.escape(_H_RANGE)
 
 
 def ise_reference(sample, kernel, h, dist, pad, width):
@@ -77,6 +79,27 @@ class TestSampleType:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Sample(values=np.array([2.0, 1.0]), seed=0, source="manual")
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 0.0], [0.0, math.nan, 1.0],
+                                        [math.nan, 0.0], [0.0, math.nan]],
+                             ids=["unsorted", "inner", "first", "last"])
+    def test_rejects_nan_wherever_it_sits(self, values):
+        # a nan compares false either way, so it used to hide an unsorted
+        # array from the order check, and ise then returned nan
+        with pytest.raises(ValueError, match="sorted ascending, with no nan"):
+            Sample(values=np.array(values), seed=0, source="manual")
+
+    @pytest.mark.parametrize("values", [[math.nan], [-math.inf, 0.0], [0.0, math.inf],
+                                        [math.inf], [-math.inf, math.inf]],
+                             ids=["lone-nan", "-inf", "inf", "lone-inf", "both"])
+    def test_rejects_non_finite_ends(self, values):
+        with pytest.raises(ValueError, match="values must be finite"):
+            Sample(values=np.array(values), seed=0, source="manual")
+
+    def test_takes_ties_and_the_float_extremes(self):
+        big = np.finfo(float).max
+        s = Sample(values=np.array([-big, 0.0, 0.0, big]), seed=0, source="manual")
+        assert s.n == 4
 
     def test_draw_sample_is_sorted_and_deterministic(self):
         a = draw_sample(JDLVP, 40, 11)
@@ -116,8 +139,17 @@ class TestEstimateCdf:
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
     def test_rejects_negative_bandwidth(self, h):
         s = Sample(values=np.array([0.0]), seed=0, source="manual")
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match=H_RANGE):
             estimate_cdf(s, NORMAL_K, h, 0.0)
+
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.0, math.nan]],
+                             ids=["nan", "inf", "-inf", "array-with-nan"])
+    def test_rejects_non_finite_x(self, h, x):
+        # at h = 0 a nan used to count every point below it, giving 1.0
+        s = Sample(values=np.array([0.0, 1.0]), seed=0, source="manual")
+        with pytest.raises(ValueError, match="x must be finite"):
+            estimate_cdf(s, TRAP, h, x)
 
     def test_scalar_and_array_evaluation(self):
         s = draw_sample(NORMAL1, 10, 3)
@@ -190,7 +222,7 @@ class TestIse:
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
     def test_rejects_negative_bandwidth(self, h):
         s = draw_sample(NORMAL1, 10, 1)
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match=H_RANGE):
             ise(s, NORMAL_K, h, NORMAL1)
 
     def test_panel_count_is_bounded(self):
@@ -405,12 +437,13 @@ class TestIseEnergy:
 
     def test_extreme_bandwidths_stay_finite(self):
         s = draw_sample(NORMAL1, 20, 5)
-        # below the float range of d/h the pair terms are d; above it
-        # F_nh is flat and the ISE grows like sqrt(2/pi) h (1 - 1/sqrt 2)
-        tiny = ise(s, NORMAL_K, 1e-310, NORMAL1)
+        # at the ends of the bandwidth range: at 1e-300 (d/h)^2 overflows
+        # and the pair terms are d; at 1e75 F_nh is flat and the ISE
+        # grows like sqrt(2/pi) h (1 - 1/sqrt 2)
+        tiny = ise(s, NORMAL_K, 1e-300, NORMAL1)
         assert tiny == pytest.approx(ise(s, NORMAL_K, 0.0, NORMAL1), rel=1e-13, abs=0.0)
-        huge = ise(s, NORMAL_K, 1e200, NORMAL1)
-        limit = math.sqrt(2.0 / math.pi) * (1.0 - 1.0 / math.sqrt(2.0)) * 1e200
+        huge = ise(s, NORMAL_K, 1e75, NORMAL1)
+        limit = math.sqrt(2.0 / math.pi) * (1.0 - 1.0 / math.sqrt(2.0)) * 1e75
         assert huge == pytest.approx(limit, rel=1e-12, abs=0.0)
 
 
@@ -435,7 +468,7 @@ class TestMonteCarloMise:
 
         monkeypatch.setattr(estimator, "draw_sample", forbidden)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", forbidden)
-        with pytest.raises(ValueError, match="finite and >= 0"):
+        with pytest.raises(ValueError, match=H_RANGE):
             monte_carlo_mise(NORMAL1, NORMAL_K, h, 10, 4, seed=1)
 
     def test_runs_in_process_in_replication_order(self, monkeypatch):
@@ -474,5 +507,5 @@ class TestMonteCarloMise:
     @pytest.mark.slow
     def test_sinc_case_matches_closed_form(self):
         run = monte_carlo_mise(NORMAL1, SINC, 0.5, 100, 2000, seed=303)
-        exact = mise_normal_sinc_closed(1.0, 0.5, 100)
+        exact = mise(NORMAL1, SINC, 0.5, 100).mise
         assert abs(run.estimate - exact) <= 3.0 * run.std_error

@@ -16,13 +16,7 @@ import cdf_mise.mise as MISE_MODULE
 
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
 from cdf_mise.kernels import kernel_by_name, psi_k
-from cdf_mise.mise import (
-    MiseReport,
-    mise,
-    mise_normal_normal_closed,
-    mise_normal_sinc_closed,
-    mise_profile,
-)
+from cdf_mise.mise import MiseReport, mise, mise_profile
 from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
 
 from oracles import (
@@ -66,6 +60,22 @@ def fourier_report(terms, h: float, n: int) -> MiseReport:
     iv, isb = a / (math.pi * n), b / math.pi
     return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method="fourier",
                       error_estimate=a_err / (math.pi * n) + b_err / math.pi)
+
+
+def exact_route(dist, kernel, h: float):
+    # the route of mise(method="auto") at h when it needs no quadrature,
+    # or None, by the module's two route tests
+    if MISE_MODULE._on_linear_segment(dist, kernel, h):
+        return "linear_segment"
+    return MISE_MODULE._closed_form(dist, kernel)
+
+
+def exact_terms(dist, kernel, route: str, h: float, n: int) -> tuple[float, float]:
+    # (IV, ISB) at n on an exact route of exact_route
+    if route == "linear_segment":
+        return (dist.psi_f - kernel.psi_k_analytic * h) / n, 0.0
+    iv, isb = MISE_MODULE._CLOSED_FORMS[route](dist.scale, np.array([h]), n)
+    return float(iv[0]), float(isb[0])
 
 
 def closed_iv_normal_normal(sigma: float, h: float, n: int) -> float:
@@ -164,7 +174,7 @@ class TestIsbBoundary:
 
 class TestClosedFormNormalNormal:
     def test_zero_bandwidth(self):
-        assert mise_normal_normal_closed(2.0, 0.0, 5) == pytest.approx(
+        assert mise(make_normal(2.0), NORMAL_K, 0.0, 5).mise == pytest.approx(
             2.0 / (SQRT_PI * 5.0), rel=1e-14, abs=0.0
         )
 
@@ -173,14 +183,16 @@ class TestClosedFormNormalNormal:
     def test_matches_fourier(self, sigma, h):
         dist = make_normal(sigma)
         n = 100
-        closed = mise_normal_normal_closed(sigma, h, n)
+        closed = mise(dist, NORMAL_K, h, n)
+        assert closed.method == "closed_form_normal_normal"
         four = mise(dist, NORMAL_K, h, n, method="fourier")
-        assert closed == pytest.approx(four.mise, rel=1e-9, abs=0.0)
+        assert closed.mise == pytest.approx(four.mise, rel=1e-9, abs=0.0)
 
     def test_auto_routes_to_closed_form(self):
         r = mise(NORMAL1, NORMAL_K, 0.2, 50)
         assert r.method == "closed_form_normal_normal"
-        assert r.mise == pytest.approx(mise_normal_normal_closed(1.0, 0.2, 50), rel=1e-14, abs=0.0)
+        assert r.mise == pytest.approx(float(mise_mpmath(NORMAL1, NORMAL_K, 0.2, 50)),
+                                       rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [10, 1000])
     def test_iv_isb_split_matches_coefficients(self, n):
@@ -192,49 +204,35 @@ class TestClosedFormNormalNormal:
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            mise_normal_normal_closed(-1.0, 0.5, 10)
+            mise(make_normal(-1.0), NORMAL_K, 0.5, 10)
         with pytest.raises(ValueError):
-            mise_normal_normal_closed(0.0, 0.5, 10)
+            mise(make_normal(0.0), NORMAL_K, 0.5, 10)
         # outside the target scales [1e-60, 1e60] h^4 underflows: at
         # sigma = 1e-100 the value was 68% off, at 1e-150 a nan
-        for closed in (mise_normal_normal_closed, mise_normal_sinc_closed):
+        for kernel in (NORMAL_K, SINC):
             for sigma in (1e-100, 1e-150, 1e61, math.nan):
                 with pytest.raises(ValueError, match="sigma must lie in"):
-                    closed(sigma, 0.7 * sigma, 10)
+                    mise(make_normal(sigma), kernel, 0.7 * sigma, 10)
 
 
 class TestClosedFormNormalSinc:
     def test_small_h_limit(self):
-        assert mise_normal_sinc_closed(1.0, 1e-8, 10) == pytest.approx(
-            1.0 / (SQRT_PI * 10.0), rel=1e-7, abs=0.0
-        )
-
-    def test_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            mise_normal_sinc_closed(1.0, 0.0, 10)
-
-    def test_closed_forms_are_views_of_mise(self):
-        # the normal form at h = 0 is psi_f/n by the linear route, correctly
-        # rounded; the sinc form keeps refusing h = 0
-        assert mise_normal_normal_closed(1.0, 0.0, 10) == NORMAL1.psi_f / 10
-        with pytest.raises(ValueError, match="requires h > 0"):
-            mise_normal_sinc_closed(1.0, 0.0, 10)
-        for closed, kernel in ((mise_normal_normal_closed, NORMAL_K),
-                               (mise_normal_sinc_closed, SINC)):
-            assert closed(2.0, 0.7, 25) == mise(make_normal(2.0), kernel, 0.7, 25).mise
-            with pytest.raises(ValueError, match="sample size n must be a whole number"):
-                closed(1.0, 0.5, 2.5)
+        r = mise(NORMAL1, SINC, 1e-8, 10)
+        assert r.method == "closed_form_normal_sinc"
+        assert r.mise == pytest.approx(1.0 / (SQRT_PI * 10.0), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("sigma,h,n", [(1.0, 0.4, 100), (2.0, 0.7, 25), (0.5, 1.5, 10)])
     def test_matches_sinc_fourier(self, sigma, h, n):
-        closed = mise_normal_sinc_closed(sigma, h, n)
+        closed = mise(make_normal(sigma), SINC, h, n)
+        assert closed.method == "closed_form_normal_sinc"
         report = mise(make_normal(sigma), SINC, h, n, method="fourier")
-        assert closed == pytest.approx(report.mise, rel=1e-9, abs=0.0)
+        assert closed.mise == pytest.approx(report.mise, rel=1e-9, abs=0.0)
 
     def test_auto_routes_to_closed_form(self):
         r = mise(NORMAL1, SINC, 0.4, 100)
         assert r.method == "closed_form_normal_sinc"
-        assert r.mise == pytest.approx(mise_normal_sinc_closed(1.0, 0.4, 100), rel=1e-14, abs=0.0)
+        assert r.mise == pytest.approx(float(mise_mpmath(NORMAL1, SINC, 0.4, 100)),
+                                       rel=1e-14, abs=0.0)
 
 
 class TestClosedFormsAgainstMpmath:
@@ -372,7 +370,7 @@ class TestAsymptotics:
 
 
 class TestMiseTerms:
-    # MISE(h, n) = A(h)/n + B(h): mise() takes its route from one table,
+    # MISE(h, n) = A(h)/n + B(h): mise() takes its route by two tests,
     # and the terms of each route, the exact (IV, ISB) at n or the fixed
     # rule's pi A and pi B, must give every report field bit for bit.
     NS = (1, 10, 10**3, 10**7)
@@ -392,10 +390,10 @@ class TestMiseTerms:
                              ids=lambda o: getattr(o, "name", o))
     @pytest.mark.parametrize("method", ["auto", "fourier"])
     def test_at_equals_mise_exactly(self, dist, kernel, method):
-        # the route table and the terms of the chosen route reproduce
+        # the two route tests and the terms of the chosen route reproduce
         # every field of mise() at every n
         for h in (0.0, 0.3, *self.FOURIER_HS):
-            route = MISE_MODULE._exact_route(dist, kernel, h)
+            route = exact_route(dist, kernel, h)
             if h > 0.0 and method == "fourier":
                 route = None
             quad = rule_terms(dist, kernel, h) if route is None else None
@@ -404,7 +402,7 @@ class TestMiseTerms:
                 if quad is not None:
                     want = fourier_report(quad, h, n)
                 else:
-                    iv, isb = MISE_MODULE._exact_parts(dist, kernel, route, h, n)
+                    iv, isb = exact_terms(dist, kernel, route, h, n)
                     want = MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
                                       method="fourier" if h == 0.0 else route)
                 assert type(got) is MiseReport
@@ -425,10 +423,9 @@ class TestMiseTerms:
                 elif r.method == "linear_segment":
                     v = (dist.psi_f - kernel.psi_k_analytic * h) / n
                     assert (r.iv, r.isb, r.mise) == (v, 0.0, v)
-                elif r.method == "closed_form_normal_normal":
-                    assert r.mise == mise_normal_normal_closed(dist.scale, h, n)
-                elif r.method == "closed_form_normal_sinc":
-                    assert r.mise == mise_normal_sinc_closed(dist.scale, h, n)
+                elif r.method.startswith("closed_form_"):
+                    iv, isb = MISE_MODULE._CLOSED_FORMS[r.method](dist.scale, np.array([h]), n)
+                    assert (r.iv, r.isb) == (iv[0], isb[0])
                 else:
                     assert r == fourier_report(rule_terms(dist, kernel, h), h, n)
                     assert r.error_estimate > 0.0
@@ -516,7 +513,7 @@ class TestMiseProfile:
         hs = np.exp(rng.uniform(math.log(1e-4), math.log(300.0), 64))
         a, b, err = mise_profile(dist, kernel, hs)
         for i, h in enumerate(hs.tolist()):
-            exact = MISE_MODULE._exact_route(dist, kernel, h) is not None
+            exact = exact_route(dist, kernel, h) is not None
             for method in ("auto", "fourier"):
                 for n in (1, 10**3, 10**6):
                     r = mise(dist, kernel, h, n, method=method)
@@ -529,7 +526,7 @@ class TestMiseProfile:
         assert list(a) == [JDLVP.psi_f, JDLVP.psi_f - TRAP.psi_k_analytic * 0.3]
         assert list(b) == [0.0, 0.0]
         a, b, _ = mise_profile(NORMAL1, NORMAL_K, [0.4])
-        assert a[0] + b[0] == mise_normal_normal_closed(1.0, 0.4, 1)
+        assert a[0] + b[0] == mise(NORMAL1, NORMAL_K, 0.4, 1).mise
 
     def test_scale_covariance(self):
         # A and B of f_a at a h are a times those of f at h
@@ -856,13 +853,6 @@ class TestBandwidthRange:
                     mise(dist, kernel, h, 10, method=method)
             with pytest.raises(ValueError, match=r"\[1e-300, 1e\+75\]"):
                 mise_profile(dist, kernel, [1.0, h])
-
-    def test_closed_forms_reject_out_of_range(self):
-        # the normal closed form forms h^4, which overflowed past 1.2e77
-        assert math.isfinite(mise_normal_normal_closed(1.0, 1e75, 1))
-        for fn in (mise_normal_normal_closed, mise_normal_sinc_closed):
-            with pytest.raises(ValueError, match="for MISE"):
-                fn(1.0, 1e80, 1)
 
 
 class TestSpaceOracles:

@@ -72,6 +72,9 @@ CASES: list[tuple[str, list[str]]] = [
     for dist, kernel in (("normal:sigma=1", "normal"), ("normal:sigma=1", "sinc"),
                          ("jdlvp", "sinc"))
 ] + [
+    # a grid point past the bandwidth range: exit 1 with the range message
+    ("mise-curve --h-grid 0:1e76:2", ["-c", _CLI, "mise-curve", "--h-grid", "0:1e76:2"]),
+] + [
     ("constants", ["-c", _CLI, "constants"]),
 ] + [
     ("efficiency-curve jdlvp:scale=0.5+sinc",
