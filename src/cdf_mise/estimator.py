@@ -24,6 +24,16 @@ that does not depend on h.  At h = 0 the ISE of the step function F_n
 is Cramer's identity, exact in O(n) through the target's mean absolute
 deviation E|x - X|.  No ISE calls QUADPACK.
 
+Each route takes an (R, n) array of sorted samples, one a row, and
+``ise`` is a group of one.  ``monte_carlo_mise`` draws its replications
+in groups of 2^14 // (14 n), at least one, so that its arrays stay
+within about max(2^14, 64 n) elements however many replications it
+takes, and runs the route once a group: at h = 0 the target's
+mean_abs_dev once over the group, on the Fourier route the trig, the
+transforms and the integrand once over runs of the group's panels.
+Whatever belongs to one sample is rounded as for that sample alone, so
+every replication's ISE has the bits ``ise`` gives it.
+
 Sinc estimates are reported as-is: they may leave [0, 1] slightly and
 are neither clipped nor monotonized, since the exact-MISE identities
 hold for the raw estimator only.
@@ -31,6 +41,7 @@ hold for the raw estimator only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +91,14 @@ _PANEL_BLOCK = 64
 # of a block stays under 0.6 MB up to n = 65537 and 8 n bytes past it.
 _PAIR_BLOCK = 1 << 16
 
+# Elements of a temporary array of one group of Monte Carlo
+# replications: monte_carlo_mise draws as many at a time as keep the
+# Fourier route's (R, n, 14) trig table within 2^14 elements, or one
+# where 14 n is more.  The Fourier route takes its panels in runs of at
+# most max(64, 2^14 / n), so no array of a group exceeds about
+# max(2^14, 64 n) elements, however many replications a cell takes.
+_GROUP_ELEMENTS = 1 << 14
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -90,6 +109,16 @@ _SINC = kernel_by_name("sinc")
 
 class PanelBoundError(ValueError):
     """A Fourier ISE that would need more than 2^22 panels."""
+
+
+def _check_sorted(values: np.ndarray) -> None:
+    # Sample's rule on each row of values, along its last axis.  The order
+    # test is false at any nan, so an ordered row holds none, and then
+    # its two ends bound every value.
+    if not np.all(values[..., 1:] >= values[..., :-1]):
+        raise ValueError("values must be sorted ascending, with no nan")
+    if not np.all(np.isfinite(values[..., [0, -1]])):
+        raise ValueError("values must be finite")
 
 
 @dataclass(frozen=True)
@@ -104,12 +133,7 @@ class Sample:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-D array")
-        # false at any nan, so an ordered array holds none, and then its
-        # two ends bound every value
-        if not np.all(values[1:] >= values[:-1]):
-            raise ValueError("values must be sorted ascending, with no nan")
-        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
-            raise ValueError("values must be finite")
+        _check_sorted(values)
         object.__setattr__(self, "values", values)
 
     @property
@@ -191,7 +215,9 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     many panels it takes.  It agrees with trig at every node to 3e-14
     relative.  At n = 200 a replication takes 0.28 ms at h = 2, 1.4 ms
     at h = 0.25 and 0.47 s at h = 1e-3 on jdlvp with the normal kernel
-    (numpy 2.4 on a shared 2-vCPU x86-64 box).
+    (numpy 2.4 on a shared 2-vCPU x86-64 box).  The sample-free parts,
+    the cutoff, the knots and the tail, are worked out once a call here
+    and once a cell in ``monte_carlo_mise``.
 
     The normal kernel on a normal target N(0, s^2) takes another route,
     whose cost does not depend on h or on max|X_j|.  There F_nh is the
@@ -229,69 +255,129 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
 
     in closed form through the target's mean_abs_dev, with no cut-off.
 
-    h must be 0 or in [1e-300, 1e75], the bandwidth range of ``mise``.
+    ``ise`` runs the routes ``monte_carlo_mise`` runs on its groups of
+    replications, on a group of one sample, so a replication there has
+    the bits it has here.  h must be 0 or in [1e-300, 1e75], the
+    bandwidth range of ``mise``.
     """
     if not _h_ok(h):
         raise ValueError(_H_RANGE)
-    xs = sample.values
+    return float(_ise_route(kernel, h, dist)(sample.values[None, :])[0])
+
+
+def _ise_route(kernel: Kernel, h: float, dist: TargetDistribution):
+    # The function that takes the ISE of each row of an (R, n) array of
+    # sorted samples of dist, with what does not depend on the sample
+    # worked out here, once a cell.
     if h == 0.0:
-        n = sample.n
-        ranks = np.arange(1 - n, n, 2, dtype=float)
-        return float(np.mean(dist.mean_abs_dev(xs)) - (ranks @ xs) / (n * n) - dist.psi_f)
+        return functools.partial(_ise_step, dist=dist)
     if kernel.name == "normal" and dist.family == "normal":
-        return _ise_energy(xs, dist.scale, h)
-    return _ise_fourier(xs, kernel, h, dist)
-
-
-def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float,
-                 dist: TargetDistribution) -> float:
-    # The Fourier route of ise at h > 0, from the sorted sample xs.
+        return lambda xs: np.array([_ise_energy(x, dist.scale, h) for x in xs])
     cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
     knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
     bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
-    # phi_n oscillates at frequencies up to max|X_j|, and the Gaussian
-    # factors phi_f^2 and phi_k(t h)^2 fall off on the scales 1/sigma
-    # and 1/h.  Past a knot a > 0 the piece no longer vanishes at t = 0,
-    # so the pole of t^-2 limits each panel there to a quarter of a.
-    width = _PANEL_WIDTH / max(float(np.max(np.abs(xs))),
-                               2.0 * math.sqrt(dist.variance), 2.0 * h)
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    counts = [(b - a) / (min(width, a / 4.0) if a > 0.0 else width) for a, b in spans]
-    if sum(counts) > _MAX_PANELS:
+
+    @functools.cache
+    def tail() -> float:
+        # The sinc kernel at bandwidth 1/T has phi_k = 1 up to T and 0
+        # beyond, so pi B(1/T) = int_T^d_f phi_f^2 / t^2.  It is taken
+        # once the first group has passed the panel bound, which every
+        # sample fails where 1/T is below the bandwidth range.
+        if cutoff < dist.d_f:
+            return float(mise_profile(dist, _SINC, [1.0 / cutoff])[1][0])
+        return 0.0
+
+    return functools.partial(_ise_fourier, kernel=kernel, h=h, dist=dist,
+                             spans=list(zip(bounds[:-1], bounds[1:])), tail=tail)
+
+
+def _ise_step(xs: np.ndarray, dist: TargetDistribution) -> np.ndarray:
+    # The h = 0 route of ise on each row of xs, Cramer's identity.  The
+    # rank term is one product a row: a matrix-vector product rounds
+    # otherwise.
+    n = xs.shape[1]
+    ranks = np.arange(1 - n, n, 2, dtype=float)
+    order = np.array([ranks @ x for x in xs])
+    return np.mean(dist.mean_abs_dev(xs), axis=1) - order / (n * n) - dist.psi_f
+
+
+def _panel_runs(blocks, limit: int):
+    # Runs of consecutive (row, first, last) panel blocks of at most
+    # limit panels together, or of one block.
+    run, size = [], 0
+    for block in blocks:
+        if run and size + block[2] - block[1] > limit:
+            yield run
+            run, size = [], 0
+        run.append(block)
+        size += block[2] - block[1]
+    if run:
+        yield run
+
+
+def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribution,
+                 spans: list, tail) -> np.ndarray:
+    # The Fourier route of ise at h > 0 on each row of xs, between the
+    # knots of spans and with the sample-free tail() past the cutoff.
+    rows, n = xs.shape
+    # phi_n oscillates at frequencies up to max|X_j|, the larger of the
+    # row's two ends, and the Gaussian factors phi_f^2 and phi_k(t h)^2
+    # fall off on the scales 1/sigma and 1/h.  Past a knot a > 0 the
+    # piece no longer vanishes at t = 0, so the pole of t^-2 limits each
+    # panel there to a quarter of a.
+    width = _PANEL_WIDTH / np.maximum(np.maximum(-xs[:, 0], xs[:, -1]),
+                                      max(2.0 * math.sqrt(dist.variance), 2.0 * h))
+    counts = np.stack([(b - a) / (np.minimum(width, a / 4.0) if a > 0.0 else width)
+                       for a, b in spans], axis=1)
+    need = counts.sum(axis=1)
+    if need.max() > _MAX_PANELS:
         raise PanelBoundError(
-            f"the Fourier ISE at h = {h:g} needs {sum(counts):.3g} panels, "
+            f"the Fourier ISE at h = {h:g} needs {need[need > _MAX_PANELS][0]:.3g} panels, "
             f"over its bound of {_MAX_PANELS}")
 
-    n = xs.size
-    total = 0.0
-    for (a, b), count in zip(spans, counts):
-        # The panels of a span share one half-width w, so node k of panel
-        # p is t = m_p + w x_k and exp(i t X_j) = exp(i m_p X_j) exp(i w x_k X_j):
-        # trig of the 7 offsets once a span, of the centres once a panel,
-        # and the means over j are two matrix products.
-        panels = math.ceil(count)
+    totals = [0.0] * rows
+    limit = max(_PANEL_BLOCK, _GROUP_ELEMENTS // n)
+    for (a, b), panels in zip(spans, np.ceil(counts).astype(int).T):
+        # The panels of a span share one half-width w a row, so node k of
+        # panel p is t = m_p + w x_k and exp(i t X_j) = exp(i m_p X_j)
+        # exp(i w x_k X_j): trig of the 7 offsets once a span, of the
+        # centres once a panel, and the means over j are two matrix
+        # products a block of at most 64 panels of one row, as is the
+        # 7-point weighing.  The rows' panels are taken in runs of
+        # blocks, so the trig, the transforms and the integrand are one
+        # pass over a run.
         w = 0.5 * (b - a) / panels
-        offsets = w * _G7_NODES
-        wx = np.multiply.outer(xs, offsets)
-        basis = np.concatenate([np.cos(wx), np.sin(wx)], axis=1) / n
-        for first in range(0, panels, _PANEL_BLOCK):
-            last = min(first + _PANEL_BLOCK, panels)
-            mid = a + w * np.arange(2 * first + 1, 2 * last, 2, dtype=float)
-            mx = np.multiply.outer(mid, xs)
-            by_cos = np.cos(mx) @ basis
-            by_sin = np.sin(mx) @ basis
-            t = mid[:, None] + offsets
+        offsets = w[:, None] * _G7_NODES
+        wx = xs[:, :, None] * offsets[:, None, :]
+        basis = np.concatenate([np.cos(wx), np.sin(wx)], axis=2) / n
+        blocks = ((r, first, min(first + _PANEL_BLOCK, count))
+                  for r, count in enumerate(panels.tolist())
+                  for first in range(0, count, _PANEL_BLOCK))
+        half = w.tolist()
+        for run in _panel_runs(blocks, limit):
+            row, first, last = np.array(run).T
+            size = last - first
+            stop = np.cumsum(size)
+            rid = np.repeat(row, size)
+            # panel p of a block's row is centred at a + w (2 p + 1)
+            panel = np.arange(rid.size) + np.repeat(first - stop + size, size)
+            mid = a + w[rid] * (2 * panel + 1)
+            mx = mid[:, None] * xs[rid]
+            cos_mx, sin_mx = np.cos(mx), np.sin(mx)
+            by_cos = np.empty((rid.size, 14))
+            by_sin = np.empty((rid.size, 14))
+            cuts = list(zip(row.tolist(), [0, *stop[:-1].tolist()], stop.tolist()))
+            for r, lo, hi in cuts:
+                np.matmul(cos_mx[lo:hi], basis[r], out=by_cos[lo:hi])
+                np.matmul(sin_mx[lo:hi], basis[r], out=by_sin[lo:hi])
+            t = mid[:, None] + offsets[rid]
             p = kernel.ft(t * h)
             re = p * (by_cos[:, :7] - by_sin[:, 7:]) - dist.cf(t)
             im = p * (by_sin[:, :7] + by_cos[:, 7:])
-            total += w * float(np.sum(((re * re + im * im) / (t * t)) @ _G7_ONLY_WEIGHTS))
-
-    tail = 0.0
-    if cutoff < dist.d_f:
-        # The sinc kernel at bandwidth 1/T has phi_k = 1 up to T and 0
-        # beyond, so pi B(1/T) = int_T^d_f phi_f^2 / t^2.
-        tail = float(mise_profile(dist, _SINC, [1.0 / cutoff])[1][0])
-    return total / math.pi + tail
+            g = (re * re + im * im) / (t * t)
+            for r, lo, hi in cuts:
+                totals[r] += half[r] * float(np.sum(g[lo:hi] @ _G7_ONLY_WEIGHTS))
+    return np.array(totals) / math.pi + tail()
 
 
 def _ise_energy(xs: np.ndarray, sigma: float, h: float) -> float:
@@ -326,18 +412,32 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
                      n: int, replications: int, seed: int) -> MonteCarloMise:
     """Mean ISE over independently seeded replications, with standard error.
 
-    Replication r draws its sample from the stream keyed by (seed, r).
-    The replications run serially, in index order, in this process, so
-    the estimate is deterministic for a fixed seed.  h is checked as by
-    ``ise`` before any sample is drawn.
+    Replication r draws its sample from the stream keyed by (seed, r),
+    as ``draw_sample(dist, n, seed, rep=r)`` does.  The replications are
+    drawn in groups, in index order, in this process: as many at a time
+    as keep the Fourier route's (R, n, 14) trig table within 2^14
+    elements, or one where 14 n is more, so memory does not grow with
+    the number of replications.  Each group is sorted row by row and
+    checked once by ``Sample``'s rule, and then ``ise``'s route runs
+    once on the whole group.  Every replication's ISE has the bits of
+    ``ise`` on its sample, and the estimate is deterministic for a fixed
+    seed.  h is checked as by ``ise`` before any sample is drawn.
     """
     if not _h_ok(h):
         raise ValueError(_H_RANGE)
     replications = _check_size(replications, "replications")
     if replications < 2:
         raise ValueError("replications must be >= 2")
-    values = np.array([ise(draw_sample(dist, n, seed, rep=r), kernel, h, dist)
-                       for r in range(replications)])
+    n = _check_size(n)
+    route = _ise_route(kernel, h, dist)
+    group = max(1, _GROUP_ELEMENTS // (14 * n))
+    values = np.empty(replications)
+    for r0 in range(0, replications, group):
+        reps = range(r0, min(r0 + group, replications))
+        xs = np.array([draw_values(dist, n, (int(seed), r)) for r in reps])
+        xs.sort(axis=1)
+        _check_sorted(xs)
+        values[r0:reps.stop] = route(xs)
     estimate = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / math.sqrt(replications))
     return MonteCarloMise(

@@ -78,7 +78,9 @@ class MiseReport:
     ``fourier`` route: the fixed rule's bounds on pi A and pi B at h
     (those of ``mise_profile``), which count the panels' |K15 - G7|
     differences, rounding on every computed factor and a normal
-    target's cut tails.  The exact routes report 0.0.
+    target's cut tails.  The exact routes (h = 0, the linear segment
+    and the normal closed forms) report the rounding allowance 8 eps
+    times ``mise``, the bound ``mise_profile`` gives their cells.
     """
 
     h: float
@@ -204,12 +206,14 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
         if _on_linear_segment(dist, kernel, h):
             iv = (dist.psi_f - kernel.psi_k_analytic * h) / n
             return MiseReport(h=h, n=n, iv=iv, isb=0.0, mise=iv,
-                              method="fourier" if h == 0.0 else "linear_segment")
+                              method="fourier" if h == 0.0 else "linear_segment",
+                              error_estimate=_ROUNDING * iv)
         route = _closed_form(dist, kernel)
         if route is not None:
             iv, isb = (float(x[0]) for x in
                        _CLOSED_FORMS[route](dist.scale, np.array([h], dtype=float), n))
-            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method=route)
+            return MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb, method=route,
+                              error_estimate=_ROUNDING * (iv + isb))
     a, b, a_err, b_err = (float(x[0]) for x in _fixed_rule(dist, kernel, np.array([h])))
     iv = a / (math.pi * n)
     isb = b / math.pi
@@ -227,7 +231,7 @@ _GAUSS_CUT = 9.5
 # nodes a panel keep every temporary array of the rule under 0.2 MB.
 _PROFILE_CELLS = 32
 # Rounding allowance per operation chain: 8 units in the last place.
-_ROUNDING = 8.0 * np.finfo(float).eps
+_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # Up to this many rows _panels builds the panels by a loop on floats.
 _LOOP_ROWS = 4
 

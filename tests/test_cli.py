@@ -498,18 +498,28 @@ class TestMcValidateCommand:
         assert runs[0] == runs[1]
         assert runs[0][3].count(b"\n") == 1 + 24
 
-    @pytest.mark.parametrize("h", ["1e8", "1e10", "1e75"])
-    def test_rounding_only_cell_passes(self, h, capsys, tmp_path):
+    @pytest.mark.parametrize("dist,kernel,n,h,z_max", [
+        pytest.param("jdlvp", "sinc", 50, h, 1e-5, id=h) for h in ("1e8", "1e10", "1e75")
+    ] + [
+        pytest.param(dist, kernel, 10, h, 1.0, id=f"{dist}+{kernel}-{h}")
+        for dist, kernel, h in (("normal:sigma=1", "sinc", "1e10"),
+                                ("normal:sigma=1", "sinc", "1e75"),
+                                ("normal:sigma=1", "normal", "1e10"),
+                                ("normal:sigma=2", "sinc", "1e30"))
+    ])
+    def test_rounding_only_cell_passes(self, dist, kernel, n, h, z_max, capsys, tmp_path):
         # at such h every replication's ISE is one number to rounding, so
         # std_error measures rounding and z divides by the exact value's
-        # error bound; by std_error alone z would be about -9.95
-        rc, _, err = run_cli(["mc-validate", "--dist", "jdlvp", "--kernel", "sinc",
-                              "--n", "50", "--reps", "100", "--h-grid", f"{h}:{h}:1",
+        # error bound, 8 eps times the MISE on the exact routes; by
+        # std_error alone z would be about -9.95 on jdlvp and 9.95 to 19.9
+        # on the normal closed forms
+        rc, _, err = run_cli(["mc-validate", "--dist", dist, "--kernel", kernel,
+                              "--n", str(n), "--reps", "100", "--h-grid", f"{h}:{h}:1",
                               "--out", str(tmp_path)], capsys)
         assert rc == 0 and err == ""
         _, rows = read_csv(tmp_path / "mc_validate.csv")
         exact, est, se, z = (float(c) for c in rows[0][4:8])
-        assert se > 0.0 and abs(z) < 1e-5
+        assert se > 0.0 and abs(z) < z_max
 
     def test_too_few_replications(self, capsys, tmp_path):
         rc, _, err = run_cli(["mc-validate", "--reps", "99",

@@ -241,6 +241,16 @@ class TestIse:
         assert time.perf_counter() - start < 1.0
         assert peak < 1 << 20
 
+    def test_panel_bound_comes_before_the_tail(self):
+        # at h = 1.5e-300 the trapezoidal cutoff 2/h leaves a tail at
+        # bandwidth h/2, below the range mise_profile takes; every sample
+        # needs some 1e300 panels there, and that is the error reported
+        s = draw_sample(NORMAL1, 10, 1)
+        with pytest.raises(estimator.PanelBoundError, match="needs .* panels"):
+            ise(s, TRAP, 1.5e-300, NORMAL1)
+        with pytest.raises(estimator.PanelBoundError, match="needs .* panels"):
+            monte_carlo_mise(NORMAL1, TRAP, 1.5e-300, 10, 3, seed=1)
+
     def test_zero_when_estimator_equals_target(self):
         # a one-point "kernel" whose integrated form is the target CDF
         # makes the estimate coincide with F everywhere
@@ -447,6 +457,15 @@ class TestIseEnergy:
         assert huge == pytest.approx(limit, rel=1e-12, abs=0.0)
 
 
+# A cell on every ISE route: h = 0 on both families, the energy route,
+# the Fourier route on jdlvp with all three kernels and on normal with
+# trapezoidal and sinc, and jdlvp:scale=0.5+trapezoidal at h = 2, whose
+# cutoff 2/h = 1 falls below d_f = 4 and leaves a sample-free tail.
+BIT_CELLS = [(JDLVP, TRAP, 0.0), (NORMAL1, SINC, 0.0), (NORMAL1, NORMAL_K, 0.3),
+             (JDLVP, NORMAL_K, 1.0), (JDLVP, TRAP, 0.5), (JDLVP, SINC, 0.3),
+             (NORMAL1, TRAP, 0.5), (NORMAL1, SINC, 0.3), (make_jdlvp(0.5), TRAP, 2.0)]
+
+
 class TestMonteCarloMise:
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -491,6 +510,56 @@ class TestMonteCarloMise:
         assert a.estimate != c.estimate
         assert a.replications == 12
         assert (a.h, a.n) == (0.3, 20)
+
+    def test_groups_hold_at_most_2_14_over_14n_replications(self, monkeypatch):
+        # the replications of a cell are drawn and routed in groups; at
+        # n = 50 that is 16384 // 700 = 23 a group, and the last is partial
+        sizes = []
+        route = estimator._ise_route
+
+        def spy(*args):
+            rows = route(*args)
+
+            def counted(xs):
+                sizes.append(xs.shape)
+                return rows(xs)
+            return counted
+
+        monkeypatch.setattr(estimator, "_ise_route", spy)
+        monte_carlo_mise(JDLVP, TRAP, 0.3, 50, 150, seed=3)
+        assert sizes == [(23, 50)] * 6 + [(12, 50)]
+        sizes.clear()
+        monte_carlo_mise(JDLVP, TRAP, 0.0, 1000, 3, seed=3)
+        assert sizes == [(1, 1000)] * 3
+
+    @pytest.mark.parametrize("dist,kernel,h", BIT_CELLS,
+                             ids=lambda o: getattr(o, "name", o))
+    @pytest.mark.parametrize("n,reps", [(1, 2), (1, 150), (2, 37), (50, 2), (50, 37),
+                                        (50, 150), (200, 37), (1000, 2)])
+    def test_has_the_bits_of_per_sample_ise(self, dist, kernel, h, n, reps):
+        # groups of one (n = 1000), whole groups (n = 1, 2 and 50 at two
+        # replications) and a partial last group (n = 50, 200) give the
+        # estimate and standard error of ise run on one sample at a time
+        run = monte_carlo_mise(dist, kernel, h, n, reps, seed=19)
+        values = np.array([ise(draw_sample(dist, n, 19, rep=r), kernel, h, dist)
+                           for r in range(reps)])
+        assert run.estimate == float(np.mean(values))
+        assert run.std_error == float(np.std(values, ddof=1) / math.sqrt(reps))
+
+    @pytest.mark.parametrize("dist,kernel,h", [(JDLVP, NORMAL_K, 0.25), (JDLVP, TRAP, 0.0)],
+                             ids=["jdlvp+normal", "jdlvp h=0"])
+    def test_memory_does_not_grow_with_replications(self, dist, kernel, h):
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                monte_carlo_mise(dist, kernel, h, 200, reps, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monte_carlo_mise(dist, kernel, h, 200, 2, seed=5)
+        small, large = peak(100), peak(400)
+        assert large <= 1.1 * small, (small, large)
 
     @pytest.mark.slow
     def test_empirical_case_matches_exact_mise(self):

@@ -404,7 +404,8 @@ class TestMiseTerms:
                 else:
                     iv, isb = exact_terms(dist, kernel, route, h, n)
                     want = MiseReport(h=h, n=n, iv=iv, isb=isb, mise=iv + isb,
-                                      method="fourier" if h == 0.0 else route)
+                                      method="fourier" if h == 0.0 else route,
+                                      error_estimate=MISE_MODULE._ROUNDING * (iv + isb))
                 assert type(got) is MiseReport
                 for field in ("h", "n", "iv", "isb", "mise", "method", "error_estimate"):
                     assert repr(getattr(got, field)) == repr(getattr(want, field)), (
@@ -418,6 +419,9 @@ class TestMiseTerms:
             for n in self.NS:
                 r = mise(dist, kernel, h, n)
                 assert r.method == ("fourier" if h == 0.0 else low if h < 0.5 else high)
+                if r.method != "fourier" or h == 0.0:
+                    # an exact route reports the rounding allowance
+                    assert r.error_estimate == 8.0 * EPS * r.mise
                 if h == 0.0:
                     assert (r.iv, r.isb, r.mise) == (dist.psi_f / n, 0.0, dist.psi_f / n)
                 elif r.method == "linear_segment":
@@ -467,7 +471,8 @@ class TestMiseTerms:
             float] * 5
         r = mise(JDLVP, TRAP, 0.3, 10)
         assert r == MiseReport(h=0.3, n=10, iv=r.iv, isb=0.0, mise=r.iv,
-                               method="linear_segment")
+                               method="linear_segment", error_estimate=8.0 * EPS * r.iv)
+        assert type(r.error_estimate) is float
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.iv = 0.0
 
@@ -633,14 +638,15 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("method", ["auto", "fourier"])
     @pytest.mark.parametrize("dist,kernel,h", _LARGE_H)
     def test_large_h_is_finite_and_covered(self, dist, kernel, h, method):
-        # The exact routes report 0, so every value also gets 8 eps of
-        # rounding.
+        # The exact routes report 8 eps of rounding; the fourier route
+        # gets 8 eps on top of its quadrature bound.
         n = 1000
         r = mise(dist, kernel, h, n, method=method)
         assert math.isfinite(r.mise) and r.mise > 0.0
         truth = mise_mpmath(dist, kernel, h, n)
         gap = float(abs(truth - r.mise))
-        assert gap <= r.error_estimate + 8.0 * EPS * r.mise, (gap, r)
+        bound = r.error_estimate + (8.0 * EPS * r.mise if r.method == "fourier" else 0.0)
+        assert gap <= bound, (gap, r)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("dist,kernel", _FOURIER_PAIRS,
@@ -664,14 +670,14 @@ class TestAgainstMpmath:
         # error_estimate is honest: the 50-digit value lies within it
         # from h = 1e-5 (where QUADPACK's estimate was 3e5 times too low
         # on jdlvp+normal) to 4000.  The exact routes (the linear segment
-        # under auto) report 0 and get 8 eps.
+        # under auto) report 8 eps.
         dist = rescale(dist, scale)
         for h in (scale * np.array([1e-5, 1e-3, 0.3, 0.977, 5.0, 300.0, 4000.0])).tolist():
             for n in (1, 10**6):
                 truth = mise_mpmath(dist, kernel, h, n)
                 for method in ("auto", "fourier"):
                     r = mise(dist, kernel, h, n, method=method)
-                    bound = r.error_estimate if r.method == "fourier" else 8.0 * EPS * r.mise
+                    bound = r.error_estimate
                     gap = float(abs(truth - r.mise))
                     assert gap <= bound, (h, n, method, gap, r)
 

@@ -100,6 +100,12 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate one cell normal:sigma=1+sinc",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
       "--h-grid", "0.25:0.25:1", "--n", "50", "--reps", "100"]),
+    # monte_carlo_mise's group boundaries: 16384 // (14 n) replications
+    # a group make one whole group at n = 7, six and a partial last one
+    # at n = 50, and groups of one at n = 1000
+    ("mc-validate groups jdlvp+trapezoidal",
+     ["-c", _CLI, "mc-validate", "--dist", "jdlvp", "--kernel", "trapezoidal",
+      "--h-grid", "0:0.5:3", "--n", "7,50,1000", "--reps", "150"]),
     # jdlvp+sinc at h = 1e8, where every replication's ISE is one number
     # to rounding and z divides by the exact value's error bound
     ("mc-validate large-h jdlvp+sinc",
