@@ -119,8 +119,9 @@ def _parse_assignments(rest: str, allowed: tuple[str, ...]) -> dict[str, str]:
     if rest:
         for part in rest.split(","):
             key, eq, val = part.partition("=")
-            if not eq or key not in allowed:
-                raise ValueError(f"expected key=value with key in {allowed}, got {part!r}")
+            if not eq or key not in allowed or key in params:
+                raise ValueError(f"expected key=value with each key in {allowed} "
+                                 f"at most once, got {part!r}")
             params[key] = val
     return params
 

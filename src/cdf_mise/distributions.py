@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
-from .numerics import integrate, sine_integral, std_normal_cdf
+from .numerics import roughness, sine_integral, std_normal_cdf
 
 __all__ = [
     "JDLVP_PSI_F",
@@ -62,6 +62,22 @@ def _check_size(value, what: str = "sample size n") -> int:
     if not (1 <= value < math.inf and value == int(value)):
         raise ValueError(f"{what} must be a whole number >= 1, got {value}")
     return int(value)
+
+
+def _check_seed(seed):
+    """seed with int parts, or ValueError unless each is a whole number >= 0."""
+    parts = seed if type(seed) is tuple else (seed,)
+    for value in parts:
+        if type(value) is not int or value < 0:  # plain ints pass as they are
+            try:
+                whole = [int(v) for v in parts if v == int(v) and v >= 0
+                         and not isinstance(v, (bool, np.bool_))]
+            except (TypeError, ValueError, OverflowError):
+                whole = []
+            if len(whole) < len(parts):
+                raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
+            return tuple(whole) if parts is seed else whole[0]
+    return seed
 
 
 @dataclass(frozen=True)
@@ -331,25 +347,16 @@ def psi_f_fourier(dist: TargetDistribution) -> float:
 
     Cross-checks the stored analytic psi_f.
     """
-    def integrand(t: float) -> float:
-        p = float(dist.cf(t))
-        return (1.0 - p * p) / (t * t)
-
-    pts = tuple(dist.cf_knots)
-    if math.isfinite(dist.d_f):
-        pts = pts + (dist.d_f,)
-    res = integrate(integrand, 0.0, math.inf, points=pts)
-    if not res.converged:
-        raise RuntimeError(f"psi_f quadrature failed to converge for {dist.name}")
-    return res.value / math.pi
+    return roughness(dist.cf, 0.0, dist.cf_knots + (dist.d_f,), f"psi_f({dist.name})")
 
 
 def sample(dist: TargetDistribution, n: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """Draw n i.i.d. values from dist, deterministically for a given seed.
 
-    n must be a whole number >= 1.  seed may be a single integer or a
-    tuple of integers (a master seed and a replication index).
+    n must be a whole number >= 1.  seed may be a single whole number
+    >= 0 or a tuple of them (a master seed and a replication index);
+    anything else raises ValueError before a value is drawn.
     """
     n = _check_size(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
     return dist.sampler(n, rng)

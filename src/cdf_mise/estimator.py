@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .distributions import TargetDistribution, _check_size, sample as draw_values
+from .distributions import TargetDistribution, _check_seed, _check_size, sample as draw_values
 from .kernels import Kernel, kernel_by_name
 from .mise import _H_RANGE, _h_ok, mise_profile
 from .numerics import _G7_NODES, _G7_ONLY_WEIGHTS
@@ -161,9 +161,10 @@ class MonteCarloMise:
 def draw_sample(dist: TargetDistribution, n: int, seed: int,
                 rep: int | None = None) -> Sample:
     """Sorted sample of size n; rep selects an independent replication stream."""
-    entropy = int(seed) if rep is None else (int(seed), int(rep))
+    (seed,) = _check_seed((seed,))  # as one part, so a tuple is refused
+    entropy = seed if rep is None else (seed, rep)
     values = np.sort(draw_values(dist, n, entropy))
-    return Sample(values=values, seed=int(seed), source=dist.name)
+    return Sample(values=values, seed=seed, source=dist.name)
 
 
 def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
@@ -434,7 +435,7 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     values = np.empty(replications)
     for r0 in range(0, replications, group):
         reps = range(r0, min(r0 + group, replications))
-        xs = np.array([draw_values(dist, n, (int(seed), r)) for r in reps])
+        xs = np.array([draw_values(dist, n, (seed, r)) for r in reps])
         xs.sort(axis=1)
         _check_sorted(xs)
         values[r0:reps.stop] = route(xs)

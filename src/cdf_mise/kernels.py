@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import integrate, sine_integral, std_normal_cdf
+from .numerics import roughness, sine_integral, std_normal_cdf
 
 __all__ = [
     "Kernel",
@@ -140,18 +140,5 @@ def kernel_by_name(name: str) -> Kernel:
 
 
 def psi_k(kernel: Kernel) -> float:
-    """Roughness psi(K) = (2 pi)^-1 int t^-2 {1 - phi_k(t)^2} dt.
-
-    Evaluated over (0, inf) by symmetry.  The integrand vanishes
-    identically below s_k, and equals t^-2 beyond the transform's
-    support, so the quadrature runs on [s_k, inf) with panels split at
-    the transform's knots.
-    """
-    def integrand(t: float) -> float:
-        p = float(kernel.ft(t))
-        return (1.0 - p * p) / (t * t)
-
-    res = integrate(integrand, kernel.s_k, math.inf, points=kernel.ft_knots)
-    if not res.converged:
-        raise RuntimeError(f"psi_k quadrature failed to converge for {kernel.name}")
-    return res.value / math.pi
+    """Roughness psi(K) by quadrature on [s_k, inf), below which phi_k = 1."""
+    return roughness(kernel.ft, kernel.s_k, kernel.ft_knots, f"psi_k({kernel.name})")

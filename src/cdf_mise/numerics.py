@@ -1,17 +1,20 @@
 """Shared special functions, adaptive quadrature and fixed panel rules.
 
 :func:`integrate` wraps QUADPACK's adaptive Gauss-Kronrod subdivision
-(21-point rule with largest-error bisection and epsilon extrapolation).
-Semi-infinite ranges are handled by QUADPACK's rational variable
-transformation; known interior breakpoints can be passed so each panel
-stays smooth.  Only the quadrature cross-checks ``psi_k`` and
-``psi_f_fourier`` of the catalog constants use it.  Every MISE runs
-fixed rules on panels chosen a priori instead: ``mise`` and
-``mise_profile`` apply the Gauss-Kronrod 15 table below themselves, and
-the sample ISE at h > 0 its embedded 7-point Gauss rule.  No caller in
-the package is left for :func:`gauss_panels` or
-:func:`gauss_kronrod_panels`; the tests' oracles use them, and the
-benchmark's tracer looks them up by name.
+(21-point rule with largest-error bisection and epsilon extrapolation)
+from a finite lower bound to a finite or infinite upper one; the
+infinite tail goes through QUADPACK's rational variable transformation,
+and known interior breakpoints can be passed so each panel stays
+smooth.  Its one caller in the package is :func:`roughness`, the
+Fourier identity behind the cross-checks ``psi_k`` and
+``psi_f_fourier`` of the catalog constants.  Every MISE runs fixed
+rules on panels chosen a priori instead: ``mise`` and ``mise_profile``
+apply the Gauss-Kronrod 15 table below themselves, and the sample ISE
+at h > 0 its embedded 7-point Gauss rule.  No caller in the package is
+left for :func:`gauss_panels` or :func:`gauss_kronrod_panels`; the
+tests' oracles use them and :func:`integrate`.  All three keep their
+names and their place here because the benchmark's tracer looks them
+up in this module by name.
 
 The sine integral uses the normalization Si(x) = int_0^x sin(z)/(pi z) dz,
 so Si(x) -> 1/2 as x -> +infinity.
@@ -33,6 +36,7 @@ __all__ = [
     "sine_integral",
     "std_normal_cdf",
     "integrate",
+    "roughness",
     "gauss_panels",
     "gauss_kronrod_panels",
 ]
@@ -40,8 +44,8 @@ __all__ = [
 # Error targets for adaptive quadrature: convergence is declared when
 # each segment's error estimate falls below max(ABS_TOL, REL_TOL *
 # |segment value|), within a budget of MAX_SUBDIVISIONS panels.
-# integrate() maps infinite tails through a variable transform and does
-# not truncate.
+# integrate() maps an infinite tail through a variable transform and
+# does not truncate it.
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 MAX_SUBDIVISIONS = 2000
@@ -81,91 +85,66 @@ def std_normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _run_quad(f, lower: float, upper: float, points):
+def integrate(f, lower, upper, points=None) -> QuadratureResult:
+    """Adaptively integrate a scalar function over (lower, upper).
+
+    lower must be finite and upper may be +inf.  `points` lists known
+    interior breakpoints (kinks of the integrand), where the range is
+    split so every panel is smooth; QUADPACK never evaluates the
+    endpoints.  An infinite range is cut at its last breakpoint (at
+    max(1, lower) without one), and the tail is mapped to a finite
+    interval by QUADPACK's 1/u transformation.  Each segment is held to
+    max(ABS_TOL, REL_TOL * |segment value|) within MAX_SUBDIVISIONS
+    panels on its own, and one that misses it is reported through
+    ``converged=False``, never silently; error_estimate is their sum.
+    """
+    lower = float(lower)
+    upper = float(upper)
+    if not (math.isfinite(lower) and lower <= upper):
+        raise ValueError("integrate requires a finite lower <= upper")
     # imported here: mise(), the searches, figures and Monte Carlo never
     # reach QUADPACK, so they need not load scipy.integrate
     import scipy.integrate
 
-    kwargs = dict(
-        epsabs=ABS_TOL,
-        epsrel=REL_TOL,
-        limit=MAX_SUBDIVISIONS,
-        full_output=True,
-    )
-    if points:
-        kwargs["points"] = points
-    out = scipy.integrate.quad(f, lower, upper, **kwargs)
-    value, error, info = out[0], out[1], out[2]
-    ier = 0 if len(out) == 3 else 1
-    return value, error, int(info.get("last", 0)), ier
-
-
-def integrate(f, lower, upper, points=None) -> QuadratureResult:
-    """Adaptively integrate a scalar function over (lower, upper).
-
-    Either endpoint may be infinite; infinite tails are mapped to a
-    finite interval by QUADPACK's 1/u transformation, so the caller only
-    has to guarantee integrable decay.  `points` lists known interior
-    breakpoints (kinks of the integrand); the range is split there so
-    every panel is smooth.  QUADPACK never evaluates the endpoints.
-
-    An unbounded range is integrated as up to three segments, each to
-    max(ABS_TOL, REL_TOL * |segment value|); error_estimate is their
-    sum.  A segment that misses its tolerance within MAX_SUBDIVISIONS
-    panels is reported through ``converged=False``, never silently.
-    """
-    lower = float(lower)
-    upper = float(upper)
-    if lower > upper:
-        raise ValueError("integrate requires lower <= upper")
-    if lower == upper:
-        return QuadratureResult(0.0, 0.0, 0, True)
-
-    interior = []
-    if points is not None:
-        interior = sorted(p for p in set(float(p) for p in points) if lower < p < upper)
-
-    total = 0.0
-    err = 0.0
+    knots = sorted(p for p in set(map(float, () if points is None else points))
+                   if lower < p < upper)
+    segments = [(lower, upper, knots)]
+    if math.isinf(upper):
+        cut = knots.pop() if knots else max(1.0, lower)
+        segments = [(lower, cut, knots), (cut, upper, None)]
+    total = err = 0.0
     subs = 0
     converged = True
-    lo_inf = math.isinf(lower)
-    hi_inf = math.isinf(upper)
-
-    if not lo_inf and not hi_inf:
-        segments = [(lower, upper, interior)]
-    else:
-        # Split unbounded ranges at the outermost breakpoints so that
-        # the finite middle keeps its interior points and each infinite
-        # tail is a clean transformed integral.  The cuts must stay
-        # inside [lower, upper], falling back to +-1 only when allowed.
-        cut_lo = lower
-        cut_hi = upper
-        if lo_inf:
-            cut_lo = interior[0] if interior else (-1.0 if hi_inf else min(-1.0, upper))
-        if hi_inf:
-            cut_hi = interior[-1] if interior else (1.0 if lo_inf else max(1.0, lower))
-        segments = []
-        if lo_inf:
-            segments.append((lower, cut_lo, None))
-        mid_pts = [p for p in interior if cut_lo < p < cut_hi]
-        if cut_lo < cut_hi:
-            segments.append((cut_lo, cut_hi, mid_pts))
-        if hi_inf:
-            segments.append((cut_hi, upper, None))
-
     for a, b, pts in segments:
-        if a == b:
-            continue
-        v, e, s, ier = _run_quad(f, a, b, pts)
-        total += v
-        err += e
-        subs += s
-        # Each segment was given the tolerance on its own, so each is
-        # held to it on its own; the summed estimate may exceed it.
-        converged = converged and ier == 0 and e <= max(ABS_TOL, REL_TOL * abs(v))
-
+        if a < b:
+            out = scipy.integrate.quad(f, a, b, epsabs=ABS_TOL, epsrel=REL_TOL,
+                                       limit=MAX_SUBDIVISIONS, points=pts or None,
+                                       full_output=True)
+            # a fourth item is QUADPACK's warning that it missed the tolerance
+            v, e, info = out[:3]
+            total += v
+            err += e
+            subs += int(info.get("last", 0))
+            converged = converged and len(out) == 3 and e <= max(ABS_TOL, REL_TOL * abs(v))
     return QuadratureResult(total, err, subs, converged)
+
+
+def roughness(phi, lower: float, knots, name: str) -> float:
+    """psi(W) = int W(1-W) = (2 pi)^-1 int t^-2 {1 - phi(t)^2} dt.
+
+    W is a target CDF or an integrated kernel with real, even transform
+    phi; the integrand vanishes on (0, lower), so QUADPACK runs on
+    [lower, inf), split at the knots of phi.  Raises RuntimeError naming
+    `name` when the quadrature does not converge.
+    """
+    def integrand(t: float) -> float:
+        p = float(phi(t))
+        return (1.0 - p * p) / (t * t)
+
+    res = integrate(integrand, lower, math.inf, points=knots)
+    if not res.converged:
+        raise RuntimeError(f"{name} quadrature failed to converge")
+    return res.value / math.pi
 
 
 # 15-point Gauss-Kronrod rule (nodes and weights on [-1, 1]) with the

@@ -51,9 +51,8 @@ SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
              for kernel in (NORMAL_K, TRAP, SINC)]
 SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
 FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
-# the package's modules that bind the QUADPACK wrapper integrate
-QUADPACK_MODULES = [importlib.import_module(f"cdf_mise.{name}")
-                    for name in ("numerics", "kernels", "distributions")]
+# the package's one module that binds the QUADPACK wrapper integrate
+QUADPACK_MODULES = [importlib.import_module("cdf_mise.numerics")]
 
 
 def narrow_window(monkeypatch, h_max):

@@ -136,6 +136,19 @@ class TestUsageErrors:
                               "--n", "10", "--out", str(tmp_path)], capsys)
         assert rc == 1
 
+    @pytest.mark.parametrize("spec", ["normal:sigma=1,sigma=2", "jdlvp:scale=2,scale=2"])
+    def test_repeated_spec_key(self, spec, capsys, tmp_path, monkeypatch):
+        # a key given twice is refused, not resolved to its last value
+        monkeypatch.setattr(cli.multiprocessing, "Pool", None)
+        rc, out, err = run_cli(["mc-validate", "--dist", spec, "--kernel", "sinc", "--n", "10",
+                                "--h-grid", "0.5:0.5:1", "--reps", "100",
+                                "--out", str(tmp_path / "out")], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("cdf-mise: error: ") and err.count("\n") == 1
+        assert "at most once" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParserReuse:
     # argparse ties every parser into reference cycles, so main() builds

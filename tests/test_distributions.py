@@ -334,6 +334,28 @@ class TestSampling:
             with pytest.raises(ValueError):
                 sample(JDLVP, n, 1)
 
+    # every part of a seed is a whole number >= 0: a fraction is never
+    # truncated to another seed's stream, and no stream is drawn first
+    BAD_SEEDS = [1.5, -1, math.nan, math.inf, True, np.True_, "7", None,
+                 (1, 2.5), (1, -1), (True, 1), ("7", 0)]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+    def test_invalid_seeds(self, seed, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(np.random, "PCG64", forbidden)
+        with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+            sample(JDLVP, 5, seed)
+
+    def test_whole_seeds_keep_their_bits(self):
+        want = sample(JDLVP, 20, 7)
+        for seed in (np.int64(7), 7.0, np.float64(7.0), np.uint8(7)):
+            np.testing.assert_array_equal(sample(JDLVP, 20, seed), want)
+        want = sample(JDLVP, 20, (7, 3))
+        for seed in ((7.0, 3), (np.int64(7), np.int32(3)), (7, 3.0)):
+            np.testing.assert_array_equal(sample(JDLVP, 20, seed), want)
+
 
 class TestValidation:
     def test_frozen(self):

@@ -113,6 +113,20 @@ class TestSampleType:
         with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
             draw_sample(JDLVP, 2.5, 1)
 
+    def test_draw_sample_refuses_a_bad_seed_or_rep(self):
+        # 1.5 and True were taken as seed 1, '7' as 7 and rep 2.7 as rep 2
+        for seed, rep in ((1.5, None), (True, None), ("7", None), (-1, None),
+                          (1, 2.7), (1, -1), (1, True), (math.nan, 0), ((1, 2), None)):
+            with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+                draw_sample(JDLVP, 5, seed, rep=rep)
+
+    def test_draw_sample_whole_seeds_keep_their_bits(self):
+        want = draw_sample(JDLVP, 20, 7, rep=2)
+        for seed, rep in ((7.0, 2), (np.int64(7), np.int64(2)), (7, 2.0)):
+            got = draw_sample(JDLVP, 20, seed, rep=rep)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert type(got.seed) is int and got.seed == 7
+
     def test_replication_streams_differ(self):
         base = draw_sample(JDLVP, 40, 11)
         rep0 = draw_sample(JDLVP, 40, 11, rep=0)
@@ -293,7 +307,7 @@ class TestIse:
                 with pytest.raises(RuntimeError, match="integrate called"):
                     module.integrate(lambda t: 1.0, 0.0, 1.0)
                 patched += 1
-        assert patched == 3
+        assert patched == 1
         got = [ise(s, kernel, h, dist) for s, (dist, kernel, h) in zip(samples, cells)]
         assert got == expected
 
@@ -479,6 +493,15 @@ class TestMonteCarloMise:
         for reps in (2.5, math.nan):
             with pytest.raises(ValueError, match="replications must be a whole number"):
                 monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, reps, seed=1)
+
+    def test_refuses_a_bad_seed(self):
+        # seed 1.5 ran seed 1's replications
+        for seed in (1.5, -1, True, "7", math.inf):
+            with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+                monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, 4, seed=seed)
+        want = monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 5, seed=7)
+        for seed in (7.0, np.int64(7)):
+            assert monte_carlo_mise(JDLVP, TRAP, 0.3, 20, 5, seed=seed) == want
 
     @pytest.mark.parametrize("h", BAD_BANDWIDTHS)
     def test_rejects_bad_bandwidth_before_sampling(self, h, monkeypatch):

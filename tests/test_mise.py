@@ -743,15 +743,15 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError):
             MiseReport(h=0.1, n=10, iv=0.0, isb=0.0, mise=0.0, method="bogus")
 
-    @pytest.mark.parametrize("module, call", [
-        ("cdf_mise.kernels", lambda: psi_k(NORMAL_K)),
-        ("cdf_mise.distributions", lambda: psi_f_fourier(JDLVP)),
+    @pytest.mark.parametrize("call, name", [
+        (lambda: psi_k(NORMAL_K), r"psi_k\(normal\)"),
+        (lambda: psi_f_fourier(JDLVP), r"psi_f\(jdlvp\)"),
     ])
-    def test_non_converged_quadrature_raises(self, module, call, monkeypatch):
+    def test_non_converged_quadrature_raises(self, call, name, monkeypatch):
         failed = QuadratureResult(1.0, 1.0, MAX_SUBDIVISIONS, False)
-        monkeypatch.setattr(importlib.import_module(module), "integrate",
+        monkeypatch.setattr(importlib.import_module("cdf_mise.numerics"), "integrate",
                             lambda *args, **kwargs: failed)
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        with pytest.raises(RuntimeError, match=f"{name} quadrature failed to converge"):
             call()
 
     def test_mise_makes_no_quadpack_call(self, monkeypatch):
@@ -766,8 +766,7 @@ class TestValidationAndErrors:
 
         modules = [m for m in map(importlib.import_module, PACKAGE_MODULES)
                    if hasattr(m, "integrate")]
-        assert {m.__name__ for m in modules} >= {"cdf_mise.numerics", "cdf_mise.kernels",
-                                                 "cdf_mise.distributions"}
+        assert {m.__name__ for m in modules} == {"cdf_mise.numerics"}
         for module in modules:
             monkeypatch.setattr(module, "integrate", refuse)
         monkeypatch.setattr(scipy.integrate, "quad", refuse)
@@ -791,7 +790,7 @@ class TestValidationAndErrors:
         # Neither QUADPACK nor the fixed rule evaluates an endpoint, so no
         # integrand needs a value at its removable singularity t = 0
         seen = []
-        for name in ("oracles", "cdf_mise.kernels", "cdf_mise.distributions"):
+        for name in ("oracles", "cdf_mise.numerics"):
             module = importlib.import_module(name)
 
             def recording(f, *args, _integrate=module.integrate, **kwargs):

@@ -7,7 +7,9 @@ runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
 it writes must be byte-identical.  One case prints the sha256 of
 ``mise_profile``'s output bytes on every catalog pair's search grid and
-on a random grid, so the profile's bits are compared as well.  Prints one line per case with both
+on a random grid, so the profile's bits are compared as well; another
+prints the repr of the ``psi_k`` and ``psi_f_fourier`` cross-checks.
+Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
 relative change in each numeric column of each such file; bandwidth
 columns (h_opt*, bracket_*), whose tolerance is absolute, also get the
@@ -45,6 +47,18 @@ for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3), make_normal(1.0), m
             a, b, err = mise_profile(dist, kernel_by_name(name), hs)
             digest = hashlib.sha256(a.tobytes() + b.tobytes() + err.tobytes()).hexdigest()
             print(f"{dist.name} + {name} {grid}: {digest}")
+"""
+# The repr of the quadrature cross-checks psi_k and psi_f_fourier, which
+# constants prints to 12 digits and demo 01 to 10 decimals, so their
+# last bits are compared too.
+_PSI_REPRS = """
+from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier
+from cdf_mise.kernels import KERNEL_NAMES, kernel_by_name, psi_k
+for name in KERNEL_NAMES:
+    print(f"psi_k({name}) = {psi_k(kernel_by_name(name))!r}")
+for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3),
+             make_normal(1.0), make_normal(2.0), make_normal(0.3)):
+    print(f"psi_f_fourier({dist.name}) = {psi_f_fourier(dist)!r}")
 """
 # Columns whose largest absolute change is printed too.
 _ABSOLUTE_PREFIXES = ("h_opt", "bracket_")
@@ -113,6 +127,7 @@ CASES: list[tuple[str, list[str]]] = [
       "--reps", "100", "--h-grid", "1e8:1e8:1"]),
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
+    ("psi cross-check reprs", ["-c", _PSI_REPRS]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
     for name in ("01_constants_catalog.py", "02_mise_curves.py", "03_bandwidth_descent.py",
