@@ -64,6 +64,7 @@ _REFINE_TOL = 1e-6
 # _REFINE_TOL/4 and _REFINE_TOL wide: the profile's rounding noise moves
 # the minimum by a few 1e-7, and a narrower bracket would understate that.
 _ZOOM_POINTS = 9
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS)
 # Values within _TIE relative of the minimum are ties, won by the smaller h.
 _TIE = 1e-14
 _BOUNDARY_FLAGS = ("interior", "at_zero", "at_upper_bracket")
@@ -154,8 +155,8 @@ def _scan(values: np.ndarray) -> np.ndarray:
     # minimum: ties go to the smaller h.  The profile is accurate to about
     # 1e-13 relative, far inside the gap between a grid's two lowest
     # cells (at least 1.55e-8 relative on every catalog grid).
-    low = values.min(axis=-1, keepdims=True)
-    return np.argmax(values <= low + _TIE * low, axis=-1)
+    low = np.minimum.reduce(values, axis=-1, keepdims=True)
+    return (values <= low + _TIE * low).argmax(axis=-1)
 
 
 def _search(dist: TargetDistribution, kernel: Kernel,
@@ -180,19 +181,24 @@ def _search(dist: TargetDistribution, kernel: Kernel,
     # bracket, for all n in one profile call, and keeps the best point's
     # two neighbouring spacings.
     while (open_ := np.flatnonzero(hi - lo > _REFINE_TOL)).size:
-        pts = np.linspace(lo[open_], hi[open_], _ZOOM_POINTS, axis=-1)
-        a, b, _ = mise_profile(dist, kernel, pts.ravel())
-        values = a.reshape(pts.shape) / n[open_] + b.reshape(pts.shape)
+        # evenly spaced as by np.linspace, and with its bits
+        l, u = lo[open_, None], hi[open_, None]
+        pts = l + _ZOOM_STEPS * ((u - l) / (_ZOOM_POINTS - 1))
+        pts[:, -1] = u[:, 0]
+        pts = pts.ravel()
+        a, b, _ = mise_profile(dist, kernel, pts)
+        values = a.reshape(-1, _ZOOM_POINTS) / n[open_] + b.reshape(-1, _ZOOM_POINTS)
         j = _scan(values)
-        at = np.arange(open_.size)
-        h_opt[open_], v_opt[open_] = pts[at, j], values[at, j]
-        k = np.clip(j, 1, _ZOOM_POINTS - 2)
-        lo[open_], hi[open_] = pts[at, k - 1], pts[at, k + 1]
+        at = _ZOOM_POINTS * np.arange(open_.size)
+        k = at + np.minimum(np.maximum(j, 1), _ZOOM_POINTS - 2)
+        j += at
+        h_opt[open_], v_opt[open_] = pts[j], values.ravel()[j]
+        lo[open_], hi[open_] = pts[k - 1], pts[k + 1]
         cells[open_] += _ZOOM_POINTS
 
     results = []
-    for i, n_i in enumerate(ns):
-        h = float(h_opt[i])
+    for n_i, h, v, l, u, c in zip(ns, h_opt.tolist(), v_opt.tolist(), lo.tolist(), hi.tolist(),
+                                  cells.tolist()):
         if h == 0.0:
             flag = "at_zero"
         elif h >= h_max - _REFINE_TOL:
@@ -204,14 +210,14 @@ def _search(dist: TargetDistribution, kernel: Kernel,
         else:
             flag = "interior"
         _log.debug("search %s+%s n=%d: grid of %d cells, %d profile cells",
-                   dist.name, kernel.name, n_i, grid.size, cells[i])
+                   dist.name, kernel.name, n_i, grid.size, c)
         results.append(BandwidthResult(
             h_opt=h,
-            mise_at_opt=float(v_opt[i]),
+            mise_at_opt=v,
             n=n_i,
-            bracket=(float(lo[i]), float(hi[i])),
-            grid_points_scanned=int(grid.size),
-            refined_tolerance=float(hi[i] - lo[i]),
+            bracket=(l, u),
+            grid_points_scanned=grid.size,
+            refined_tolerance=u - l,
             boundary_flag=flag,
         ))
     return tuple(results)

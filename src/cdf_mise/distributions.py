@@ -58,8 +58,12 @@ def _check_scale(value: float, what: str = "scale") -> float:
 
 
 def _check_size(value, what: str = "sample size n") -> int:
-    """value as an int, or ValueError unless it is a whole number >= 1."""
-    if not (1 <= value < math.inf and value == int(value)):
+    """value as an int, or ValueError unless it is a whole number >= 1.
+
+    A bool is not a size: True and np.True_ are refused like 2.5.
+    """
+    if isinstance(value, (bool, np.bool_)) or not (1 <= value < math.inf
+                                                   and value == int(value)):
         raise ValueError(f"{what} must be a whole number >= 1, got {value}")
     return int(value)
 
@@ -125,10 +129,13 @@ def _jdlvp_density_unit(x):
 
 
 def _jdlvp_cf_unit(t):
+    # 1 - 1.5 t^2 + 0.75 t^3 on |t| <= 1, 0.25 (2 - |t|)^3 up to 2 and 0
+    # beyond.  One power takes both cubes, of min(t, 2 - t) floored at 0
+    # (0 at nan too), a base that is never negative: numpy's power is some
+    # ten times slower on a negative base.
     t = np.abs(np.asarray(t, dtype=float))
-    inner = 1.0 - 1.5 * t * t + 0.75 * t ** 3
-    outer = 0.25 * (2.0 - t) ** 3
-    out = np.where(t <= 1.0, inner, np.where(t <= 2.0, outer, 0.0))
+    cube = np.fmin(t, np.fmax(2.0 - t, 0.0)) ** 3
+    out = np.where(t <= 1.0, 1.0 - 1.5 * t * t + 0.75 * cube, 0.25 * cube)
     return float(out) if out.ndim == 0 else out
 
 

@@ -37,8 +37,12 @@ pi B, with their error bounds, from the fixed Gauss-Kronrod rule.
 rule and an error bound, and the bandwidth search runs on it alone; the
 exact routes there are computed on arrays, with the same bits as
 ``mise``.  For the other cells one pass over arrays builds every cell's
-panels (a loop on floats for one or two cells), and the rule sums them a
-block of cells at a time.
+panels (a loop on floats for one or two cells).  The rule evaluates
+phi_k and phi_f once per run of whole blocks of 32 cells of a display,
+once for both displays where their ranges coincide and they share their
+panels (the normal kernel); it takes its weighted sums one block of one
+display at a time, so each cell has the bits of the rule run block by
+block.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     # The C library's fn (math.exp, math.log, a power) on every element:
     # numpy's SIMD loops for these round differently, and every array
     # cell must carry the bits of the scalar call.
-    return np.array([fn(v) for v in x.tolist()])
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _normal_normal_parts(sigma: float, h: np.ndarray, n: int):
@@ -227,9 +231,16 @@ def mise(dist: TargetDistribution, kernel: Kernel, h: float, n: int,
 
 # Past t = _GAUSS_CUT/r a Gaussian factor e^{-(r t)^2} is below 1e-39.
 _GAUSS_CUT = 9.5
-# Cells per evaluation of the rule: at most about 40 panels a cell and 15
-# nodes a panel keep every temporary array of the rule under 0.2 MB.
+# Cells per block of the rule's weighted sums.  BLAS rounds a row's sum
+# by the number of rows summed with it and by the row's place among them,
+# so these blocks fix the bits of every cell.
 _PROFILE_CELLS = 32
+# Panels per run of the rule: it evaluates the integrands on the nodes of
+# whole blocks, up to this many panels at a time (a larger block alone),
+# which keeps every temporary array near 60 KB.  Runs of 1024 panels
+# took no less time on the search benchmark and held 0.5 MB more at
+# the peak.
+_RUN_PANELS = 512
 # Rounding allowance per operation chain: 8 units in the last place.
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
 # Up to this many rows _panels builds the panels by a loop on floats.
@@ -275,18 +286,18 @@ def _panels(lo: np.ndarray, hi: np.ndarray, knots, rates):
     row, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
     seg = np.arange(row.size)
     t, b = cuts[row, col], cuts[row, col + 1]
-    rates = [np.broadcast_to(r, lo.shape)[row] for r in rates]
+    rates = [(r, 1.0 / r) for r in (np.broadcast_to(r, lo.shape)[row] for r in rates)]
     steps = [(seg[:0], t[:0], t[:0])]
     while t.size:
-        w = b - t
-        w = np.where(t > 0.0, np.minimum(w, t), w)
-        for r in rates:
-            w = np.where(r * t < _GAUSS_CUT, np.minimum(w, 1.0 / r), w)
-        t_next = np.where(w >= b - t, b, t + w)
+        rest = b - t
+        w = np.minimum(rest, t, out=rest.copy(), where=t > 0.0)
+        for r, inv in rates:
+            np.minimum(w, inv, out=w, where=r * t < _GAUSS_CUT)
+        t_next = np.add(t, w, out=b.copy(), where=w < rest)
         steps.append((seg, t, t_next))
         go = t_next < b
         seg, t, b = seg[go], t_next[go], b[go]
-        rates = [r[go] for r in rates]
+        rates = [(r[go], inv[go]) for r, inv in rates]
     seg, p_lo, p_hi = (np.concatenate(x) for x in zip(*steps))
     order = np.argsort(seg, kind="stable")
     return p_lo[order], p_hi[order], row[seg[order]]
@@ -294,7 +305,7 @@ def _panels(lo: np.ndarray, hi: np.ndarray, knots, rates):
 
 def _panels_by_loop(lo: np.ndarray, hi: np.ndarray, knots, rates):
     # _panels by that loop on floats, row by row: the same panels, bit for
-    # bit and in the same order.  The array pass costs some 20 numpy calls
+    # bit and in the same order.  The array pass costs some 15 numpy calls
     # a step, which the one cell of a mise() call does not amortize.
     knots = [np.broadcast_to(k, lo.shape).tolist() for k in knots]
     rates = [np.broadcast_to(r, lo.shape).tolist() for r in rates]
@@ -330,70 +341,120 @@ def _target_end(dist: TargetDistribution):
 
 
 def _profile_panels(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
-    # The panels of both displays on bandwidths h > 0: (lo, hi, cell) of
-    # the IV on (0, min(ft_support_end/h, t_end)), then of the ISB on
-    # (s_k/h, t_end) for the cells where that range is not empty.
+    # The panels of both displays on bandwidths h > 0: arrays (lo, hi,
+    # cell), then the row ranges of the IV's panels, on (0,
+    # min(ft_support_end/h, t_end)), and of the ISB's, on (s_k/h, t_end)
+    # for the cells where that range is not empty.  Where the two ranges
+    # are the same on every cell (s_k = 0 and a transform without end,
+    # the normal kernel) both displays take one set of panels.
     t_end, _, knots, rates = _target_end(dist)
-    isb = np.flatnonzero(kernel.s_k / hs < t_end)
-    cells = np.concatenate([np.arange(hs.size), isb])
+    shared = kernel.s_k == 0.0 and math.isinf(kernel.ft_support_end)
+    if shared:
+        cells = np.arange(hs.size)
+        lo, hi = np.zeros(hs.size), np.full(hs.size, t_end)
+    else:
+        isb = np.flatnonzero(kernel.s_k / hs < t_end)
+        cells = np.concatenate([np.arange(hs.size), isb])
+        lo = np.concatenate([np.zeros(hs.size), kernel.s_k / hs[isb]])
+        hi = np.concatenate([np.minimum(kernel.ft_support_end / hs, t_end),
+                             np.full(isb.size, t_end)])
     h = hs[cells]
-    lo = np.concatenate([np.zeros(hs.size), kernel.s_k / hs[isb]])
-    hi = np.concatenate([np.minimum(kernel.ft_support_end / hs, t_end),
-                         np.full(isb.size, t_end)])
     p_lo, p_hi, row = _panels(lo, hi, [k / h for k in kernel.ft_knots] + knots,
                               rates + ([h] if kernel.name == "normal" else []))
-    split = np.searchsorted(row, hs.size)
-    return ((p_lo[:split], p_hi[:split], cells[row[:split]]),
-            (p_lo[split:], p_hi[split:], cells[row[split:]]))
+    split = int(np.searchsorted(row, hs.size))
+    return p_lo, p_hi, cells[row], ((0, split), (0, split) if shared else (split, row.size))
 
 
-def _rule_on_panels(integrand, panels, hs: np.ndarray):
+def _iv_terms(p, q, qq, tt):
+    # The IV integrand p^2 (1 - q^2)/t^2 and the size p^2 q^2/t^2 of what
+    # its subtraction cancels, from p = phi_k(th), q = phi_f(t), q^2 and t^2.
+    pp = p * p
+    pp /= tt
+    f = np.subtract(1.0, qq)
+    f *= pp
+    pp *= q
+    pp *= q
+    return f, pp
+
+
+def _isb_terms(p, q, qq, tt):
+    # The ISB integrand (1 - p)^2 q^2/t^2 and the size |1 - p| p q^2/t^2
+    # of what its subtraction cancels.
+    qq = qq / tt
+    u = 1.0 - p
+    f = u * u
+    f *= qq
+    np.abs(u, out=u)
+    u *= p
+    u *= qq
+    return f, u
+
+
+def _rule_on_panels(dist: TargetDistribution, kernel: Kernel, panels, hs: np.ndarray):
     # Gauss-Kronrod 15 on every panel, summed per cell into values and
-    # error bounds.  integrand(t, h) returns the values f and the size g
-    # of what their subtractions cancel; the bound is |K15 - G7| plus
-    # rounding, 8 eps times the rule's sum of |f| + g.  The rule runs on
-    # the panels of _PROFILE_CELLS cells at a time.
-    lo, hi, cell = panels
-    val = np.empty(lo.size)
-    err = np.empty(lo.size)
-    ends = np.searchsorted(cell, np.arange(0, hs.size + _PROFILE_CELLS, _PROFILE_CELLS))
-    for p0, p1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
-        if p0 == p1:
-            continue
-        half = 0.5 * (hi[p0:p1] - lo[p0:p1])
-        t = (0.5 * (hi[p0:p1] + lo[p0:p1]))[:, None] + half[:, None] * _GK15_NODES
-        f, g = integrand(t, hs[cell[p0:p1]][:, None])
-        k15 = (f @ _GK15_WEIGHTS) * half
-        g7 = (f @ _G7_WEIGHTS) * half
-        noise = ((np.abs(f) + g) @ _GK15_WEIGHTS) * half
-        val[p0:p1] = k15
-        err[p0:p1] = np.abs(k15 - g7) + _ROUNDING * noise
-    return np.bincount(cell, val, hs.size), np.bincount(cell, err, hs.size)
+    # error bounds of the IV and of the ISB: [(pi A, a_err), (pi B, b_err)]
+    # without the IV's tail.  panels is _profile_panels' output.  Each
+    # bound is |K15 - G7| plus rounding, 8 eps times the rule's sum of
+    # |f| + g, g the size of what the subtractions in f cancel.  phi_k and
+    # phi_f are evaluated once per run of blocks of one display, or of both
+    # where they share their panels; the weighted sums are taken a block of
+    # _PROFILE_CELLS cells of one display at a time, on a slice of the
+    # run's values.
+    lo, hi, cell, rows = panels
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    h = hs[cell][:, None]
+    firsts = np.arange(0, hs.size + _PROFILE_CELLS, _PROFILE_CELLS)
+    sums = [np.empty((3, d1 - d0)) for d0, d1 in rows]
+    terms = [(_iv_terms, sums[0]), (_isb_terms, sums[1])]
+    # each display's panels, or the panels both displays share
+    groups = [(rows[0], terms)] if rows[0] == rows[1] else [(r, [x]) for r, x in zip(rows, terms)]
+    for (d0, d1), displays in groups:
+        ends = (d0 + np.searchsorted(cell[d0:d1], firsts)).tolist()
+        blocks = [(p0, p1) for p0, p1 in zip(ends[:-1], ends[1:]) if p0 < p1]
+        i = 0
+        while i < len(blocks):
+            r0 = blocks[i][0]
+            j = i + 1
+            while j < len(blocks) and blocks[j][1] - r0 <= _RUN_PANELS:
+                j += 1
+            r1 = blocks[j - 1][1]
+            t = mid[r0:r1, None] + half[r0:r1, None] * _GK15_NODES
+            p = kernel.ft(t * h[r0:r1])
+            q = dist.cf(t)
+            qq = q * q
+            tt = t * t
+            for integrand, s in displays:
+                f, g = integrand(p, q, qq, tt)
+                g += np.abs(f)
+                for p0, p1 in blocks[i:j]:
+                    fb, gb = f[p0 - r0:p1 - r0], g[p0 - r0:p1 - r0]
+                    np.matmul(fb, _GK15_WEIGHTS, out=s[0, p0 - d0:p1 - d0])
+                    np.matmul(fb, _G7_WEIGHTS, out=s[1, p0 - d0:p1 - d0])
+                    np.matmul(gb, _GK15_WEIGHTS, out=s[2, p0 - d0:p1 - d0])
+            i = j
+    out = []
+    for (d0, d1), s in zip(rows, sums):
+        s *= half[d0:d1]
+        k15, g7, noise = s
+        err = np.abs(k15 - g7)
+        err += _ROUNDING * noise
+        out.append((np.bincount(cell[d0:d1], k15, hs.size),
+                    np.bincount(cell[d0:d1], err, hs.size)))
+    return out
 
 
 def _fixed_rule(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
     # pi A and pi B on an array of bandwidths h > 0 by the fixed rule of
     # mise_profile, with separate error bounds: arrays (a, b, a_err, b_err).
     t_end, cut, _, _ = _target_end(dist)
-
-    def iv(t, h):
-        p = kernel.ft(t * h)
-        q = dist.cf(t)
-        pp = p * p / (t * t)
-        return pp * (1.0 - q * q), pp * q * q
-
-    def isb(t, h):
-        p = kernel.ft(t * h)
-        qq = dist.cf(t) ** 2 / (t * t)
-        return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
-
-    iv_panels, isb_panels = _profile_panels(dist, kernel, hs)
-    a, a_err = _rule_on_panels(iv, iv_panels, hs)
-    b, b_err = _rule_on_panels(isb, isb_panels, hs)
+    (a, a_err), (b, b_err) = _rule_on_panels(dist, kernel, _profile_panels(dist, kernel, hs),
+                                             hs)
     # Once 1 - phi_f^2 = 1 the IV is finished in closed form.
     tail = np.zeros(hs.size)
     past = t_end < kernel.ft_support_end / hs
-    tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
+    if past.any():
+        tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
     return tail + a, b, cut + _ROUNDING * tail + a_err, cut + b_err
 
 
@@ -410,8 +471,10 @@ def mise_profile(dist: TargetDistribution, kernel: Kernel, hs):
     factor e^{-(r t)^2} is above 1e-39.  The panels of all cells are
     built in one pass over arrays, every segment between two knots
     stepping forward at once (for one or two cells, by the same steps
-    in a loop on floats), and the rule runs on them 32 cells at a
-    time, which bounds the temporary arrays.  Once 1 - phi_f^2 = 1 (past
+    in a loop on floats).  The rule evaluates each display's integrand
+    on runs of whole blocks of 32 cells, at most 512 panels a run unless
+    one block is larger, which bounds the temporary arrays, and sums each
+    block apart.  Once 1 - phi_f^2 = 1 (past
     d_f, or past 9.5/sigma, where a normal target's factor is below
     1e-39) the IV is finished in closed form, h int phi_k(u)^2 u^-2 du
     over u > h t.

@@ -22,7 +22,11 @@ instead of the closed form E|x - X|.
 a loop on floats, where the library steps every cell's segments at once
 on arrays, and ``quadpack_terms`` computes the rule's pi A and pi B by
 adaptive QUADPACK subdivision instead.  Agreement between routes is
-then evidence, not tautology.
+then evidence, not tautology.  Two bit oracles keep earlier forms of
+library code that must give the same bits: ``fixed_rule_by_blocks``
+runs the fixed rule one block of cells at a time, each display on its
+own integrand calls, and ``jdlvp_cf_unit_where`` takes both cubic pieces
+of the jdlvp transform on every t.
 """
 
 from __future__ import annotations
@@ -38,8 +42,19 @@ import scipy.special
 from cdf_mise.distributions import TargetDistribution, _check_size
 from cdf_mise.estimator import _MAX_PANELS, _NORMAL_FT_CUTOFF, _PANEL_WIDTH
 from cdf_mise.kernels import Kernel, kernel_by_name
-from cdf_mise.mise import _GAUSS_CUT, _H_RANGE, _h_ok, mise_profile
+from cdf_mise.mise import (
+    _GAUSS_CUT,
+    _H_RANGE,
+    _PROFILE_CELLS,
+    _ROUNDING,
+    _h_ok,
+    _kernel_sq_tail,
+    _profile_panels,
+    _target_end,
+    mise_profile,
+)
 from cdf_mise.numerics import (
+    _G7_WEIGHTS,
     _GK15_NODES,
     _GK15_WEIGHTS,
     QuadratureResult,
@@ -600,6 +615,81 @@ def profile_panels(dist: TargetDistribution, kernel: Kernel, hs):
             out[2].extend([cell] * (len(edges) - 1))
     return tuple((np.array(lo, dtype=float), np.array(hi, dtype=float),
                   np.array(cell, dtype=int)) for lo, hi, cell in (iv, isb))
+
+
+# ---------------------------------------------------------------------------
+# The fixed rule a block at a time, and the jdlvp transform piece by piece
+# ---------------------------------------------------------------------------
+
+def rule_by_blocks(integrand, panels, hs):
+    """Gauss-Kronrod 15 on every panel, summed per cell: (values, bounds).
+
+    The fixed rule as it ran before its runs of blocks: integrand(t, h)
+    is called once per block of ``_PROFILE_CELLS`` cells, on nodes built
+    for that block alone, and returns the values f and the size g of
+    what their subtractions cancel; the bound is |K15 - G7| plus 8 eps
+    times the rule's sum of |f| + g.  ``_rule_on_panels`` must give
+    these bits on every grid.
+    """
+    lo, hi, cell = panels
+    val = np.empty(lo.size)
+    err = np.empty(lo.size)
+    ends = np.searchsorted(cell, np.arange(0, hs.size + _PROFILE_CELLS, _PROFILE_CELLS))
+    for p0, p1 in zip(ends[:-1].tolist(), ends[1:].tolist()):
+        if p0 == p1:
+            continue
+        half = 0.5 * (hi[p0:p1] - lo[p0:p1])
+        t = (0.5 * (hi[p0:p1] + lo[p0:p1]))[:, None] + half[:, None] * _GK15_NODES
+        f, g = integrand(t, hs[cell[p0:p1]][:, None])
+        k15 = (f @ _GK15_WEIGHTS) * half
+        g7 = (f @ _G7_WEIGHTS) * half
+        noise = ((np.abs(f) + g) @ _GK15_WEIGHTS) * half
+        val[p0:p1] = k15
+        err[p0:p1] = np.abs(k15 - g7) + _ROUNDING * noise
+    return np.bincount(cell, val, hs.size), np.bincount(cell, err, hs.size)
+
+
+def fixed_rule_by_blocks(dist: TargetDistribution, kernel: Kernel, hs: np.ndarray):
+    """``_fixed_rule``'s (pi A, pi B, a_err, b_err) by ``rule_by_blocks``.
+
+    Each display runs on its own panels, a block at a time, and
+    evaluates phi_k and phi_f itself; the IV's closed-form tail past
+    t_end is added as ``_fixed_rule`` adds it.
+    """
+    t_end, cut, _, _ = _target_end(dist)
+
+    def iv(t, h):
+        p = kernel.ft(t * h)
+        q = dist.cf(t)
+        pp = p * p / (t * t)
+        return pp * (1.0 - q * q), pp * q * q
+
+    def isb(t, h):
+        p = kernel.ft(t * h)
+        qq = dist.cf(t) ** 2 / (t * t)
+        return (1.0 - p) ** 2 * qq, np.abs(1.0 - p) * p * qq
+
+    lo, hi, cell, rows = _profile_panels(dist, kernel, hs)
+    iv_panels, isb_panels = ((lo[r0:r1], hi[r0:r1], cell[r0:r1]) for r0, r1 in rows)
+    a, a_err = rule_by_blocks(iv, iv_panels, hs)
+    b, b_err = rule_by_blocks(isb, isb_panels, hs)
+    tail = np.zeros(hs.size)
+    past = t_end < kernel.ft_support_end / hs
+    tail[past] = hs[past] * _kernel_sq_tail(kernel, hs[past] * t_end)
+    return tail + a, b, cut + _ROUNDING * tail + a_err, cut + b_err
+
+
+def jdlvp_cf_unit_where(t):
+    """The unit jdlvp phi_f with both cubic pieces taken on every t.
+
+    1 - 1.5 t^2 + 0.75 t^3 on |t| <= 1, 0.25 (2 - |t|)^3 up to 2 and 0
+    beyond, picked by np.where; ``_jdlvp_cf_unit`` must give these bits.
+    """
+    t = np.abs(np.asarray(t, dtype=float))
+    inner = 1.0 - 1.5 * t * t + 0.75 * t ** 3
+    outer = 0.25 * (2.0 - t) ** 3
+    out = np.where(t <= 1.0, inner, np.where(t <= 2.0, outer, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,10 @@ class TestSharedScan:
         for call in (lambda: relative_efficiency(JDLVP, TRAP, 2.5),
                      lambda: efficiency_curve(JDLVP, TRAP, [10.7]),
                      lambda: bandwidth_sandwich_check(JDLVP, TRAP, [2.5, 10]),
-                     lambda: sinc_critical_bandwidths(JDLVP, 2.5, (0.1, 20.0))):
+                     lambda: sinc_critical_bandwidths(JDLVP, 2.5, (0.1, 20.0)),
+                     # nor is a bool a sample size
+                     lambda: optimal_bandwidth(JDLVP, TRAP, True),
+                     lambda: efficiency_curve(JDLVP, TRAP, [10, np.True_])):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 call()
 

@@ -12,6 +12,7 @@ import scipy.integrate
 
 from cdf_mise.distributions import (
     JDLVP_PSI_F,
+    _jdlvp_cf_unit,
     _jdlvp_density_unit,
     make_jdlvp,
     make_normal,
@@ -27,6 +28,7 @@ from oracles import (
     jdlvp_cdf_closed_mp,
     jdlvp_cdf_mpmath,
     jdlvp_cf_convolution,
+    jdlvp_cf_unit_where,
     jdlvp_density,
     ks_statistic,
     mean_abs_dev_quad,
@@ -165,6 +167,29 @@ class TestJdlvpCharacteristicFunction:
                 limit=2000,
             )
             assert JDLVP.cf(t) == pytest.approx(2.0 * val, abs=1e-6)
+
+
+    # 0, +-1 and +-2 and their neighbours, where the pieces meet or end
+    EDGES = [np.nextafter(x, d) if d else x for x in (0.0, 1.0, -1.0, 2.0, -2.0)
+             for d in (-math.inf, 0, math.inf)]
+
+    def test_keeps_the_bits_of_both_pieces_on_every_t(self):
+        # one power on a merged base gives the bits of taking both cubic
+        # pieces on every t and picking one, in tests/oracles.py
+        ts = np.concatenate([np.linspace(-50.0, 50.0, 400_001), self.EDGES,
+                             [math.inf, -math.inf, math.nan]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = jdlvp_cf_unit_where(ts)
+        assert _jdlvp_cf_unit(ts).tobytes() == want.tobytes()
+        for t in self.EDGES + [0.5, 1.5, 3.0]:
+            got = _jdlvp_cf_unit(t)
+            assert type(got) is float and repr(got) == repr(jdlvp_cf_unit_where(t))
+
+    @pytest.mark.parametrize("a", [0.3, 2.0])
+    def test_keeps_the_bits_on_scaled_targets(self, a):
+        ts = np.concatenate([np.linspace(-3.0 / a, 3.0 / a, 20_001), np.array(self.EDGES) / a])
+        want = jdlvp_cf_unit_where(a * ts)
+        assert make_jdlvp(a).cf(ts).tobytes() == want.tobytes()
 
 
 class TestNormal:
@@ -330,8 +355,9 @@ class TestSampling:
         assert ks_statistic(xs, wide.cdf) < 1.95 / math.sqrt(xs.size)
 
     def test_invalid_sizes(self):
-        for n in (0, 2.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
+        # a bool is not a size: True drew one value
+        for n in (0, 2.5, math.nan, math.inf, True, np.True_, False):
+            with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 sample(JDLVP, n, 1)
 
     # every part of a seed is a whole number >= 0: a fraction is never

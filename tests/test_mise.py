@@ -12,6 +12,7 @@ import pytest
 import scipy.integrate
 
 import cdf_mise
+import cdf_mise.bandwidth as bw
 import cdf_mise.mise as MISE_MODULE
 
 from cdf_mise.distributions import make_jdlvp, make_normal, psi_f_fourier, rescale
@@ -20,6 +21,7 @@ from cdf_mise.mise import MiseReport, mise, mise_profile
 from cdf_mise.numerics import MAX_SUBDIVISIONS, QuadratureResult
 
 from oracles import (
+    fixed_rule_by_blocks,
     isb_space_oracle,
     iv_space_oracle,
     mise_mpmath,
@@ -483,7 +485,7 @@ class TestMiseTerms:
             mise(JDLVP, TRAP, 0.1, 10, method="linear_segment")
         with pytest.raises(ValueError, match="sample size"):
             mise(JDLVP, TRAP, -0.1, 0)  # n is checked before h
-        for n in (math.nan, 2.5, math.inf):
+        for n in (math.nan, 2.5, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 mise(JDLVP, TRAP, 0.3, n)
 
@@ -594,7 +596,8 @@ class TestProfilePanels:
             want = profile_panels(dist, kernel, hs)
             for loop_rows in self.PATHS:
                 monkeypatch.setattr(MISE_MODULE, "_LOOP_ROWS", loop_rows)
-                got = MISE_MODULE._profile_panels(dist, kernel, hs)
+                lo, hi, cell, rows = MISE_MODULE._profile_panels(dist, kernel, hs)
+                got = [(lo[r0:r1], hi[r0:r1], cell[r0:r1]) for r0, r1 in rows]
                 assert got[0][0].size > 0
                 self.assert_same(got, want)
 
@@ -618,6 +621,54 @@ class TestProfilePanels:
             got = MISE_MODULE._panels(lo, hi, knots, rates)
             self.assert_same([got], [tuple(np.array(x) for x in want)])
         assert 1 not in want[2] and 3 not in want[2]
+
+
+class TestRuleKeepsTheBlockBits:
+    # The rule evaluates phi_k and phi_f once per run of whole blocks, for
+    # both displays, and takes its weighted sums a block of 32 cells at a
+    # time on slices of the run's values.  Every cell keeps the bits of
+    # the rule run a block at a time, each display on its own integrand
+    # calls (tests/oracles.py), across blocks, runs and displays.
+    TARGETS = (JDLVP, make_jdlvp(0.5), make_jdlvp(0.3), NORMAL1, make_normal(2.0))
+
+    @staticmethod
+    def grids(dist):
+        rng = np.random.default_rng(27)
+        # 15 sample sizes' zoom levels: 9 points across brackets 1e-6 to
+        # 1e-2 wide, as the bandwidth search evaluates them
+        lows = rng.uniform(0.05, 3.0, 15) * dist.scale
+        widths = 10.0 ** rng.uniform(-6.0, -2.0, 15)
+        return {
+            "search": bw._search_grid(bw.default_search(dist).h_max),
+            "zoom": np.concatenate([l + np.linspace(0.0, w, 9) for l, w in zip(lows, widths)]),
+            # many runs of blocks
+            "2000 cells": np.exp(rng.uniform(math.log(1e-4), math.log(100.0), 2000)) * dist.scale,
+            "one cell": np.array([0.7 * dist.scale]),
+            # the ISB range (1/h, t_end) is empty for the compact kernels
+            "empty ISB": np.array([0.05 * dist.scale]),
+        }
+
+    @pytest.mark.parametrize("kernel", (NORMAL_K, TRAP, SINC), ids=lambda k: k.name)
+    @pytest.mark.parametrize("dist", TARGETS, ids=lambda d: d.name)
+    def test_fixed_rule_and_profile(self, dist, kernel, monkeypatch):
+        grids = self.grids(dist)
+        assert kernel.s_k == 0.0 or kernel.s_k / grids["empty ISB"][0] >= (
+            dist.d_f if math.isfinite(dist.d_f) else MISE_MODULE._GAUSS_CUT / dist.scale)
+        many = MISE_MODULE._profile_panels(dist, kernel, grids["2000 cells"])[0].size
+        assert many > 2 * MISE_MODULE._RUN_PANELS
+        profiles = {}
+        for name, hs in grids.items():
+            cells = hs[hs > 0.0]
+            got = MISE_MODULE._fixed_rule(dist, kernel, cells)
+            want = fixed_rule_by_blocks(dist, kernel, cells)
+            for x, y in zip(got, want, strict=True):
+                assert x.tobytes() == y.tobytes(), name
+            profiles[name] = mise_profile(dist, kernel, hs)
+        monkeypatch.setattr(MISE_MODULE, "_fixed_rule", fixed_rule_by_blocks)
+        for name, hs in grids.items():
+            want = mise_profile(dist, kernel, hs)
+            for x, y in zip(profiles[name], want, strict=True):
+                assert x.tobytes() == y.tobytes(), name
 
 
 # The large-h grid of TestAgainstMpmath.  At jdlvp+normal, h = 4000,
@@ -810,19 +861,20 @@ class TestValidationAndErrors:
                 quadpack_terms(dist, kernel, h)
         assert len(seen) > 1000
         assert 0.0 not in seen
-        # the fixed rule, through the target factor of both displays
+        # the fixed rule, through the target factor of both displays; it
+        # takes both displays' nodes in one call a run, so count nodes
         nodes = []
         for dist, kernel in ALL_PAIRS:
             def cf(t, _cf=dist.cf):
-                nodes.append(np.min(np.abs(t)))
+                nodes.append((np.size(t), np.min(np.abs(t))))
                 return _cf(t)
 
             spied = dataclasses.replace(dist, cf=cf)
             mise_profile(spied, kernel, hs)
             for h in hs:
                 mise(spied, kernel, h, 10, method="fourier")
-        assert len(nodes) > 50
-        assert min(nodes) > 0.0
+        assert sum(size for size, _ in nodes) > 4000
+        assert min(low for _, low in nodes) > 0.0
 
 
 class TestBandwidthRange:

@@ -6,8 +6,9 @@ NEW_CHECKOUT defaults to the checkout holding this script.  Every case
 runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
 it writes must be byte-identical.  One case prints the sha256 of
-``mise_profile``'s output bytes on every catalog pair's search grid and
-on a random grid, so the profile's bits are compared as well; another
+``mise_profile``'s output bytes on every catalog pair's search grid, on
+a random grid, on zoom-shaped grids and on a grid that spans many of the
+rule's runs, so the profile's bits are compared as well; another
 prints the repr of the ``psi_k`` and ``psi_f_fourier`` cross-checks.
 Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
@@ -30,8 +31,11 @@ from pathlib import Path
 
 _CLI = "import sys; from cdf_mise.cli import console_main; console_main()"
 # The sha256 of mise_profile's (A, B, err) bytes per catalog pair, on the
-# pair's search grid and on one random grid, so the profile's bits are
-# compared directly and not only through the CLI's 17 digits.
+# pair's search grid, on one random grid, on the zoom levels of 15 and of
+# one sample size (9 points across brackets 1e-6 to 1e-2 wide) and on a
+# 3000-cell grid, which spans many of the rule's runs of 32-cell blocks.
+# So the profile's bits are compared directly, and not only through the
+# CLI's 17 digits, also where a run or a block ends.
 _PROFILE_BYTES = """
 import hashlib
 import numpy as np
@@ -39,11 +43,18 @@ from cdf_mise.bandwidth import _search_grid, default_search
 from cdf_mise.distributions import make_jdlvp, make_normal
 from cdf_mise.kernels import KERNEL_NAMES, kernel_by_name
 from cdf_mise.mise import mise_profile
-random_grid = np.random.default_rng(2024).uniform(1e-5, 50.0, 200)
+rng = np.random.default_rng(2024)
+random_grid = rng.uniform(1e-5, 50.0, 200)
+lows, widths = rng.uniform(0.05, 3.0, 15), 10.0 ** rng.uniform(-6.0, -2.0, 15)
+zoom_15 = np.concatenate([l + np.linspace(0.0, w, 9) for l, w in zip(lows, widths)])
+zoom_1 = zoom_15[:9]
+many_runs = np.exp(rng.uniform(np.log(1e-4), np.log(100.0), 3000))
 for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3), make_normal(1.0), make_normal(2.0)):
     for name in KERNEL_NAMES:
         for grid, hs in (("search", _search_grid(default_search(dist).h_max)),
-                         ("random", random_grid)):
+                         ("random", random_grid), ("zoom of 15 n", dist.scale * zoom_15),
+                         ("zoom of one n", dist.scale * zoom_1),
+                         ("3000 cells", dist.scale * many_runs)):
             a, b, err = mise_profile(dist, kernel_by_name(name), hs)
             digest = hashlib.sha256(a.tobytes() + b.tobytes() + err.tobytes()).hexdigest()
             print(f"{dist.name} + {name} {grid}: {digest}")
