@@ -19,6 +19,7 @@ ndtr, the JdlVP one through the sine integral, and so is E|x - X|.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,14 +58,16 @@ def _check_scale(value: float, what: str = "scale") -> float:
     return float(value)
 
 
-def _check_size(value, what: str = "sample size n") -> int:
-    """value as an int, or ValueError unless it is a whole number >= 1.
+def _check_size(value, what: str = "sample size n", least: int = 1) -> int:
+    """value as an int, or ValueError unless it is a whole number >= least.
 
-    A bool is not a size: True and np.True_ are refused like 2.5.
+    10.0 and np.int64(10) are 10; a bool, 2.5, nan, "10" and 1+0j are refused.
     """
-    if isinstance(value, (bool, np.bool_)) or not (1 <= value < math.inf
-                                                   and value == int(value)):
-        raise ValueError(f"{what} must be a whole number >= 1, got {value}")
+    if type(value) is int and value >= least:  # plain ints on the fast path
+        return value
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and least <= value < math.inf and value == int(value)):
+        raise ValueError(f"{what} must be a whole number >= {least}, got {value!r}")
     return int(value)
 
 
@@ -73,14 +76,8 @@ def _check_seed(seed):
     parts = seed if type(seed) is tuple else (seed,)
     for value in parts:
         if type(value) is not int or value < 0:  # plain ints pass as they are
-            try:
-                whole = [int(v) for v in parts if v == int(v) and v >= 0
-                         and not isinstance(v, (bool, np.bool_))]
-            except (TypeError, ValueError, OverflowError):
-                whole = []
-            if len(whole) < len(parts):
-                raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
-            return tuple(whole) if parts is seed else whole[0]
+            whole = tuple(_check_size(v, "seed", 0) for v in parts)
+            return whole if parts is seed else whole[0]
     return seed
 
 

@@ -30,7 +30,8 @@ in groups of 2^14 // (14 n), at least one, so that its arrays stay
 within about max(2^14, 64 n) elements however many replications it
 takes, and runs the route once a group: at h = 0 the target's
 mean_abs_dev once over the group, on the Fourier route the trig, the
-transforms and the integrand once over runs of the group's panels.
+transforms and the integrand once per run of the group's blocks of 64
+panels (``numerics._block_runs``, up to max(64, 2^14 / n) panels a run).
 Whatever belongs to one sample is rounded as for that sample alone, so
 every replication's ISE has the bits ``ise`` gives it.
 
@@ -51,7 +52,7 @@ import scipy.special
 from .distributions import TargetDistribution, _check_seed, _check_size, sample as draw_values
 from .kernels import Kernel, kernel_by_name
 from .mise import _H_RANGE, _h_ok, mise_profile
-from .numerics import _G7_NODES, _G7_ONLY_WEIGHTS
+from .numerics import _G7_NODES, _G7_ONLY_WEIGHTS, _block_runs
 
 __all__ = [
     "Sample",
@@ -302,20 +303,6 @@ def _ise_step(xs: np.ndarray, dist: TargetDistribution) -> np.ndarray:
     return np.mean(dist.mean_abs_dev(xs), axis=1) - order / (n * n) - dist.psi_f
 
 
-def _panel_runs(blocks, limit: int):
-    # Runs of consecutive (row, first, last) panel blocks of at most
-    # limit panels together, or of one block.
-    run, size = [], 0
-    for block in blocks:
-        if run and size + block[2] - block[1] > limit:
-            yield run
-            run, size = [], 0
-        run.append(block)
-        size += block[2] - block[1]
-    if run:
-        yield run
-
-
 def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribution,
                  spans: list, tail) -> np.ndarray:
     # The Fourier route of ise at h > 0 on each row of xs, between the
@@ -345,29 +332,30 @@ def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribut
         # centres once a panel, and the means over j are two matrix
         # products a block of at most 64 panels of one row, as is the
         # 7-point weighing.  The rows' panels are taken in runs of
-        # blocks, so the trig, the transforms and the integrand are one
-        # pass over a run.
+        # blocks (numerics._block_runs), so the trig, the transforms and
+        # the integrand are one pass over a run.
         w = 0.5 * (b - a) / panels
         offsets = w[:, None] * _G7_NODES
         wx = xs[:, :, None] * offsets[:, None, :]
         basis = np.concatenate([np.cos(wx), np.sin(wx)], axis=2) / n
-        blocks = ((r, first, min(first + _PANEL_BLOCK, count))
-                  for r, count in enumerate(panels.tolist())
-                  for first in range(0, count, _PANEL_BLOCK))
+        # the rows' panels indexed flat, row r's from starts[r] to stops[r]
+        # in blocks of 64; a row's end repeats as the next row's start
+        stops = np.cumsum(panels)
+        starts = stops - panels
+        bounds = (min(first, p1) for p0, p1 in zip(starts.tolist(), stops.tolist())
+                  for first in range(p0, p1 + _PANEL_BLOCK, _PANEL_BLOCK))
         half = w.tolist()
-        for run in _panel_runs(blocks, limit):
-            row, first, last = np.array(run).T
-            size = last - first
-            stop = np.cumsum(size)
-            rid = np.repeat(row, size)
-            # panel p of a block's row is centred at a + w (2 p + 1)
-            panel = np.arange(rid.size) + np.repeat(first - stop + size, size)
-            mid = a + w[rid] * (2 * panel + 1)
+        for run in _block_runs(bounds, limit):
+            r0 = run[0]
+            flat = np.arange(r0, run[-1])
+            rid = np.searchsorted(stops, flat, side="right")
+            # panel p of a row is centred at a + w (2 p + 1)
+            mid = a + w[rid] * (2 * (flat - starts[rid]) + 1)
             mx = mid[:, None] * xs[rid]
             cos_mx, sin_mx = np.cos(mx), np.sin(mx)
             by_cos = np.empty((rid.size, 14))
             by_sin = np.empty((rid.size, 14))
-            cuts = list(zip(row.tolist(), [0, *stop[:-1].tolist()], stop.tolist()))
+            cuts = [(int(rid[p0 - r0]), p0 - r0, p1 - r0) for p0, p1 in zip(run[:-1], run[1:])]
             for r, lo, hi in cuts:
                 np.matmul(cos_mx[lo:hi], basis[r], out=by_cos[lo:hi])
                 np.matmul(sin_mx[lo:hi], basis[r], out=by_sin[lo:hi])

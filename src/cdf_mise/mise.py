@@ -39,10 +39,11 @@ exact routes there are computed on arrays, with the same bits as
 ``mise``.  For the other cells one pass over arrays builds every cell's
 panels (a loop on floats for one or two cells).  The rule evaluates
 phi_k and phi_f once per run of whole blocks of 32 cells of a display,
-once for both displays where their ranges coincide and they share their
-panels (the normal kernel); it takes its weighted sums one block of one
-display at a time, so each cell has the bits of the rule run block by
-block.
+up to 512 panels a run (a larger block alone), as ``numerics._block_runs``
+groups them for the sample ISE too, and once for both displays where
+their ranges coincide and they share their panels (the normal kernel);
+it takes its weighted sums one block of one display at a time, so each
+cell has the bits of the rule run block by block.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import scipy.special
 
 from .distributions import TargetDistribution, _check_size
 from .kernels import Kernel
-from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS
+from .numerics import _G7_WEIGHTS, _GK15_NODES, _GK15_WEIGHTS, _block_runs
 
 __all__ = [
     "MiseReport",
@@ -236,10 +237,10 @@ _GAUSS_CUT = 9.5
 # so these blocks fix the bits of every cell.
 _PROFILE_CELLS = 32
 # Panels per run of the rule: it evaluates the integrands on the nodes of
-# whole blocks, up to this many panels at a time (a larger block alone),
-# which keeps every temporary array near 60 KB.  Runs of 1024 panels
-# took no less time on the search benchmark and held 0.5 MB more at
-# the peak.
+# whole blocks, up to this many panels at a time (a larger block alone,
+# by numerics._block_runs), which keeps every temporary array near 60 KB.
+# Runs of 1024 panels took no less time on the search benchmark and held
+# 0.5 MB more at the peak.
 _RUN_PANELS = 512
 # Rounding allowance per operation chain: 8 units in the last place.
 _ROUNDING = 8.0 * float(np.finfo(float).eps)
@@ -411,14 +412,8 @@ def _rule_on_panels(dist: TargetDistribution, kernel: Kernel, panels, hs: np.nda
     groups = [(rows[0], terms)] if rows[0] == rows[1] else [(r, [x]) for r, x in zip(rows, terms)]
     for (d0, d1), displays in groups:
         ends = (d0 + np.searchsorted(cell[d0:d1], firsts)).tolist()
-        blocks = [(p0, p1) for p0, p1 in zip(ends[:-1], ends[1:]) if p0 < p1]
-        i = 0
-        while i < len(blocks):
-            r0 = blocks[i][0]
-            j = i + 1
-            while j < len(blocks) and blocks[j][1] - r0 <= _RUN_PANELS:
-                j += 1
-            r1 = blocks[j - 1][1]
+        for run in _block_runs(ends, _RUN_PANELS):
+            r0, r1 = run[0], run[-1]
             t = mid[r0:r1, None] + half[r0:r1, None] * _GK15_NODES
             p = kernel.ft(t * h[r0:r1])
             q = dist.cf(t)
@@ -427,12 +422,11 @@ def _rule_on_panels(dist: TargetDistribution, kernel: Kernel, panels, hs: np.nda
             for integrand, s in displays:
                 f, g = integrand(p, q, qq, tt)
                 g += np.abs(f)
-                for p0, p1 in blocks[i:j]:
+                for p0, p1 in zip(run[:-1], run[1:]):
                     fb, gb = f[p0 - r0:p1 - r0], g[p0 - r0:p1 - r0]
                     np.matmul(fb, _GK15_WEIGHTS, out=s[0, p0 - d0:p1 - d0])
                     np.matmul(fb, _G7_WEIGHTS, out=s[1, p0 - d0:p1 - d0])
                     np.matmul(gb, _GK15_WEIGHTS, out=s[2, p0 - d0:p1 - d0])
-            i = j
     out = []
     for (d0, d1), s in zip(rows, sums):
         s *= half[d0:d1]

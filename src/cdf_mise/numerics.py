@@ -10,7 +10,9 @@ Fourier identity behind the cross-checks ``psi_k`` and
 ``psi_f_fourier`` of the catalog constants.  Every MISE runs fixed
 rules on panels chosen a priori instead: ``mise`` and ``mise_profile``
 apply the Gauss-Kronrod 15 table below themselves, and the sample ISE
-at h > 0 its embedded 7-point Gauss rule.  No caller in the package is
+at h > 0 its embedded 7-point Gauss rule, each on runs of whole blocks
+of panels that ``_block_runs`` groups: at most 512 panels a run in
+``mise`` and max(64, 2^14 / n) in the ISE.  No caller in the package is
 left for :func:`gauss_panels` or :func:`gauss_kronrod_panels`; the
 tests' oracles use them and :func:`integrate`.  All three keep their
 names and their place here because the benchmark's tracer looks them
@@ -201,6 +203,23 @@ _G7_ONLY_WEIGHTS = np.array([
 ])
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = _G7_ONLY_WEIGHTS
+
+
+def _block_runs(bounds, limit: int):
+    # Runs of whole blocks from an ascending iterable of block boundaries,
+    # read lazily: each run is the list of its blocks' boundaries, at most
+    # limit panels unless one block alone is larger, and empty blocks are
+    # skipped.
+    run = []
+    for b in bounds:
+        if run and b == run[-1]:
+            continue
+        if len(run) > 1 and b - run[0] > limit:
+            yield run
+            run = run[-1:]
+        run.append(b)
+    if len(run) > 1:
+        yield run
 
 
 def _panel_values(fvec, edges, nodes: np.ndarray, chunk: int | None):

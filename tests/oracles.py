@@ -22,11 +22,12 @@ instead of the closed form E|x - X|.
 a loop on floats, where the library steps every cell's segments at once
 on arrays, and ``quadpack_terms`` computes the rule's pi A and pi B by
 adaptive QUADPACK subdivision instead.  Agreement between routes is
-then evidence, not tautology.  Two bit oracles keep earlier forms of
+then evidence, not tautology.  Three bit oracles keep earlier forms of
 library code that must give the same bits: ``fixed_rule_by_blocks``
 runs the fixed rule one block of cells at a time, each display on its
-own integrand calls, and ``jdlvp_cf_unit_where`` takes both cubic pieces
-of the jdlvp transform on every t.
+own integrand calls, ``jdlvp_cf_unit_where`` takes both cubic pieces
+of the jdlvp transform on every t, and ``ise_fourier_by_triples`` runs
+the Fourier ISE on runs of (row, first, last) block triples.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ import scipy.integrate
 import scipy.special
 
 from cdf_mise.distributions import TargetDistribution, _check_size
-from cdf_mise.estimator import _MAX_PANELS, _NORMAL_FT_CUTOFF, _PANEL_WIDTH
+from cdf_mise.estimator import (
+    _GROUP_ELEMENTS,
+    _MAX_PANELS,
+    _NORMAL_FT_CUTOFF,
+    _PANEL_BLOCK,
+    _PANEL_WIDTH,
+    PanelBoundError,
+)
 from cdf_mise.kernels import Kernel, kernel_by_name
 from cdf_mise.mise import (
     _GAUSS_CUT,
@@ -54,6 +62,8 @@ from cdf_mise.mise import (
     mise_profile,
 )
 from cdf_mise.numerics import (
+    _G7_NODES,
+    _G7_ONLY_WEIGHTS,
     _G7_WEIGHTS,
     _GK15_NODES,
     _GK15_WEIGHTS,
@@ -690,6 +700,96 @@ def jdlvp_cf_unit_where(t):
     outer = 0.25 * (2.0 - t) ** 3
     out = np.where(t <= 1.0, inner, np.where(t <= 2.0, outer, 0.0))
     return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# The Fourier ISE on runs of (row, first, last) block triples
+# ---------------------------------------------------------------------------
+
+# ``ise_fourier_by_triples`` is the Fourier ISE route as it ran with its
+# own run rule, ``_panel_runs``: each run of blocks is a list of (row,
+# first, last) triples, whose panels it lays out by repeat and cumsum.
+# It takes the keywords of the partial ``_ise_route`` returns, and
+# ``_ise_fourier``, which takes its runs from ``numerics._block_runs`` and
+# indexes its panels flat, must give its bits on every group of rows.
+
+def _panel_runs(blocks, limit: int):
+    # Runs of consecutive (row, first, last) panel blocks of at most
+    # limit panels together, or of one block.
+    run, size = [], 0
+    for block in blocks:
+        if run and size + block[2] - block[1] > limit:
+            yield run
+            run, size = [], 0
+        run.append(block)
+        size += block[2] - block[1]
+    if run:
+        yield run
+
+
+def ise_fourier_by_triples(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribution,
+                           spans: list, tail) -> np.ndarray:
+    # The Fourier route of ise at h > 0 on each row of xs, between the
+    # knots of spans and with the sample-free tail() past the cutoff.
+    rows, n = xs.shape
+    # phi_n oscillates at frequencies up to max|X_j|, the larger of the
+    # row's two ends, and the Gaussian factors phi_f^2 and phi_k(t h)^2
+    # fall off on the scales 1/sigma and 1/h.  Past a knot a > 0 the
+    # piece no longer vanishes at t = 0, so the pole of t^-2 limits each
+    # panel there to a quarter of a.
+    width = _PANEL_WIDTH / np.maximum(np.maximum(-xs[:, 0], xs[:, -1]),
+                                      max(2.0 * math.sqrt(dist.variance), 2.0 * h))
+    counts = np.stack([(b - a) / (np.minimum(width, a / 4.0) if a > 0.0 else width)
+                       for a, b in spans], axis=1)
+    need = counts.sum(axis=1)
+    if need.max() > _MAX_PANELS:
+        raise PanelBoundError(
+            f"the Fourier ISE at h = {h:g} needs {need[need > _MAX_PANELS][0]:.3g} panels, "
+            f"over its bound of {_MAX_PANELS}")
+
+    totals = [0.0] * rows
+    limit = max(_PANEL_BLOCK, _GROUP_ELEMENTS // n)
+    for (a, b), panels in zip(spans, np.ceil(counts).astype(int).T):
+        # The panels of a span share one half-width w a row, so node k of
+        # panel p is t = m_p + w x_k and exp(i t X_j) = exp(i m_p X_j)
+        # exp(i w x_k X_j): trig of the 7 offsets once a span, of the
+        # centres once a panel, and the means over j are two matrix
+        # products a block of at most 64 panels of one row, as is the
+        # 7-point weighing.  The rows' panels are taken in runs of
+        # blocks, so the trig, the transforms and the integrand are one
+        # pass over a run.
+        w = 0.5 * (b - a) / panels
+        offsets = w[:, None] * _G7_NODES
+        wx = xs[:, :, None] * offsets[:, None, :]
+        basis = np.concatenate([np.cos(wx), np.sin(wx)], axis=2) / n
+        blocks = ((r, first, min(first + _PANEL_BLOCK, count))
+                  for r, count in enumerate(panels.tolist())
+                  for first in range(0, count, _PANEL_BLOCK))
+        half = w.tolist()
+        for run in _panel_runs(blocks, limit):
+            row, first, last = np.array(run).T
+            size = last - first
+            stop = np.cumsum(size)
+            rid = np.repeat(row, size)
+            # panel p of a block's row is centred at a + w (2 p + 1)
+            panel = np.arange(rid.size) + np.repeat(first - stop + size, size)
+            mid = a + w[rid] * (2 * panel + 1)
+            mx = mid[:, None] * xs[rid]
+            cos_mx, sin_mx = np.cos(mx), np.sin(mx)
+            by_cos = np.empty((rid.size, 14))
+            by_sin = np.empty((rid.size, 14))
+            cuts = list(zip(row.tolist(), [0, *stop[:-1].tolist()], stop.tolist()))
+            for r, lo, hi in cuts:
+                np.matmul(cos_mx[lo:hi], basis[r], out=by_cos[lo:hi])
+                np.matmul(sin_mx[lo:hi], basis[r], out=by_sin[lo:hi])
+            t = mid[:, None] + offsets[rid]
+            p = kernel.ft(t * h)
+            re = p * (by_cos[:, :7] - by_sin[:, 7:]) - dist.cf(t)
+            im = p * (by_sin[:, :7] + by_cos[:, 7:])
+            g = (re * re + im * im) / (t * t)
+            for r, lo, hi in cuts:
+                totals[r] += half[r] * float(np.sum(g[lo:hi] @ _G7_ONLY_WEIGHTS))
+    return np.array(totals) / math.pi + tail()
 
 
 # ---------------------------------------------------------------------------

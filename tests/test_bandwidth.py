@@ -379,7 +379,10 @@ class TestSharedScan:
                      lambda: sinc_critical_bandwidths(JDLVP, 2.5, (0.1, 20.0)),
                      # nor is a bool a sample size
                      lambda: optimal_bandwidth(JDLVP, TRAP, True),
-                     lambda: efficiency_curve(JDLVP, TRAP, [10, np.True_])):
+                     lambda: efficiency_curve(JDLVP, TRAP, [10, np.True_]),
+                     # nor a string, None, a list or a complex number
+                     *(lambda n=n: optimal_bandwidth(JDLVP, TRAP, n)
+                       for n in ("10", None, [3], 1 + 0j))):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 call()
 

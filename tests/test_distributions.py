@@ -355,15 +355,16 @@ class TestSampling:
         assert ks_statistic(xs, wide.cdf) < 1.95 / math.sqrt(xs.size)
 
     def test_invalid_sizes(self):
-        # a bool is not a size: True drew one value
-        for n in (0, 2.5, math.nan, math.inf, True, np.True_, False):
+        # a bool is not a size: True drew one value; nor is a string, None,
+        # a list or a complex number, which raised TypeError
+        for n in (0, 2.5, math.nan, math.inf, True, np.True_, False, "10", None, [3], 1 + 0j):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 sample(JDLVP, n, 1)
 
     # every part of a seed is a whole number >= 0: a fraction is never
     # truncated to another seed's stream, and no stream is drawn first
-    BAD_SEEDS = [1.5, -1, math.nan, math.inf, True, np.True_, "7", None,
-                 (1, 2.5), (1, -1), (True, 1), ("7", 0)]
+    BAD_SEEDS = [1.5, -1, math.nan, math.inf, True, np.True_, "7", None, [3], 1 + 0j,
+                 (1, 2.5), (1, -1), (True, 1), ("7", 0), (1, 1 + 0j)]
 
     @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
     def test_invalid_seeds(self, seed, monkeypatch):

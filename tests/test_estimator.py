@@ -30,6 +30,7 @@ from cdf_mise.mise import _H_RANGE, mise
 from oracles import (
     cos_tail_over_x2,
     ise_energy_mpmath,
+    ise_fourier_by_triples,
     ise_fourier_direct,
     ise_step_function_jdlvp,
     ise_step_function_normal,
@@ -110,8 +111,9 @@ class TestSampleType:
         assert a.seed == 11
 
     def test_draw_sample_refuses_a_fractional_size(self):
-        with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
-            draw_sample(JDLVP, 2.5, 1)
+        for n in (2.5, "10", None, [3], 1 + 0j):
+            with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
+                draw_sample(JDLVP, n, 1)
 
     def test_draw_sample_refuses_a_bad_seed_or_rep(self):
         # 1.5 and True were taken as seed 1, '7' as 7 and rep 2.7 as rep 2
@@ -400,6 +402,53 @@ class TestIseFourier:
         assert peak < 4 << 20
 
 
+# Cells of the Fourier ISE bit test beyond every pair at h = 0.3: rows of
+# more than 64 panels in a span, and the sample-free tail past the cutoff
+BITS_BEYOND = [pytest.param(JDLVP, NORMAL_K, 0.05, 200, id="jdlvp+normal-0.05-200"),
+               pytest.param(make_jdlvp(0.5), TRAP, 2.0, 50, id="jdlvp:scale=0.5+trapezoidal-2-50")]
+
+
+class TestIseFourierKeepsItsBits:
+    # _ise_fourier takes its runs of 64-panel blocks from
+    # numerics._block_runs and indexes a span's panels flat; each row keeps
+    # the bits of the route on runs of (row, first, last) triples
+    # (tests/oracles.py), on groups of rows as monte_carlo_mise draws them.
+    @staticmethod
+    def runs_and_bits(dist, kernel, h, n, monkeypatch):
+        rows = max(1, estimator._GROUP_ELEMENTS // (14 * n))
+        xs = np.array([draw_sample(dist, n, 23, rep=r).values for r in range(rows)])
+        runs = []
+        block_runs = estimator._block_runs
+
+        def spy(bounds, limit):
+            # the blocks of each run the route takes in a span
+            bounds = list(bounds)
+            runs.append([len(run) - 1 for run in block_runs(bounds, limit)])
+            return block_runs(bounds, limit)
+
+        route = estimator._ise_route(kernel, h, dist)
+        want = ise_fourier_by_triples(xs, **route.keywords)
+        monkeypatch.setattr(estimator, "_block_runs", spy)
+        assert route(xs).tobytes() == want.tobytes()
+        return rows, runs
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 200, 1000])
+    @pytest.mark.parametrize("dist,kernel", FOURIER_PAIRS)
+    def test_every_pair(self, dist, kernel, n, monkeypatch):
+        rows, runs = self.runs_and_bits(dist, kernel, 0.3, n, monkeypatch)
+        if n == 50:
+            # one block a row in a span, and many rows share a run
+            assert any(sum(span) == rows and max(span) > 5 for span in runs)
+
+    @pytest.mark.parametrize("dist,kernel,h,n", BITS_BEYOND)
+    def test_long_rows_and_tail(self, dist, kernel, h, n, monkeypatch):
+        rows, runs = self.runs_and_bits(dist, kernel, h, n, monkeypatch)
+        if h < 1.0:
+            assert any(sum(span) > 2 * rows for span in runs)
+        else:
+            assert estimator._ise_route(kernel, h, dist).keywords["tail"]() > 0.0
+
+
 def energy_route(sample, h, dist):
     return estimator._ise_energy(sample.values, dist.scale, h)
 
@@ -490,7 +539,7 @@ class TestMonteCarloMise:
     def test_requires_two_replications(self):
         with pytest.raises(ValueError):
             monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, 1, seed=1)
-        for reps in (2.5, math.nan):
+        for reps in (2.5, math.nan, "10", None, [3], 1 + 0j):
             with pytest.raises(ValueError, match="replications must be a whole number"):
                 monte_carlo_mise(NORMAL1, NORMAL_K, 0.2, 10, reps, seed=1)
 

@@ -485,7 +485,7 @@ class TestMiseTerms:
             mise(JDLVP, TRAP, 0.1, 10, method="linear_segment")
         with pytest.raises(ValueError, match="sample size"):
             mise(JDLVP, TRAP, -0.1, 0)  # n is checked before h
-        for n in (math.nan, 2.5, math.inf, True, np.True_):
+        for n in (math.nan, 2.5, math.inf, True, np.True_, "10", None, [3], 1 + 0j):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 mise(JDLVP, TRAP, 0.3, n)
 

@@ -1,5 +1,6 @@
 """Special functions and quadrature against independent references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -155,3 +156,34 @@ class TestFixedPanels:
         assert v7 == pytest.approx(v15, abs=1e-12)
         assert gauss_panels(f, edges, chunk=3) == pytest.approx(v7, abs=1e-13)
 
+
+
+class TestBlockRuns:
+    # _block_runs groups the blocks of a fixed rule into runs of whole
+    # blocks, each run the list of its blocks' boundaries
+    @staticmethod
+    def runs(bounds, limit):
+        return list(numerics._block_runs(bounds, limit))
+
+    def test_no_blocks(self):
+        assert self.runs([], 8) == []
+        assert self.runs([5], 8) == []
+        assert self.runs([3, 3, 3], 8) == []
+
+    def test_a_block_larger_than_the_limit_runs_alone(self):
+        assert self.runs([0, 20], 8) == [[0, 20]]
+        assert self.runs([0, 4, 24, 26, 30], 8) == [[0, 4], [4, 24], [24, 26, 30]]
+
+    def test_blocks_that_fill_the_limit_exactly(self):
+        assert self.runs(range(0, 17, 4), 8) == [[0, 4, 8], [8, 12, 16]]
+        assert self.runs([0, 8, 16], 8) == [[0, 8], [8, 16]]
+        assert self.runs([0, 3, 9, 10], 9) == [[0, 3, 9], [9, 10]]
+
+    def test_empty_blocks_are_skipped(self):
+        # mise's 32-cell blocks, several of which hold no panel of a display
+        assert self.runs([0, 0, 5, 5, 5, 9, 14, 14], 10) == [[0, 5, 9], [9, 14]]
+        assert self.runs([2, 2, 2, 7], 4) == [[2, 7]]
+
+    def test_lazy(self):
+        # the first run comes from an endless generator of boundaries
+        assert next(numerics._block_runs(itertools.count(0, 3), 10)) == [0, 3, 6, 9]

@@ -8,7 +8,8 @@ PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
 it writes must be byte-identical.  One case prints the sha256 of
 ``mise_profile``'s output bytes on every catalog pair's search grid, on
 a random grid, on zoom-shaped grids and on a grid that spans many of the
-rule's runs, so the profile's bits are compared as well; another
+rule's runs, so the profile's bits are compared as well; one prints
+the sha256 of the Fourier ISE's values on groups of replications; another
 prints the repr of the ``psi_k`` and ``psi_f_fourier`` cross-checks.
 Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
@@ -58,6 +59,28 @@ for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3), make_normal(1.0), m
             a, b, err = mise_profile(dist, kernel_by_name(name), hs)
             digest = hashlib.sha256(a.tobytes() + b.tobytes() + err.tobytes()).hexdigest()
             print(f"{dist.name} + {name} {grid}: {digest}")
+"""
+# The sha256 of the ISE values per Fourier pair and sample size, on groups
+# of replications drawn and routed as monte_carlo_mise does (16384 //
+# (14 n) samples a group), at h = 0.5 and at h = 0.02, where rows take
+# several 64-panel blocks of a span.  So each replication's ISE bits are
+# compared, where the mc-validate CSVs hold only their means.
+_ISE_BYTES = """
+import hashlib
+import numpy as np
+from cdf_mise.distributions import make_jdlvp, make_normal, sample
+from cdf_mise.estimator import _ise_route
+from cdf_mise.kernels import kernel_by_name
+for dist, name in ((make_jdlvp(), "normal"), (make_jdlvp(), "trapezoidal"),
+                   (make_jdlvp(), "sinc"), (make_normal(1.0), "trapezoidal"),
+                   (make_normal(1.0), "sinc")):
+    for h in (0.5, 0.02):
+        for n in (1, 50, 200, 1000):
+            xs = np.sort([sample(dist, n, (11, r)) for r in range(max(1, 16384 // (14 * n)))],
+                         axis=1)
+            values = _ise_route(kernel_by_name(name), h, dist)(xs)
+            print(f"{dist.name} + {name} h={h} n={n}: "
+                  f"{hashlib.sha256(values.tobytes()).hexdigest()}")
 """
 # The repr of the quadrature cross-checks psi_k and psi_f_fourier, which
 # constants prints to 12 digits and demo 01 to 10 decimals, so their
@@ -138,6 +161,7 @@ CASES: list[tuple[str, list[str]]] = [
       "--reps", "100", "--h-grid", "1e8:1e8:1"]),
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
+    ("ise bytes", ["-c", _ISE_BYTES]),
     ("psi cross-check reprs", ["-c", _PSI_REPRS]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
