@@ -45,6 +45,7 @@ from .bandwidth import (
 from .charts import line_chart
 from .distributions import (
     TargetDistribution,
+    _check_size,
     make_jdlvp,
     make_normal,
     psi_f_fourier,
@@ -54,7 +55,6 @@ from .kernels import KERNEL_NAMES, Kernel, kernel_by_name, psi_k
 from .mise import _H_RANGE, _h_ok, mise
 
 __all__ = [
-    "RunConfig",
     "UsageError",
     "build_parser",
     "main",
@@ -83,31 +83,6 @@ _DEFAULT_REPS = 2000
 
 class UsageError(Exception):
     """Bad flags, specs, or config file contents (exit code 1)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: flags over config file over defaults.
-
-    A command reads only the fields of the keys it takes, and ``format``:
-    one without ``--format`` draws every chart it has.
-    """
-
-    command: str
-    dist_spec: str = ""
-    kernel_spec: str = ""
-    n_list: tuple[int, ...] = ()
-    h_grid: tuple[float, float, int] = (0.0, 0.0, 1)
-    seed: int = _DEFAULT_SEED
-    replications: int = _DEFAULT_REPS
-    output_dir: Path = Path(".")
-    format: str = "csv+svg"
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +127,10 @@ def _parse_kernel(spec: str) -> Kernel:
 def _parse_n_list(text) -> tuple[int, ...]:
     items = list(text) if isinstance(text, (list, tuple)) else str(text).split(",")
     try:
-        values = tuple(int(str(item).strip()) for item in items)
+        values = tuple(_check_size(int(str(item).strip())) for item in items)
     except ValueError as exc:
         raise UsageError(f"bad sample-size list {text!r}: {exc}") from exc
-    if not values or any(v < 1 for v in values):
+    if not values:
         raise UsageError(f"sample sizes must be positive integers, got {text!r}")
     return values
 
@@ -192,23 +167,29 @@ def _parse_int(value) -> int:
         raise UsageError(f"bad integer {value!r}: {exc}") from exc
 
 
+def _parse_out(value) -> Path:
+    if not isinstance(value, str):
+        raise UsageError(f"output directory must be a string, got {value!r}")
+    return Path(value)
+
+
 def _parse_format(value) -> str:
     if value not in _FORMATS:
         raise UsageError(f"unknown format {value!r}; choose from {_FORMATS}")
     return value
 
 
-# Every key a command can take: its RunConfig field, the parser of its
-# flag or config value, and its --help line.
+# Every key a command can take: the parser of its flag or config value,
+# and its --help line.
 _KEYS = {
-    "dist": ("dist_spec", str, f"target distribution ({_DIST_USAGE})"),
-    "kernel": ("kernel_spec", str, f"kernel ({', '.join(KERNEL_NAMES)})"),
-    "n": ("n_list", _parse_n_list, "comma-separated sample sizes"),
-    "h_grid": ("h_grid", _parse_h_grid, "bandwidth grid min:max:count"),
-    "seed": ("seed", _parse_int, f"master seed (default {_DEFAULT_SEED})"),
-    "reps": ("replications", _parse_int, f"Monte Carlo replications (default {_DEFAULT_REPS})"),
-    "out": ("output_dir", Path, "output directory (default current)"),
-    "format": ("format", _parse_format, "output format, csv or csv+svg (default csv)"),
+    "dist": (str, f"target distribution ({_DIST_USAGE})"),
+    "kernel": (str, f"kernel ({', '.join(KERNEL_NAMES)})"),
+    "n": (_parse_n_list, "comma-separated sample sizes"),
+    "h_grid": (_parse_h_grid, "bandwidth grid min:max:count"),
+    "seed": (_parse_int, f"master seed (default {_DEFAULT_SEED})"),
+    "reps": (_parse_int, f"Monte Carlo replications (default {_DEFAULT_REPS})"),
+    "out": (_parse_out, "output directory (default current)"),
+    "format": (_parse_format, "output format, csv or csv+svg (default csv)"),
 }
 
 
@@ -227,20 +208,17 @@ def _load_config_file(path: Path, keys) -> dict:
     return data
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     defaults = _COMMANDS[args.command].defaults
     path = getattr(args, "config", None)
     file_cfg = _load_config_file(Path(path), defaults) if path else {}
-    # One pass over the command's keys: a flag wins over the config file,
-    # which wins over the command's default.
-    fields = {}
+    # The command's keys under their own names, each parsed: a flag wins
+    # over the config file, which wins over the command's default.
+    cfg = argparse.Namespace()
     for key, default in defaults.items():
-        value = getattr(args, key)
-        if value is None:
-            value = file_cfg.get(key)
-        field, parse, _ = _KEYS[key]
-        fields[field] = parse(default if value is None else value)
-    return RunConfig(command=args.command, **fields)
+        value = file_cfg.get(key) if getattr(args, key) is None else getattr(args, key)
+        setattr(cfg, key, _KEYS[key][0](default if value is None else value))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +301,14 @@ def svg_from_efficiency_csv(path: Path) -> str:
                         "Relative efficiency vs sample size", "MISE(h_opt) / MISE(0)")
 
 
-def _emit(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: list,
+def _emit(cfg: argparse.Namespace, stem: str, header: tuple[str, ...], rows: list,
           svg: Callable[[Path], str] | None = None, note: str = "") -> None:
-    # Every file a command writes goes through here: the CSV, then, if the
-    # command has a chart and cfg.format asks for it, the SVG that `svg`
-    # draws from that file.
-    path = cfg.output_dir / f"{stem}.csv"
+    # Every file a command writes goes through here: the CSV, then the SVG
+    # that `svg` draws from it, under csv+svg or if the command takes no --format.
+    path = cfg.out / f"{stem}.csv"
     _write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows{note})")
-    if svg is not None and cfg.format == "csv+svg":
+    if svg is not None and getattr(cfg, "format", "csv+svg") == "csv+svg":
         svg_path = path.with_suffix(".svg")
         _write_atomic(svg_path, svg(path))
         print(f"wrote {svg_path}")
@@ -341,12 +318,12 @@ def _emit(cfg: RunConfig, stem: str, header: tuple[str, ...], rows: list,
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_mise_curve(cfg: RunConfig) -> int:
-    dist = _parse_dist(cfg.dist_spec)
-    kernel = _parse_kernel(cfg.kernel_spec)
-    if len(cfg.n_list) != 1:
-        raise UsageError(f"mise-curve takes one sample size, got {len(cfg.n_list)}")
-    n = cfg.n_list[0]
+def cmd_mise_curve(cfg: argparse.Namespace) -> int:
+    dist = _parse_dist(cfg.dist)
+    kernel = _parse_kernel(cfg.kernel)
+    if len(cfg.n) != 1:
+        raise UsageError(f"mise-curve takes one sample size, got {len(cfg.n)}")
+    n = cfg.n[0]
     lo, hi, count = cfg.h_grid
     hs = np.linspace(lo, hi, count)
     if hs[0] != 0.0:
@@ -358,22 +335,22 @@ def cmd_mise_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_optimal_bandwidth(cfg: RunConfig) -> int:
-    dist = _parse_dist(cfg.dist_spec)
-    kernel = _parse_kernel(cfg.kernel_spec)
+def cmd_optimal_bandwidth(cfg: argparse.Namespace) -> int:
+    dist = _parse_dist(cfg.dist)
+    kernel = _parse_kernel(cfg.kernel)
     rows = [(res.n, res.h_opt, res.mise_at_opt, res.mise_at_opt / (dist.psi_f / res.n),
              res.bracket[0], res.bracket[1], res.boundary_flag)
-            for res in optimal_bandwidths(dist, kernel, cfg.n_list)]
+            for res in optimal_bandwidths(dist, kernel, cfg.n)]
     _emit(cfg, "optimal_bandwidth", ("n", "h_opt", "mise_at_opt", "rel_eff",
                                      "bracket_lo", "bracket_hi", "boundary_flag"),
           rows, svg_from_bandwidth_csv)
     return 0
 
 
-def cmd_efficiency_curve(cfg: RunConfig) -> int:
-    dist = _parse_dist(cfg.dist_spec)
-    kernel = _parse_kernel(cfg.kernel_spec)
-    curve = efficiency_curve(dist, kernel, cfg.n_list)
+def cmd_efficiency_curve(cfg: argparse.Namespace) -> int:
+    dist = _parse_dist(cfg.dist)
+    kernel = _parse_kernel(cfg.kernel)
+    curve = efficiency_curve(dist, kernel, cfg.n)
     rows = [(n, h, r, curve.asymptote)
             for n, h, r in zip(curve.n_values, curve.h_opt, curve.rel_eff)]
     _emit(cfg, "efficiency_curve", ("n", "h_opt", "rel_eff", "asymptote"), rows,
@@ -381,11 +358,11 @@ def cmd_efficiency_curve(cfg: RunConfig) -> int:
     return 0
 
 
-def _efficiency_sweep(cfg: RunConfig, names: tuple[str, str]):
+def _efficiency_sweep(cfg: argparse.Namespace, names: tuple[str, str]):
     # Both kernels' efficiency curves on cfg's target and their table, with
     # rows (n, rel_eff_a, rel_eff_b, asymptote_a, asymptote_b).
-    dist = _parse_dist(cfg.dist_spec)
-    a, b = (efficiency_curve(dist, kernel_by_name(name), cfg.n_list) for name in names)
+    dist = _parse_dist(cfg.dist)
+    a, b = (efficiency_curve(dist, kernel_by_name(name), cfg.n) for name in names)
     header = ("n", *(f"rel_eff_{name}" for name in names),
               *(f"asymptote_{name}" for name in names))
     rows = [(n, ra, rb, a.asymptote, b.asymptote)
@@ -393,7 +370,7 @@ def _efficiency_sweep(cfg: RunConfig, names: tuple[str, str]):
     return dist, (a, b), header, rows
 
 
-def cmd_figure2(cfg: RunConfig) -> int:
+def cmd_figure2(cfg: argparse.Namespace) -> int:
     dist, (curve_t, curve_s), header, rows = _efficiency_sweep(
         cfg, ("trapezoidal", "sinc"))
     limit = limit_bandwidth(dist, kernel_by_name("trapezoidal"))
@@ -406,7 +383,7 @@ def cmd_figure2(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_figure3(cfg: RunConfig) -> int:
+def cmd_figure3(cfg: argparse.Namespace) -> int:
     _, _, header, rows = _efficiency_sweep(cfg, ("normal", "sinc"))
     _emit(cfg, "figure3_efficiency", header, rows, svg_from_efficiency_csv)
     return 0
@@ -425,22 +402,22 @@ def _mc_cell(task: tuple) -> tuple:
     return dist.name, kernel.name, h, n, report.mise, mc.estimate, mc.std_error, z, reps
 
 
-def cmd_mc_validate(cfg: RunConfig) -> int:
-    if cfg.replications < 100:
+def cmd_mc_validate(cfg: argparse.Namespace) -> int:
+    if cfg.reps < 100:
         raise UsageError(
-            f"mc-validate needs at least 100 replications, got {cfg.replications}")
+            f"mc-validate needs at least 100 replications, got {cfg.reps}")
     if not (0 <= cfg.seed < 2 ** 64):
         raise UsageError(f"seed must fit in 64 unsigned bits, got {cfg.seed}")
-    if bool(cfg.dist_spec) != bool(cfg.kernel_spec):
+    if bool(cfg.dist) != bool(cfg.kernel):
         raise UsageError("a custom validation run needs both --dist and --kernel")
 
-    pairs = [(cfg.dist_spec, cfg.kernel_spec)] if cfg.dist_spec else _MC_SUITE_PAIRS
+    pairs = [(cfg.dist, cfg.kernel)] if cfg.dist else _MC_SUITE_PAIRS
     cells = [(d, k, float(h), int(n)) for d, k in pairs
-             for h in np.linspace(*cfg.h_grid) for n in cfg.n_list]
+             for h in np.linspace(*cfg.h_grid) for n in cfg.n]
     # A bad spec is a usage error before any process starts.
     for dist_spec, kernel_spec in dict.fromkeys(cell[:2] for cell in cells):
         _parse_dist(dist_spec), _parse_kernel(kernel_spec)
-    tasks = [(*cell, cfg.replications, cfg.seed + index)
+    tasks = [(*cell, cfg.reps, cfg.seed + index)
              for index, cell in enumerate(cells)]
 
     # taskset and cgroup cpusets narrow the affinity mask, not os.cpu_count().
@@ -467,7 +444,7 @@ def cmd_mc_validate(cfg: RunConfig) -> int:
     return 2 if flagged else 0
 
 
-def cmd_constants(cfg: RunConfig) -> int:
+def cmd_constants(cfg: argparse.Namespace) -> int:
     dists = [make_jdlvp(), make_normal(1.0)]
     kernels = [kernel_by_name(name) for name in KERNEL_NAMES]
 
@@ -507,7 +484,7 @@ class _Command:
     """One subcommand: help line, handler, and the keys it takes with their defaults."""
 
     help: str
-    run: Callable[[RunConfig], int]
+    run: Callable[[argparse.Namespace], int]
     defaults: dict
 
 
@@ -556,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _COMMANDS.items():
         sp = sub.add_parser(name, help=command.help, description=command.help)
         for key in command.defaults:
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEYS[key][2])
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEYS[key][1])
         if command.defaults:
             sp.add_argument("--config", help="JSON config file; explicit flags win")
     return parser
@@ -570,8 +547,7 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[cfg.command].run(cfg)
+        return _COMMANDS[args.command].run(_merge_config(args))
     except UsageError as exc:
         print(f"cdf-mise: error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,6 +49,7 @@ JDLVP_PSI_F = (96.0 * math.log(2.0) - 43.0) / (8.0 * math.pi)
 # rounding; far outside, h^4 underflows in the normal+normal closed form
 # (68% off at 1e-100) and t^2 overflows on the Fourier side (1e-200).
 _SCALE_RANGE = (1e-60, 1e60)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_scale(value: float, what: str = "scale") -> float:
@@ -61,13 +63,16 @@ def _check_scale(value: float, what: str = "scale") -> float:
 def _check_size(value, what: str = "sample size n", least: int = 1) -> int:
     """value as an int, or ValueError unless it is a whole number >= least.
 
-    10.0 and np.int64(10) are 10; a bool, 2.5, nan, "10" and 1+0j are refused.
+    10.0 and np.int64(10) are 10; a bool, 2.5, nan, "10" and 1+0j are
+    refused, and so is a whole number above the largest float, 10**400,
+    which every caller would turn into a float.
     """
-    if type(value) is int and value >= least:  # plain ints on the fast path
+    if type(value) is int and least <= value <= _FLOAT_MAX:  # plain ints on the fast path
         return value
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and least <= value < math.inf and value == int(value)):
-        raise ValueError(f"{what} must be a whole number >= {least}, got {value!r}")
+            and least <= value <= _FLOAT_MAX and value == int(value)):
+        raise ValueError(f"{what} must be a whole number >= {least} and at most "
+                         f"the largest float, got {value!r}")
     return int(value)
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,17 @@ _MAX_PANELS = 1 << 22
 # hold at most 64 n elements, however many panels it takes.
 _PANEL_BLOCK = 64
 
-# Elements of one row block of the energy route's pair differences.  A
-# block is whole rows, so it holds at most max(2^16, n - 1) elements: a
-# sample of up to 256 points takes one block, and every temporary array
-# of a block stays under 0.6 MB up to n = 65537 and 8 n bytes past it.
+# Elements of one row block of the energy route's pair differences and
+# of estimate_cdf's terms.  A block is whole rows, so it holds at most
+# max(2^16, n) elements, and every temporary array of a block stays
+# under 0.6 MB up to n = 65537 and 8 n bytes past it; the energy route
+# takes a sample of up to 256 points in one block.
 _PAIR_BLOCK = 1 << 16
+
+# Past |(x - X_j)/h| = max/2, where the quotient or the trapezoidal K's
+# Si(2 x) overflows, a term of estimate_cdf is K's limit, 1 or 0, as the
+# normal and sinc K already are exactly from 1e300 on.
+_FAR = sys.float_info.max / 2
 
 # Elements of a temporary array of one group of Monte Carlo
 # replications: monte_carlo_mise draws as many at a time as keep the
@@ -174,6 +181,8 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     x may be a scalar or an array of finite values; the return matches.
     h must be 0 or in [1e-300, 1e75], the bandwidth range of ``mise``.
     The h = 0 path counts sample points at or below x by binary search.
+    For h > 0 the x are taken in blocks of whole rows of max(2^16, n)
+    terms, and a term whose (x - X_j)/h overflows takes K's limit, 1 or 0.
     """
     if not _h_ok(h):
         raise ValueError(_H_RANGE)
@@ -185,8 +194,15 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     if h == 0.0:
         out = np.searchsorted(sample.values, xs1, side="right") / sample.n
     else:
-        out = kernel.integrated_fn(
-            (xs1[:, None] - sample.values[None, :]) / h).mean(axis=1)
+        # each row's mean is the same reduction as on one (m, n) array
+        out = np.empty(xs1.size)
+        rows = max(1, _PAIR_BLOCK // sample.n)
+        for i in range(0, xs1.size, rows):
+            with np.errstate(over="ignore"):
+                z = (xs1[i:i + rows, None] - sample.values) / h
+                far = ~(np.abs(z) <= _FAR)
+                k = kernel.integrated_fn(np.where(far, 0.0, z))
+            out[i:i + rows] = np.where(far, z > 0.0, k).mean(axis=1)
     return float(out[0]) if scalar else out
 
 

@@ -380,6 +380,8 @@ class TestSharedScan:
                      # nor is a bool a sample size
                      lambda: optimal_bandwidth(JDLVP, TRAP, True),
                      lambda: efficiency_curve(JDLVP, TRAP, [10, np.True_]),
+                     # nor a whole number no float holds, which overflowed
+                     lambda: optimal_bandwidth(JDLVP, TRAP, 10**400),
                      # nor a string, None, a list or a complex number
                      *(lambda n=n: optimal_bandwidth(JDLVP, TRAP, n)
                        for n in ("10", None, [3], 1 + 0j))):

@@ -131,6 +131,18 @@ class TestUsageErrors:
                               "--out", str(tmp_path)], capsys)
         assert rc == 1
 
+    def test_sample_size_no_float_holds(self, capsys, tmp_path):
+        # --n follows the library's size rule: 10**400 overflowed a float
+        # with a traceback
+        n = "1" + "0" * 400
+        rc, out, err = run_cli(["optimal-bandwidth", "--n", n, "--out", str(tmp_path)],
+                               capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == (f"cdf-mise: error: bad sample-size list '{n}': sample size n must be "
+                       f"a whole number >= 1 and at most the largest float, got {n}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_multi_kernel_rejected(self, capsys, tmp_path):
         rc, _, err = run_cli(["efficiency-curve", "--kernel", "trapezoidal,sinc",
                               "--n", "10", "--out", str(tmp_path)], capsys)
@@ -781,16 +793,16 @@ class TestCommandKeys:
         "mc-validate": {"dist", "kernel", "n", "h_grid", "seed", "reps", "out"},
         "constants": set(),
     }
-    # a value of each key, and its RunConfig field and value, which no
-    # command has as its default
-    VALUES = {"dist": ("normal:sigma=2", "dist_spec", "normal:sigma=2"),
-              "kernel": ("sinc", "kernel_spec", "sinc"),
-              "n": ("50", "n_list", (50,)),
-              "h_grid": ("0:1:3", "h_grid", (0.0, 1.0, 3)),
-              "seed": ("7", "seed", 7),
-              "reps": ("300", "replications", 300),
-              "out": ("results", "output_dir", Path("results")),
-              "format": ("csv+svg", "format", "csv+svg")}
+    # a value of each key and its parsed value, which no command has as
+    # its default
+    VALUES = {"dist": ("normal:sigma=2", "normal:sigma=2"),
+              "kernel": ("sinc", "sinc"),
+              "n": ("50", (50,)),
+              "h_grid": ("0:1:3", (0.0, 1.0, 3)),
+              "seed": ("7", 7),
+              "reps": ("300", 300),
+              "out": ("results", Path("results")),
+              "format": ("csv+svg", "csv+svg")}
 
     def test_slot_counts(self):
         # --config comes with any key
@@ -815,12 +827,12 @@ class TestCommandKeys:
     def test_config_key_matrix(self, command, capsys, tmp_path):
         path = tmp_path / "run.json"
         allowed = [key for key in self.KEYS if key in self.TAKEN[command]]
-        for key, (value, field, parsed) in self.VALUES.items():
+        for key, (value, parsed) in self.VALUES.items():
             path.write_text(json.dumps({key: value}), encoding="utf-8")
             argv = [command, "--config", str(path)]
             if key in allowed:
                 cfg = cli._merge_config(cli._parser().parse_args(argv))
-                assert getattr(cfg, field) == parsed
+                assert getattr(cfg, key) == parsed
                 continue
             rc, _, err = run_cli(argv, capsys)
             assert rc == 1
@@ -828,6 +840,20 @@ class TestCommandKeys:
                 assert f"unknown config keys ['{key}']; allowed: {allowed}" in err
             else:
                 assert f"unrecognized arguments: --config {path}" in err
+
+    @pytest.mark.parametrize("value", [5, ["results"], True, {"dir": "results"}],
+                             ids=["5", "list", "true", "object"])
+    @pytest.mark.parametrize("command", [c for c, keys in TAKEN.items() if "out" in keys])
+    def test_config_out_must_be_a_string(self, command, value, capsys, tmp_path,
+                                         monkeypatch):
+        # a path that is not a string raised TypeError with a traceback
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"out": value}), encoding="utf-8")
+        rc, out, err = run_cli([command, "--config", "run.json"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == f"cdf-mise: error: output directory must be a string, got {value!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_constants_help_lists_only_help(self, capsys):
         rc, out, _ = run_cli(["constants", "--help"], capsys)

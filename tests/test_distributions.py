@@ -356,8 +356,10 @@ class TestSampling:
 
     def test_invalid_sizes(self):
         # a bool is not a size: True drew one value; nor is a string, None,
-        # a list or a complex number, which raised TypeError
-        for n in (0, 2.5, math.nan, math.inf, True, np.True_, False, "10", None, [3], 1 + 0j):
+        # a list or a complex number, which raised TypeError, nor a whole
+        # number above the largest float
+        for n in (0, 2.5, math.nan, math.inf, True, np.True_, False, "10", None, [3], 1 + 0j,
+                  10**400):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 sample(JDLVP, n, 1)
 

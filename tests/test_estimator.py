@@ -9,6 +9,7 @@ import multiprocessing.process
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,46 @@ class TestEstimateCdf:
         s = draw_sample(JDLVP, 15, 2)
         assert abs(estimate_cdf(s, kernel, 0.7, -1e6)) <= tol
         assert abs(1.0 - estimate_cdf(s, kernel, 0.7, 1e6)) <= tol
+
+    @pytest.mark.parametrize("kernel", [NORMAL_K, TRAP, SINC], ids=lambda k: k.name)
+    def test_whole_bandwidth_range(self, kernel):
+        # at h = 1e-300, (x - X_j)/h overflows for |x| >= 1e9 and the
+        # trapezoidal Si(2 (x - X_j)/h) for |x| >= 1e8; such a term takes
+        # K's limit with no warning, where the overflow raised ValueError
+        s = draw_sample(JDLVP, 20, 3)
+        xs = np.array([-1e9, -1.5e8, -0.4, 0.2, 1.5e8, 1e9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = estimate_cdf(s, kernel, 1e-300, xs)
+            huge = estimate_cdf(s, kernel, 1e75, xs)
+            assert estimate_cdf(s, kernel, 1e-300, 1e9) == 1.0
+        np.testing.assert_allclose(tiny, estimate_cdf(s, kernel, 0.0, xs), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(huge, 0.5, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 20, 3277, 70000])
+    def test_row_blocks_keep_the_bits(self, n):
+        # estimate_cdf takes max(1, 2^16 // n) rows a block; each row's
+        # mean must keep the bits one (m, n) array gives it
+        s = draw_sample(JDLVP, n, 4)
+        rows = max(1, estimator._PAIR_BLOCK // n)
+        xs = np.linspace(-6.0, 6.0, 2 * rows + 3)
+        for kernel in (NORMAL_K, TRAP, SINC):
+            for h in (0.05, 0.7):
+                want = kernel.integrated_fn((xs[:, None] - s.values[None, :]) / h).mean(axis=1)
+                assert estimate_cdf(s, kernel, h, xs).tobytes() == want.tobytes()
+
+    def test_memory_is_bounded_by_row_blocks(self):
+        # one (400, 5000) array of (x - X_j)/h is 16 MB, and the
+        # trapezoidal K's temporaries on it took a 93 MB peak
+        s = draw_sample(JDLVP, 5000, 4)
+        xs = np.linspace(-5.0, 5.0, 400)
+        tracemalloc.start()
+        try:
+            estimate_cdf(s, TRAP, 0.3, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize("kernel", [NORMAL_K, TRAP], ids=lambda k: k.name)
     def test_smoothed_empirical_representation(self, kernel):

@@ -314,6 +314,35 @@ class TestPathAgreement:
             four = mise(dist, kernel, float(h), n, method="fourier")
             assert auto.mise == pytest.approx(four.mise, rel=1e-9, abs=0.0), f"h={h}"
 
+    def test_exact_routes_within_both_error_bounds(self):
+        # a dense seeded draw over the exact routes: scales log-uniform in
+        # [0.5, 2], h log-uniform in [1e-4, 1] h_max, n log-uniform in
+        # [10, 1e7]; on every cell that auto sends to an exact route, the
+        # gap to the fixed rule is within the sum of both error estimates
+        rng = np.random.default_rng(7)
+        cells, worst, worst_rel = {}, (0.0, None), 0.0
+        for family, kernel in ((make_jdlvp, TRAP), (make_jdlvp, SINC),
+                               (make_normal, NORMAL_K), (make_normal, SINC)):
+            for log_scale, log_h, log_n in rng.uniform((-1.0, -4.0, 1.0), (1.0, 0.0, 7.0),
+                                                       (1500, 3)).tolist():
+                dist = family(2.0 ** log_scale)
+                h = bw.default_search(dist).h_max * 10.0 ** log_h
+                n = int(round(10.0 ** log_n))
+                auto = mise(dist, kernel, h, n)
+                if auto.method == "fourier":
+                    continue
+                four = mise(dist, kernel, h, n, method="fourier")
+                ratio = abs(auto.mise - four.mise) / (auto.error_estimate + four.error_estimate)
+                cells[auto.method] = cells.get(auto.method, 0) + 1
+                worst = max(worst, (ratio, (dist.name, kernel.name, h, n)))
+                worst_rel = max(worst_rel, abs(auto.mise - four.mise) / auto.mise)
+        print(f"{cells}: largest gap / bound {worst[0]:.3g} at {worst[1]}, "
+              f"largest relative gap {worst_rel:.2g}")
+        assert set(cells) == {"linear_segment", "closed_form_normal_normal",
+                              "closed_form_normal_sinc"}
+        assert sum(cells.values()) >= 3000
+        assert worst[0] <= 1.0, worst
+
     @pytest.mark.parametrize("dist,kernel", ALL_PAIRS,
                              ids=lambda o: getattr(o, "name", o))
     def test_report_invariants_on_grid(self, dist, kernel):
@@ -485,7 +514,9 @@ class TestMiseTerms:
             mise(JDLVP, TRAP, 0.1, 10, method="linear_segment")
         with pytest.raises(ValueError, match="sample size"):
             mise(JDLVP, TRAP, -0.1, 0)  # n is checked before h
-        for n in (math.nan, 2.5, math.inf, True, np.True_, "10", None, [3], 1 + 0j):
+        # 10**400 is a whole number no float holds: float(n) overflowed
+        for n in (math.nan, 2.5, math.inf, True, np.True_, "10", None, [3], 1 + 0j,
+                  10**400):
             with pytest.raises(ValueError, match="sample size n must be a whole number >= 1"):
                 mise(JDLVP, TRAP, 0.3, n)
 

@@ -5,7 +5,8 @@
 NEW_CHECKOUT defaults to the checkout holding this script.  Every case
 runs once per checkout, in a fresh working directory with
 PYTHONPATH=<checkout>/src; its exit code, stdout, stderr and every file
-it writes must be byte-identical.  One case prints the sha256 of
+it writes must be byte-identical.  Two cases first write a ``--config``
+file into that directory.  One case prints the sha256 of
 ``mise_profile``'s output bytes on every catalog pair's search grid, on
 a random grid, on zoom-shaped grids and on a grid that spans many of the
 rule's runs, so the profile's bits are compared as well; one prints
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -31,6 +33,15 @@ import time
 from pathlib import Path
 
 _CLI = "import sys; from cdf_mise.cli import console_main; console_main()"
+# The CLI with its first argument, a JSON object, written to run.json in
+# the working directory and passed as --config after the other arguments.
+_CONFIG_CLI = """
+import sys
+from pathlib import Path
+from cdf_mise.cli import main
+Path("run.json").write_text(sys.argv[1], encoding="utf-8")
+raise SystemExit(main([*sys.argv[2:], "--config", "run.json"]))
+"""
 # The sha256 of mise_profile's (A, B, err) bytes per catalog pair, on the
 # pair's search grid, on one random grid, on the zoom levels of 15 and of
 # one sample size (9 points across brackets 1e-6 to 1e-2 wide) and on a
@@ -159,6 +170,18 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate large-h jdlvp+sinc",
      ["-c", _CLI, "mc-validate", "--dist", "jdlvp", "--kernel", "sinc", "--n", "50",
       "--reps", "100", "--h-grid", "1e8:1e8:1"]),
+] + [
+    # every key of mise-curve from the config file, and --kernel over it
+    ("mise-curve --config",
+     ["-c", _CONFIG_CLI, json.dumps({"dist": "normal:sigma=2", "kernel": "sinc", "n": [500],
+                                     "h_grid": "0:2:21", "out": "results",
+                                     "format": "csv+svg"}),
+      "mise-curve", "--kernel", "normal"]),
+    ("mc-validate --config",
+     ["-c", _CONFIG_CLI, json.dumps({"seed": 11, "reps": 150, "dist": "jdlvp",
+                                     "kernel": "sinc", "h_grid": [0.1, 0.6, 2],
+                                     "n": "20,100"}),
+      "mc-validate"]),
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
     ("ise bytes", ["-c", _ISE_BYTES]),
