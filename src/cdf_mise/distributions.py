@@ -94,8 +94,10 @@ class TargetDistribution:
     mean_abs_dev(x) = E|x - X| = int_-inf^x F + int_x^inf (1 - F).
     scale is the rescaling parameter a relative to the family's unit
     form (f_a(x) = f(x/a)/a), which is sigma for the normal family.
-    cf_knots lists the non-smooth points of phi_f, and sampler draws
-    from the distribution given a numpy Generator.
+    cf_knots lists the non-smooth points of phi_f, and sampler(n, rngs)
+    draws from the distribution: an (R, n) array whose row r is n values
+    from the numpy Generator rngs[r], with the bits that stream gives
+    when drawn alone.
     """
 
     name: str
@@ -109,7 +111,7 @@ class TargetDistribution:
     variance: float
     cf_knots: tuple
     mean_abs_dev: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[int, np.random.Generator], np.ndarray]
+    sampler: Callable[[int, list[np.random.Generator]], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (0.0 < self.c_f <= self.d_f):
@@ -150,6 +152,17 @@ _JDLVP_SERIES = tuple(
     / (8.0 * math.factorial(2 * k) * (2 * k - 3)) for k in range(2, 16))
 
 
+def _jdlvp_cdf_closed(v, s, sin_v, si_v, si_2v):
+    # F(v) - 1/2 at v >= 2 from s = sin(v/2), sin(v) and the sine
+    # integrals of v and 2v in the package's normalisation; see
+    # _jdlvp_cdf_unit.
+    s2 = s * s
+    return (2.0 * si_2v - si_v
+            - (4.0 / math.pi) * (s2 / v) * (s2 / v) / v
+            - (2.0 / math.pi) * (sin_v / v) * (s2 / v)
+            - (2.0 / math.pi) * np.sin(1.5 * v) * s / v)
+
+
 def _jdlvp_cdf_unit(x):
     # F(x) = 1/2 + sign(x) (12/pi) I(|x|).  Three integrations by parts give
     #   I(u) = (2 Si(2u) - Si(u))/12 - sin^4(u/2)/(3u^3)
@@ -167,12 +180,8 @@ def _jdlvp_cdf_unit(x):
     u = np.minimum(np.abs(x), 1e300)
     small = u < 2.0
     v = np.where(small, 2.0, u)
-    s = np.sin(0.5 * v)
-    s2 = s * s
-    closed = (2.0 * sine_integral(2.0 * v) - sine_integral(v)
-              - (4.0 / math.pi) * (s2 / v) * (s2 / v) / v
-              - (2.0 / math.pi) * (np.sin(v) / v) * (s2 / v)
-              - (2.0 / math.pi) * np.sin(1.5 * v) * s / v)
+    closed = _jdlvp_cdf_closed(v, np.sin(0.5 * v), np.sin(v),
+                               sine_integral(v), sine_integral(2.0 * v))
     w = np.where(small, u, 0.0)
     series = w * np.polynomial.polynomial.polyval(w * w, _JDLVP_SERIES)
     out = 0.5 + np.copysign(np.where(small, series, closed), x)
@@ -199,13 +208,17 @@ def _jdlvp_mean_abs_dev_unit(x):
     small = u < 2.0
     # G is 0 to rounding long before the cap, which keeps 2v finite.
     v = np.where(small, 2.0, np.minimum(u, 1e300))
+    # One sici call per argument gives Ci here and Si for F(v), whose
+    # closed form at v >= 2 shares s and sin(v).
     s = np.sin(0.5 * v)
     s2 = s * s
-    ci_2v = scipy.special.sici(2.0 * v)[1]
-    ci_v = scipy.special.sici(v)[1]
-    closed = ((1.5 / math.pi) * (4.0 * (s2 / v) * (s2 / v) + 4.0 * np.sin(v) * s2 / v
+    sin_v = np.sin(v)
+    si_2v, ci_2v = scipy.special.sici(2.0 * v)
+    si_v, ci_v = scipy.special.sici(v)
+    cdf = 0.5 + _jdlvp_cdf_closed(v, s, sin_v, si_v / math.pi, si_2v / math.pi)
+    closed = ((1.5 / math.pi) * (4.0 * (s2 / v) * (s2 / v) + 4.0 * sin_v * s2 / v
                                  + 2.0 * (ci_2v - ci_v))
-              - v * (1.0 - _jdlvp_cdf_unit(v)))
+              - v * (1.0 - cdf))
     w = np.where(small, u, 0.0)
     series = (3.0 * math.log(2.0) / math.pi - 0.5 * w
               + w * w * np.polynomial.polynomial.polyval(w * w, _JDLVP_G_SERIES))
@@ -213,33 +226,62 @@ def _jdlvp_mean_abs_dev_unit(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _jdlvp_sampler_unit(n: int, rng: np.random.Generator) -> np.ndarray:
+def _jdlvp_proposals(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rejection from the envelope (3/(4 pi)) min(1, (2/|x|)^4), which
     # dominates f because sin^4(x/2) <= min((x/2)^4, 1).  The envelope is
-    # sampled by inverse transform: uniform core on [-2, 2] with mass
-    # 3/4, Pareto(3) tails with mass 1/8 each; acceptance rate is pi/4.
-    out = np.empty(n, dtype=float)
-    have = 0
+    # sampled by inverse transform of the uniforms u: uniform core on
+    # [-2, 2] with mass 3/4, Pareto(3) tails with mass 1/8 each; the
+    # uniforms w accept a proposal y at rate pi/4.  Returns y and the mask
+    # of accepted proposals, of the shape of u; every step is elementwise,
+    # so a value's bits do not depend on the shape.
+    y = -2.0 + (u / 0.75) * 4.0
+    tail = u >= 0.75
+    v = (u[tail] - 0.75) / 0.25
+    sign = np.where(v < 0.5, 1.0, -1.0)
+    frac = np.where(v < 0.5, 2.0 * v, 2.0 * v - 1.0)
+    y[tail] = sign * 2.0 * (1.0 - frac) ** (-1.0 / 3.0)
+    env = 0.75 / math.pi * np.minimum(1.0, (2.0 / np.maximum(np.abs(y), 1e-300)) ** 4)
+    return y, w * env <= _jdlvp_density_unit(y)
+
+
+def _jdlvp_rounds(n: int, rng: np.random.Generator, out: np.ndarray, have: int,
+                  used: int) -> None:
+    # Fill out[have:] from rng a round of proposals at a time, where the
+    # rounds so far took `used` proposals and accepted `have` values.
     budget = 1_000_000 * n
-    used = 0
     while have < n:
         m = max(64, int((n - have) * 1.35) + 16)
         used += m
         if used > budget:
             raise RuntimeError("jdlvp rejection sampler exceeded its proposal budget")
-        u = rng.random(m)
-        w = rng.random(m)
-        y = -2.0 + (u / 0.75) * 4.0
-        tail = u >= 0.75
-        v = (u[tail] - 0.75) / 0.25
-        sign = np.where(v < 0.5, 1.0, -1.0)
-        frac = np.where(v < 0.5, 2.0 * v, 2.0 * v - 1.0)
-        y[tail] = sign * 2.0 * (1.0 - frac) ** (-1.0 / 3.0)
-        env = 0.75 / math.pi * np.minimum(1.0, (2.0 / np.maximum(np.abs(y), 1e-300)) ** 4)
-        accepted = y[w * env <= _jdlvp_density_unit(y)]
-        take = accepted[: n - have]
+        y, ok = _jdlvp_proposals(rng.random(m), rng.random(m))
+        take = y[ok][: n - have]
         out[have:have + take.size] = take
         have += take.size
+
+
+def _jdlvp_sampler_unit(n: int, rngs) -> np.ndarray:
+    # One row of n values per Generator in rngs.  Each row takes its
+    # stream's first m uniforms as u and the next m as w, and the first
+    # round of every row runs stacked as one (R, m) pass; a row that
+    # accepts fewer than n (2.5 in 10,000 at n = 200) takes its next
+    # rounds alone from its own stream, so every row has the bits of a
+    # stream drawn by itself.
+    m = max(64, int(n * 1.35) + 16)
+    u = np.empty((len(rngs), m))
+    w = np.empty((len(rngs), m))
+    for rng, u_row, w_row in zip(rngs, u, w):
+        rng.random(out=u_row)
+        rng.random(out=w_row)
+    y, ok = _jdlvp_proposals(u, w)
+    ok &= np.cumsum(ok, axis=1) <= n
+    have = ok.sum(axis=1)
+    short = have < n
+    out = np.empty((len(rngs), n))
+    out[~short] = y[ok & ~short[:, None]].reshape(-1, n)
+    for r in np.flatnonzero(short).tolist():
+        out[r, :have[r]] = y[r, ok[r]]
+        _jdlvp_rounds(n, rngs[r], out[r], int(have[r]), m)
     return out
 
 
@@ -266,8 +308,8 @@ def make_jdlvp(scale: float = 1.0) -> TargetDistribution:
     def mean_abs_dev(x):
         return a * _jdlvp_mean_abs_dev_unit(np.asarray(x, dtype=float) / a)
 
-    def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-        return a * _jdlvp_sampler_unit(n, rng)
+    def sampler(n: int, rngs) -> np.ndarray:
+        return a * _jdlvp_sampler_unit(n, rngs)
 
     return TargetDistribution(
         name=name,
@@ -313,8 +355,11 @@ def make_normal(sigma: float) -> TargetDistribution:
                + 2.0 * s * s * (np.exp(-0.5 * u * u) / (s * math.sqrt(_TWO_PI))))
         return float(out) if out.ndim == 0 else out
 
-    def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
-        return s * rng.standard_normal(n)
+    def sampler(n: int, rngs) -> np.ndarray:
+        out = np.empty((len(rngs), n))
+        for rng, row in zip(rngs, out):
+            rng.standard_normal(out=row)
+        return s * out
 
     return TargetDistribution(
         name=f"normal:sigma={s:g}",
@@ -368,4 +413,4 @@ def sample(dist: TargetDistribution, n: int, seed: int | tuple[int, ...]) -> np.
     """
     n = _check_size(n)
     rng = np.random.Generator(np.random.PCG64(_check_seed(seed)))
-    return dist.sampler(n, rng)
+    return dist.sampler(n, [rng])[0]

@@ -26,14 +26,18 @@ deviation E|x - X|.  No ISE calls QUADPACK.
 
 Each route takes an (R, n) array of sorted samples, one a row, and
 ``ise`` is a group of one.  ``monte_carlo_mise`` draws its replications
-in groups of 2^14 // (14 n), at least one, so that its arrays stay
-within about max(2^14, 64 n) elements however many replications it
-takes, and runs the route once a group: at h = 0 the target's
+in groups of 2^15 // (14 n), at least one, so that its arrays stay
+within about max(2^15, 64 n) elements however many replications it
+takes.  It draws a group with one call of the target's sampler on the
+group's streams (the jdlvp rejection sampler's first round stacked over
+them) and runs the route once a group: at h = 0 the target's
 mean_abs_dev once over the group, on the Fourier route the trig, the
 transforms and the integrand once per run of the group's blocks of 64
-panels (``numerics._block_runs``, up to max(64, 2^14 / n) panels a run).
-Whatever belongs to one sample is rounded as for that sample alone, so
-every replication's ISE has the bits ``ise`` gives it.
+panels (``numerics._block_runs``, up to max(64, 2^15 / n) panels a run),
+on the energy route the pair indices once per block of rows.  Whatever
+belongs to one sample is rounded as for that sample alone, so every
+replication's sample and ISE have the bits ``sample`` and ``ise`` give
+it.
 
 Sinc estimates are reported as-is: they may leave [0, 1] slightly and
 are neither clipped nor monotonized, since the exact-MISE identities
@@ -101,11 +105,12 @@ _FAR = sys.float_info.max / 2
 
 # Elements of a temporary array of one group of Monte Carlo
 # replications: monte_carlo_mise draws as many at a time as keep the
-# Fourier route's (R, n, 14) trig table within 2^14 elements, or one
-# where 14 n is more.  The Fourier route takes its panels in runs of at
-# most max(64, 2^14 / n), so no array of a group exceeds about
-# max(2^14, 64 n) elements, however many replications a cell takes.
-_GROUP_ELEMENTS = 1 << 14
+# Fourier route's (R, n, 14) trig table within 2^15 elements, or one
+# where 14 n is more: 46 at n = 50, 11 at n = 200.  The Fourier route
+# takes its panels in runs of at most max(64, 2^15 / n), so no array of
+# a group exceeds about max(2^15, 64 n) elements, however many
+# replications a cell takes.
+_GROUP_ELEMENTS = 1 << 15
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -178,7 +183,8 @@ def draw_sample(dist: TargetDistribution, n: int, seed: int,
 def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     """F_nh(x) = n^-1 sum_j K((x - X_j)/h), the empirical CDF at h = 0.
 
-    x may be a scalar or an array of finite values; the return matches.
+    x may be a scalar or an array of finite values of any shape; the
+    return matches.
     h must be 0 or in [1e-300, 1e75], the bandwidth range of ``mise``.
     The h = 0 path counts sample points at or below x by binary search.
     For h > 0 the x are taken in blocks of whole rows of max(2^16, n)
@@ -189,8 +195,7 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    scalar = xs.ndim == 0
-    xs1 = np.atleast_1d(xs)
+    xs1 = xs.ravel()
     if h == 0.0:
         out = np.searchsorted(sample.values, xs1, side="right") / sample.n
     else:
@@ -203,7 +208,7 @@ def estimate_cdf(sample: Sample, kernel: Kernel, h: float, x):
                 far = ~(np.abs(z) <= _FAR)
                 k = kernel.integrated_fn(np.where(far, 0.0, z))
             out[i:i + rows] = np.where(far, z > 0.0, k).mean(axis=1)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> float:
@@ -264,7 +269,11 @@ def ise(sample: Sample, kernel: Kernel, h: float, dist: TargetDistribution) -> f
     that bound its memory: 8 to 12 ms a replication at n = 1000 (h from 2
     down to 0.05) and 0.3 to 0.7 ms at n = 200, where the Fourier route,
     O(n / h), is the faster one from h near 0.05 on at n = 1000 and from
-    h near 0.25 on at n = 200 (same box).
+    h near 0.25 on at n = 200 (same box).  The pairs are taken in blocks
+    of max(1, 2^16 // n) whole rows i; on a group of samples a block's
+    (i, j > i) index arrays are built once, and each sample gathers its
+    differences through them and sums the terms in place, in the order
+    of one sample alone.
 
     At h = 0 the ISE of the step function F_n is Cramer's identity
 
@@ -290,7 +299,7 @@ def _ise_route(kernel: Kernel, h: float, dist: TargetDistribution):
     if h == 0.0:
         return functools.partial(_ise_step, dist=dist)
     if kernel.name == "normal" and dist.family == "normal":
-        return lambda xs: np.array([_ise_energy(x, dist.scale, h) for x in xs])
+        return functools.partial(_ise_energy, sigma=dist.scale, h=h)
     cutoff = min(kernel.ft_support_end, _NORMAL_FT_CUTOFF) / h
     knots = [k / h for k in (kernel.s_k, *kernel.ft_knots)] + [*dist.cf_knots, dist.d_f]
     bounds = [0.0, *sorted(k for k in set(knots) if 0.0 < k < cutoff), cutoff]
@@ -385,32 +394,46 @@ def _ise_fourier(xs: np.ndarray, kernel: Kernel, h: float, dist: TargetDistribut
     return np.array(totals) / math.pi + tail()
 
 
-def _ise_energy(xs: np.ndarray, sigma: float, h: float) -> float:
+def _ise_energy(xs: np.ndarray, sigma: float, h: float) -> np.ndarray:
     # The energy route of ise for the normal kernel at h > 0 on the
-    # target N(0, sigma^2), from the sorted sample xs.
-    n = xs.size
+    # target N(0, sigma^2), on each row of xs.
+    rows, n = xs.shape
     s1 = math.hypot(sigma, h)
     u = xs / s1
-    cross = float(np.mean(xs * scipy.special.erf(u / _SQRT2)
-                          + (s1 * _SQRT_2_OVER_PI) * np.expm1(-0.5 * u * u)))
+    cross = np.mean(xs * scipy.special.erf(u / _SQRT2)
+                    + (s1 * _SQRT_2_OVER_PI) * np.expm1(-0.5 * u * u), axis=1)
     # G(X_j - X_i, h sqrt 2) = d erf(d/(2h)) + (2h/sqrt(pi)) expm1(-d^2/(4h^2))
-    # on d = X_j - X_i >= 0, a block of rows i at a time.  fsum adds the
-    # block sums, whose running sum drifted 4.4e-12 relative at n = 10000.
-    # z^2 overflows to inf once d/h passes 1e154, where the term is d.
-    blocks = []
-    rows = max(1, _PAIR_BLOCK // n)
-    for r0 in range(0, n - 1, rows):
-        r1 = min(r0 + rows, n - 1)
-        d = xs[r0 + 1:] - xs[r0:r1, None]
-        d = d[np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]]
+    # on d = X_j - X_i >= 0, a block of rows i at a time: the block's pair
+    # indices (i, j > i, in row order) are built once for the group, and
+    # each sample gathers its d and sums the terms in place.  fsum adds a
+    # sample's block sums, whose running sum drifted 4.4e-12 relative at
+    # n = 10000.  z^2 overflows to inf once d/h passes 1e154, where the
+    # term is d.
+    blocks = [[] for _ in range(rows)]
+    size = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n - 1, size):
+        r1 = min(r0 + size, n - 1)
+        i, j = np.nonzero(np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None])
+        i += r0
+        j += r0 + 1
+        d, z, term = np.empty(i.size), np.empty(i.size), np.empty(i.size)
         with np.errstate(over="ignore"):
-            z = d / (2.0 * h)
-            blocks.append(float(np.sum(d * scipy.special.erf(z)
-                                       + (h * _TWO_OVER_SQRT_PI) * np.expm1(-z * z))))
+            for x, sums in zip(xs, blocks):
+                np.subtract(x[j], x[i], out=d)
+                np.divide(d, 2.0 * h, out=z)
+                scipy.special.erf(z, out=term)
+                term *= d
+                np.multiply(z, z, out=z)
+                np.negative(z, out=z)
+                np.expm1(z, out=z)
+                z *= h * _TWO_OVER_SQRT_PI
+                term += z
+                sums.append(float(np.sum(term)))
     # sqrt(2/pi) {s1 - (s + h)/sqrt 2}, with the difference rationalized
     # and h - s kept as a factor so that nothing overflows at large h
     gap = h - sigma
-    return cross - math.fsum(blocks) / (n * n) + gap * (gap / (_SQRT_2PI * (s1 + (h + sigma) / _SQRT2)))
+    pairs = np.array([math.fsum(sums) for sums in blocks])
+    return cross - pairs / (n * n) + gap * (gap / (_SQRT_2PI * (s1 + (h + sigma) / _SQRT2)))
 
 
 def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
@@ -420,11 +443,13 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     Replication r draws its sample from the stream keyed by (seed, r),
     as ``draw_sample(dist, n, seed, rep=r)`` does.  The replications are
     drawn in groups, in index order, in this process: as many at a time
-    as keep the Fourier route's (R, n, 14) trig table within 2^14
+    as keep the Fourier route's (R, n, 14) trig table within 2^15
     elements, or one where 14 n is more, so memory does not grow with
-    the number of replications.  Each group is sorted row by row and
-    checked once by ``Sample``'s rule, and then ``ise``'s route runs
-    once on the whole group.  Every replication's ISE has the bits of
+    the number of replications.  The seed is checked once a cell, and
+    each group is one call of ``dist.sampler`` on the group's
+    ``Generator(PCG64((seed, r)))`` streams, sorted row by row and
+    checked once by ``Sample``'s rule; then ``ise``'s route runs once on
+    the whole group.  Every replication's ISE has the bits of
     ``ise`` on its sample, and the estimate is deterministic for a fixed
     seed.  h is checked as by ``ise`` before any sample is drawn.
     """
@@ -434,12 +459,13 @@ def monte_carlo_mise(dist: TargetDistribution, kernel: Kernel, h: float,
     if replications < 2:
         raise ValueError("replications must be >= 2")
     n = _check_size(n)
+    (seed,) = _check_seed((seed,))
     route = _ise_route(kernel, h, dist)
     group = max(1, _GROUP_ELEMENTS // (14 * n))
     values = np.empty(replications)
     for r0 in range(0, replications, group):
         reps = range(r0, min(r0 + group, replications))
-        xs = np.array([draw_values(dist, n, (seed, r)) for r in reps])
+        xs = dist.sampler(n, [np.random.Generator(np.random.PCG64((seed, r))) for r in reps])
         xs.sort(axis=1)
         _check_sorted(xs)
         values[r0:reps.stop] = route(xs)

@@ -12,7 +12,7 @@ rules on panels chosen a priori instead: ``mise`` and ``mise_profile``
 apply the Gauss-Kronrod 15 table below themselves, and the sample ISE
 at h > 0 its embedded 7-point Gauss rule, each on runs of whole blocks
 of panels that ``_block_runs`` groups: at most 512 panels a run in
-``mise`` and max(64, 2^14 / n) in the ISE.  No caller in the package is
+``mise`` and max(64, 2^15 / n) in the ISE.  No caller in the package is
 left for :func:`gauss_panels` or :func:`gauss_kronrod_panels`; the
 tests' oracles use them and :func:`integrate`.  All three keep their
 names and their place here because the benchmark's tracer looks them

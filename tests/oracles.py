@@ -22,12 +22,16 @@ instead of the closed form E|x - X|.
 a loop on floats, where the library steps every cell's segments at once
 on arrays, and ``quadpack_terms`` computes the rule's pi A and pi B by
 adaptive QUADPACK subdivision instead.  Agreement between routes is
-then evidence, not tautology.  Three bit oracles keep earlier forms of
+then evidence, not tautology.  Six bit oracles keep earlier forms of
 library code that must give the same bits: ``fixed_rule_by_blocks``
 runs the fixed rule one block of cells at a time, each display on its
 own integrand calls, ``jdlvp_cf_unit_where`` takes both cubic pieces
-of the jdlvp transform on every t, and ``ise_fourier_by_triples`` runs
-the Fourier ISE on runs of (row, first, last) block triples.
+of the jdlvp transform on every t, ``ise_fourier_by_triples`` runs
+the Fourier ISE on runs of (row, first, last) block triples,
+``jdlvp_sample_one_stream`` draws one jdlvp stream round by round,
+``ise_energy_by_masks`` takes the energy route on one sample with a
+masked difference array a block, and ``jdlvp_mean_abs_dev_two_sici``
+takes E|x - X| with the sine integrals of the jdlvp CDF called apart.
 """
 
 from __future__ import annotations
@@ -40,7 +44,13 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from cdf_mise.distributions import TargetDistribution, _check_size
+from cdf_mise.distributions import (
+    _JDLVP_G_SERIES,
+    TargetDistribution,
+    _check_size,
+    _jdlvp_cdf_unit,
+    _jdlvp_density_unit,
+)
 from cdf_mise.estimator import (
     _GROUP_ELEMENTS,
     _MAX_PANELS,
@@ -790,6 +800,80 @@ def ise_fourier_by_triples(xs: np.ndarray, kernel: Kernel, h: float, dist: Targe
             for r, lo, hi in cuts:
                 totals[r] += half[r] * float(np.sum(g[lo:hi] @ _G7_ONLY_WEIGHTS))
     return np.array(totals) / math.pi + tail()
+
+
+# ---------------------------------------------------------------------------
+# One sample at a time: the jdlvp sampler, the energy route and E|x - X|
+# ---------------------------------------------------------------------------
+
+def jdlvp_sample_one_stream(n: int, rng: np.random.Generator) -> np.ndarray:
+    # The unit jdlvp rejection sampler on one stream: rounds of m
+    # proposals, u then w, until n are accepted.  The library draws the
+    # first round of a group of streams stacked.
+    out = np.empty(n, dtype=float)
+    have = 0
+    while have < n:
+        m = max(64, int((n - have) * 1.35) + 16)
+        u = rng.random(m)
+        w = rng.random(m)
+        y = -2.0 + (u / 0.75) * 4.0
+        tail = u >= 0.75
+        v = (u[tail] - 0.75) / 0.25
+        sign = np.where(v < 0.5, 1.0, -1.0)
+        frac = np.where(v < 0.5, 2.0 * v, 2.0 * v - 1.0)
+        y[tail] = sign * 2.0 * (1.0 - frac) ** (-1.0 / 3.0)
+        env = 0.75 / math.pi * np.minimum(1.0, (2.0 / np.maximum(np.abs(y), 1e-300)) ** 4)
+        accepted = y[w * env <= _jdlvp_density_unit(y)]
+        take = accepted[: n - have]
+        out[have:have + take.size] = take
+        have += take.size
+    return out
+
+
+def ise_energy_by_masks(xs: np.ndarray, sigma: float, h: float, pair_block: int) -> float:
+    # The energy route on one sorted sample xs, each row block of pair
+    # differences a masked 2-D array.  The library gathers the same pairs
+    # of a group of samples by index arrays built once a block.
+    n = xs.size
+    s1 = math.hypot(sigma, h)
+    u = xs / s1
+    cross = float(np.mean(xs * scipy.special.erf(u / math.sqrt(2.0))
+                          + (s1 * math.sqrt(2.0 / math.pi)) * np.expm1(-0.5 * u * u)))
+    blocks = []
+    rows = max(1, pair_block // n)
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n - 1)
+        d = xs[r0 + 1:] - xs[r0:r1, None]
+        d = d[np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]]
+        with np.errstate(over="ignore"):
+            z = d / (2.0 * h)
+            blocks.append(float(np.sum(d * scipy.special.erf(z)
+                                       + (h * (2.0 / math.sqrt(math.pi))) * np.expm1(-z * z))))
+    gap = h - sigma
+    return (cross - math.fsum(blocks) / (n * n)
+            + gap * (gap / (math.sqrt(2.0 * math.pi) * (s1 + (h + sigma) / math.sqrt(2.0)))))
+
+
+def jdlvp_mean_abs_dev_two_sici(x):
+    # E|x - X| on the unit jdlvp target with Ci from one pair of sici
+    # calls and F(v) from _jdlvp_cdf_unit, which takes Si by another.
+    # The library calls sici once per argument for both.
+    x = np.asarray(x, dtype=float)
+    u = np.abs(x)
+    small = u < 2.0
+    v = np.where(small, 2.0, np.minimum(u, 1e300))
+    s = np.sin(0.5 * v)
+    s2 = s * s
+    ci_2v = scipy.special.sici(2.0 * v)[1]
+    ci_v = scipy.special.sici(v)[1]
+    closed = ((1.5 / math.pi) * (4.0 * (s2 / v) * (s2 / v) + 4.0 * np.sin(v) * s2 / v
+                                 + 2.0 * (ci_2v - ci_v))
+              - v * (1.0 - _jdlvp_cdf_unit(v)))
+    w = np.where(small, u, 0.0)
+    series = (3.0 * math.log(2.0) / math.pi - 0.5 * w
+              + w * w * np.polynomial.polynomial.polyval(w * w, _JDLVP_G_SERIES))
+    out = u + 2.0 * np.where(small, series, closed)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from cdf_mise import distributions
 from cdf_mise.distributions import (
     JDLVP_PSI_F,
     _jdlvp_cf_unit,
     _jdlvp_density_unit,
+    _jdlvp_mean_abs_dev_unit,
     make_jdlvp,
     make_normal,
     psi_f_fourier,
@@ -30,6 +32,8 @@ from oracles import (
     jdlvp_cf_convolution,
     jdlvp_cf_unit_where,
     jdlvp_density,
+    jdlvp_mean_abs_dev_two_sici,
+    jdlvp_sample_one_stream,
     ks_statistic,
     mean_abs_dev_quad,
     phi_erf,
@@ -248,6 +252,18 @@ class TestMeanAbsDev:
         with pytest.raises(ValueError, match="finite"):
             JDLVP.mean_abs_dev(np.array([0.0, math.inf]))
 
+    def test_jdlvp_one_sici_call_keeps_the_bits(self):
+        # sici once per argument for Ci and for F's Si: the bits of the
+        # form that called it again inside the CDF, on both sides of
+        # u = 2, far out, and as a scalar
+        rng = np.random.default_rng(31)
+        xs = np.concatenate([CDF_GRID, rng.uniform(-60.0, 60.0, 4000),
+                             np.geomspace(2.0, 1e300, 400), [0.0, 1e20, -1e300]])
+        got = _jdlvp_mean_abs_dev_unit(xs)
+        assert got.tobytes() == jdlvp_mean_abs_dev_two_sici(xs).tobytes()
+        for x in (1.5, 2.0, 7.25, -40.0):
+            assert _jdlvp_mean_abs_dev_unit(x) == jdlvp_mean_abs_dev_two_sici(x)
+
 
 class TestPsiF:
     def test_jdlvp_closed_form(self):
@@ -384,6 +400,47 @@ class TestSampling:
         want = sample(JDLVP, 20, (7, 3))
         for seed in ((7.0, 3), (np.int64(7), np.int32(3)), (7, 3.0)):
             np.testing.assert_array_equal(sample(JDLVP, 20, seed), want)
+
+
+def streams(seed, reps):
+    return [np.random.Generator(np.random.PCG64((seed, r))) for r in reps]
+
+
+class TestGroupSampler:
+    # sampler(n, rngs) draws a group of streams at once, one row each;
+    # every row has the bits of its stream drawn alone by ``sample``, and
+    # on jdlvp of the one-stream rejection loop (tests/oracles.py).
+    @pytest.mark.parametrize("n", [1, 7, 50, 200, 1000])
+    @pytest.mark.parametrize("dist", [JDLVP, make_jdlvp(0.5), make_normal(2.0)],
+                             ids=lambda d: d.name)
+    def test_rows_have_the_bits_of_one_stream(self, dist, n):
+        reps = range(40, 40 + max(2, 2000 // n))
+        group = dist.sampler(n, streams(11, reps))
+        alone = np.array([sample(dist, n, (11, r)) for r in reps])
+        assert group.shape == (len(reps), n)
+        assert group.tobytes() == alone.tobytes()
+        if dist.family == "jdlvp":
+            loop = np.array([dist.scale * jdlvp_sample_one_stream(n, rng)
+                             for rng in streams(11, reps)])
+            assert group.tobytes() == loop.tobytes()
+
+    def test_a_short_first_round_continues_on_its_own_stream(self, monkeypatch):
+        # stream (11, 6637) accepts 196 of its first 286 proposals at
+        # n = 200, so its row alone takes a second round, while its
+        # neighbours in the group are done after one
+        rounds = []
+        more = distributions._jdlvp_rounds
+
+        def spy(n, rng, out, have, used):
+            rounds.append((n, have, used))
+            return more(n, rng, out, have, used)
+
+        monkeypatch.setattr(distributions, "_jdlvp_rounds", spy)
+        reps = range(6630, 6645)
+        group = JDLVP.sampler(200, streams(11, reps))
+        assert rounds == [(200, 196, 286)]
+        loop = np.array([jdlvp_sample_one_stream(200, rng) for rng in streams(11, reps)])
+        assert group.tobytes() == loop.tobytes()
 
 
 class TestValidation:

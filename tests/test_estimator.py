@@ -30,6 +30,7 @@ from cdf_mise.mise import _H_RANGE, mise
 
 from oracles import (
     cos_tail_over_x2,
+    ise_energy_by_masks,
     ise_energy_mpmath,
     ise_fourier_by_triples,
     ise_fourier_direct,
@@ -175,6 +176,15 @@ class TestEstimateCdf:
         assert isinstance(single, float)
         assert batch.shape == (2,)
         assert batch[0] == pytest.approx(single, abs=1e-16)
+        # at h > 0 a (2, 3) x raised and a (2, 1) x was broadcast against
+        # the sample; an x of any shape is taken flat, with the bits of a
+        # 1-D x
+        for h in (0.0, 0.5):
+            for shape in ((2, 3), (2, 1), (1, 2, 2)):
+                xs = np.linspace(-1.5, 1.5, math.prod(shape)).reshape(shape)
+                got = estimate_cdf(s, NORMAL_K, h, xs)
+                assert got.shape == shape
+                assert got.tobytes() == estimate_cdf(s, NORMAL_K, h, xs.ravel()).tobytes()
 
     def test_sinc_output_not_clipped(self):
         s = Sample(values=np.array([0.7]), seed=0, source="manual")
@@ -491,7 +501,7 @@ class TestIseFourierKeepsItsBits:
 
 
 def energy_route(sample, h, dist):
-    return estimator._ise_energy(sample.values, dist.scale, h)
+    return float(estimator._ise_energy(sample.values[None, :], dist.scale, h)[0])
 
 
 def rel_to(got, ref):
@@ -541,6 +551,21 @@ class TestIseEnergy:
         s = draw_sample(dist, n, 7)
         assert ise(s, NORMAL_K, h, dist) == pytest.approx(
             ise(s, NORMAL_K, h, by_fourier), rel=ENERGY_GATE, abs=0.0)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.25, 2.0])
+    def test_group_has_the_bits_of_one_sample(self, h):
+        # at n = 300 the pairs take two row blocks (218 rows, then 81);
+        # each sample of a group gathers its pairs by the block's shared
+        # indices and has the bits of ise on it alone, and of the route
+        # on one sample with a masked difference array a block
+        dist = make_normal(2.0)
+        samples = [draw_sample(dist, 300, 7, rep=r) for r in range(6)]
+        assert max(1, estimator._PAIR_BLOCK // 300) < 299
+        got = estimator._ise_route(NORMAL_K, h, dist)(np.array([s.values for s in samples]))
+        alone = np.array([ise(s, NORMAL_K, h, dist) for s in samples])
+        masked = np.array([ise_energy_by_masks(s.values, 2.0, h, estimator._PAIR_BLOCK)
+                           for s in samples])
+        assert got.tobytes() == alone.tobytes() == masked.tobytes()
 
     def test_row_blocks_sum_the_same_pairs(self, monkeypatch):
         # only the order of summation changes: 2 rows a block, not all 60
@@ -624,9 +649,9 @@ class TestMonteCarloMise:
         assert a.replications == 12
         assert (a.h, a.n) == (0.3, 20)
 
-    def test_groups_hold_at_most_2_14_over_14n_replications(self, monkeypatch):
+    def test_groups_hold_at_most_2_15_over_14n_replications(self, monkeypatch):
         # the replications of a cell are drawn and routed in groups; at
-        # n = 50 that is 16384 // 700 = 23 a group, and the last is partial
+        # n = 50 that is 32768 // 700 = 46 a group, and the last is partial
         sizes = []
         route = estimator._ise_route
 
@@ -640,17 +665,17 @@ class TestMonteCarloMise:
 
         monkeypatch.setattr(estimator, "_ise_route", spy)
         monte_carlo_mise(JDLVP, TRAP, 0.3, 50, 150, seed=3)
-        assert sizes == [(23, 50)] * 6 + [(12, 50)]
+        assert sizes == [(46, 50)] * 3 + [(12, 50)]
         sizes.clear()
         monte_carlo_mise(JDLVP, TRAP, 0.0, 1000, 3, seed=3)
-        assert sizes == [(1, 1000)] * 3
+        assert sizes == [(2, 1000), (1, 1000)]
 
     @pytest.mark.parametrize("dist,kernel,h", BIT_CELLS,
                              ids=lambda o: getattr(o, "name", o))
     @pytest.mark.parametrize("n,reps", [(1, 2), (1, 150), (2, 37), (50, 2), (50, 37),
                                         (50, 150), (200, 37), (1000, 2)])
     def test_has_the_bits_of_per_sample_ise(self, dist, kernel, h, n, reps):
-        # groups of one (n = 1000), whole groups (n = 1, 2 and 50 at two
+        # groups of two (n = 1000), whole groups (n = 1, 2 and 50 at two
         # replications) and a partial last group (n = 50, 200) give the
         # estimate and standard error of ise run on one sample at a time
         run = monte_carlo_mise(dist, kernel, h, n, reps, seed=19)

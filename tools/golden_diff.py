@@ -10,7 +10,8 @@ file into that directory.  One case prints the sha256 of
 ``mise_profile``'s output bytes on every catalog pair's search grid, on
 a random grid, on zoom-shaped grids and on a grid that spans many of the
 rule's runs, so the profile's bits are compared as well; one prints
-the sha256 of the Fourier ISE's values on groups of replications; another
+the sha256 of the Fourier ISE's values on groups of replications; one
+the sha256 of every sample ``monte_carlo_mise`` draws; another
 prints the repr of the ``psi_k`` and ``psi_f_fourier`` cross-checks.
 Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
@@ -72,7 +73,7 @@ for dist in (make_jdlvp(), make_jdlvp(0.5), make_jdlvp(0.3), make_normal(1.0), m
             print(f"{dist.name} + {name} {grid}: {digest}")
 """
 # The sha256 of the ISE values per Fourier pair and sample size, on groups
-# of replications drawn and routed as monte_carlo_mise does (16384 //
+# of replications drawn and routed as monte_carlo_mise does (32768 //
 # (14 n) samples a group), at h = 0.5 and at h = 0.02, where rows take
 # several 64-panel blocks of a span.  So each replication's ISE bits are
 # compared, where the mc-validate CSVs hold only their means.
@@ -87,11 +88,40 @@ for dist, name in ((make_jdlvp(), "normal"), (make_jdlvp(), "trapezoidal"),
                    (make_normal(1.0), "sinc")):
     for h in (0.5, 0.02):
         for n in (1, 50, 200, 1000):
-            xs = np.sort([sample(dist, n, (11, r)) for r in range(max(1, 16384 // (14 * n)))],
+            xs = np.sort([sample(dist, n, (11, r)) for r in range(max(1, 32768 // (14 * n)))],
                          axis=1)
             values = _ise_route(kernel_by_name(name), h, dist)(xs)
             print(f"{dist.name} + {name} h={h} n={n}: "
                   f"{hashlib.sha256(values.tobytes()).hexdigest()}")
+"""
+# The sha256 of every sorted sample monte_carlo_mise hands its ISE route,
+# in replication order, per target and sample size at h = 0, seed 11.
+# The group size does not enter the hash, and 6,640 replications at
+# n = 200 reach r = 6637, whose jdlvp stream accepts too few in its
+# first rejection round and takes a second alone.
+_DRAW_BYTES = """
+import hashlib
+from cdf_mise import estimator
+from cdf_mise.distributions import make_jdlvp, make_normal
+from cdf_mise.kernels import kernel_by_name
+route = estimator._ise_route
+digest = None
+
+def spy(*args):
+    rows = route(*args)
+
+    def hashed(xs):
+        for x in xs:
+            digest.update(x.tobytes())
+        return rows(xs)
+    return hashed
+
+estimator._ise_route = spy
+for dist in (make_jdlvp(), make_jdlvp(0.5), make_normal(2.0)):
+    for n, reps in ((1, 3000), (50, 1000), (200, 6640)):
+        digest = hashlib.sha256()
+        estimator.monte_carlo_mise(dist, kernel_by_name("normal"), 0.0, n, reps, 11)
+        print(f"{dist.name} n={n} reps={reps}: {digest.hexdigest()}")
 """
 # The repr of the quadrature cross-checks psi_k and psi_f_fourier, which
 # constants prints to 12 digits and demo 01 to 10 decimals, so their
@@ -159,9 +189,9 @@ CASES: list[tuple[str, list[str]]] = [
     ("mc-validate one cell normal:sigma=1+sinc",
      ["-c", _CLI, "mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
       "--h-grid", "0.25:0.25:1", "--n", "50", "--reps", "100"]),
-    # monte_carlo_mise's group boundaries: 16384 // (14 n) replications
-    # a group make one whole group at n = 7, six and a partial last one
-    # at n = 50, and groups of one at n = 1000
+    # monte_carlo_mise's group boundaries: 32768 // (14 n) replications
+    # a group make one partial group at n = 7, three whole and a partial
+    # last one at n = 50, and groups of two at n = 1000
     ("mc-validate groups jdlvp+trapezoidal",
      ["-c", _CLI, "mc-validate", "--dist", "jdlvp", "--kernel", "trapezoidal",
       "--h-grid", "0:0.5:3", "--n", "7,50,1000", "--reps", "150"]),
@@ -185,6 +215,7 @@ CASES: list[tuple[str, list[str]]] = [
 ] + [
     ("mise_profile bytes", ["-c", _PROFILE_BYTES]),
     ("ise bytes", ["-c", _ISE_BYTES]),
+    ("monte_carlo_mise draws", ["-c", _DRAW_BYTES]),
     ("psi cross-check reprs", ["-c", _PSI_REPRS]),
 ] + [
     (f"demo {name}", [f"demos/{name}"])
