@@ -15,7 +15,8 @@ evaluated once per search however many sample sizes it serves, and the
 deterministic scan rule picks each n's best cell.  Each zoom level then
 evaluates 9 evenly spaced points across every n's open bracket in one
 profile call and keeps the best point's neighbours, a quarter of the
-width, until every bracket is at most 1e-6 wide.
+width, until every bracket is at most 1e-6 times the target's scale
+wide.  Every tolerance here is in that unit, so searches are scale covariant.
 
 For a flat-top kernel (s_k > 0) paired with a band-limited target
 (c_f = d_f < inf), the optima h_0n of increasing sample sizes satisfy
@@ -56,13 +57,13 @@ __all__ = [
 ]
 
 # The scan has _GRID_SIZE log-spaced points on [1e-4 h_max, h_max] plus
-# h = 0; the zoom then shrinks the best cell's bracket to width _REFINE_TOL.
+# h = 0; the zoom then shrinks the best cell's bracket to _REFINE_TOL scales.
 _GRID_SIZE = 512
 _REFINE_TOL = 1e-6
 # Points per zoom level, both bracket ends included.  Each level keeps two
 # of the 8 spacings, a quarter of the width, so a bracket ends between
-# _REFINE_TOL/4 and _REFINE_TOL wide: the profile's rounding noise moves
-# the minimum by a few 1e-7, and a narrower bracket would understate that.
+# _REFINE_TOL/4 and _REFINE_TOL scales wide: the profile's noise moves the
+# minimum by a few 1e-7 scales, and a narrower bracket would understate that.
 _ZOOM_POINTS = 9
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS)
 # Values within _TIE relative of the minimum are ties, won by the smaller h.
@@ -164,6 +165,7 @@ def _search(dist: TargetDistribution, kernel: Kernel,
     # The body of every public search; each calls it directly, so
     # stacklevel=3 points a warning at the line that called the search.
     h_max = default_search(dist).h_max
+    tol = _REFINE_TOL * dist.scale
     ns = tuple(_check_size(n) for n in n_values)
     if not ns:
         return ()
@@ -180,7 +182,7 @@ def _search(dist: TargetDistribution, kernel: Kernel,
     # Zoom: each level evaluates _ZOOM_POINTS points across every open
     # bracket, for all n in one profile call, and keeps the best point's
     # two neighbouring spacings.
-    while (open_ := np.flatnonzero(hi - lo > _REFINE_TOL)).size:
+    while (open_ := np.flatnonzero(hi - lo > tol)).size:
         # evenly spaced as by np.linspace, and with its bits
         l, u = lo[open_, None], hi[open_, None]
         pts = l + _ZOOM_STEPS * ((u - l) / (_ZOOM_POINTS - 1))
@@ -201,7 +203,7 @@ def _search(dist: TargetDistribution, kernel: Kernel,
                                   cells.tolist()):
         if h == 0.0:
             flag = "at_zero"
-        elif h >= h_max - _REFINE_TOL:
+        elif h >= h_max - tol:
             flag = "at_upper_bracket"
             warnings.warn(
                 f"bandwidth optimum {h:.6g} sits at the search bound "
@@ -228,11 +230,11 @@ def optimal_bandwidths(dist: TargetDistribution, kernel: Kernel,
     """Global MISE minimizers over dist's window, one per sample size.
 
     A dense log-spaced scan (plus the h = 0 candidate) locates the best
-    grid cell, and a zoom shrinks the bracket of its two neighbours to a
-    width of at most 1e-6; a bracket that needed zooming ends wider than
-    2.5e-7.  Both run on the fixed-rule ``mise_profile`` alone: the grid
-    is evaluated once for all n, and each zoom level evaluates every n's
-    open bracket in one call.  Each result equals a single-n search.  The
+    grid cell, and a zoom shrinks the bracket of its two neighbours until
+    it is at most 1e-6 times the target's scale wide (wider than a quarter
+    of that, if it needed zooming).  Both run on ``mise_profile`` alone:
+    the grid is evaluated once for all n, and each zoom level evaluates
+    every n's open bracket in one call.  Each result equals a single-n search.  The
     window is ``default_search(dist)``, and every n must be a whole
     number >= 1, else ValueError.  A minimizer landing at h_max is
     flagged at_upper_bracket and warned about, once per such n.  One
@@ -252,8 +254,8 @@ def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
     """Large-n limit s_k/d_f of the optimal bandwidth sequence.
 
     Requires the equality cases c_f = d_f and s_k = t_k under which the
-    sandwich bounds collapse; by convention s_k/inf = 0, and a kernel
-    with s_k = 0 has limit 0 for every target.
+    sandwich bounds collapse.  s_k/inf is 0, and a kernel with s_k = 0
+    has limit 0 for every target.
     """
     if dist.c_f != dist.d_f:
         raise ValueError(
@@ -263,8 +265,6 @@ def limit_bandwidth(dist: TargetDistribution, kernel: Kernel) -> float:
         raise ValueError(
             "limit bandwidth requires s_k = t_k, got "
             f"s_k={kernel.s_k} and t_k={kernel.t_k} for {kernel.name!r}")
-    if kernel.s_k == 0.0 or math.isinf(dist.d_f):
-        return 0.0
     return kernel.s_k / dist.d_f
 
 
@@ -273,9 +273,9 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
     """Stationary points of the sinc-kernel MISE inside a bandwidth bracket.
 
     Solves |phi_f(1/h)|^2 = 1/(n + 1) by a 1024-point sign scan in
-    u = 1/h followed by bisection on each sign change.  Returns the
-    roots in increasing h order; an empty list means no stationary
-    point in the bracket.
+    u = 1/h and Brent's method on each sign change, to 1e-13 over the
+    target's scale in u.  Returns the roots in increasing h order; an
+    empty list means no stationary point in the bracket.
     """
     n = _check_size(n)
     h_lo, h_hi = float(bracket[0]), float(bracket[1])
@@ -293,15 +293,9 @@ def sinc_critical_bandwidths(dist: TargetDistribution, n: int,
 
     us = np.linspace(1.0 / h_hi, 1.0 / h_lo, 1024)
     gs = np.abs(dist.cf(us)) ** 2 - target
-
-    roots_u: list[float] = []
-    for i in range(us.size - 1):
-        if gs[i] == 0.0:
-            roots_u.append(float(us[i]))
-        elif gs[i] * gs[i + 1] < 0.0:
-            roots_u.append(float(optimize.brentq(gfun, us[i], us[i + 1], xtol=1e-13)))
-    if gs[-1] == 0.0:
-        roots_u.append(float(us[-1]))
+    roots_u = us[gs == 0.0].tolist() + [
+        optimize.brentq(gfun, us[i], us[i + 1], xtol=1e-13 / dist.scale)
+        for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0).tolist()]
     return sorted(1.0 / u for u in roots_u)
 
 
@@ -315,10 +309,8 @@ def asymptotic_relative_efficiency(dist: TargetDistribution, kernel: Kernel) -> 
     """Limit of MISE(h_0n)/MISE(0): 1 - psi(K) s_k / {psi(F) d_f}.
 
     Kernels with s_k = 0, or targets with d_f = inf, gain no first-order
-    efficiency and return exactly 1.
+    efficiency: the quotient is 0 and the limit exactly 1.
     """
-    if kernel.s_k == 0.0 or math.isinf(dist.d_f):
-        return 1.0
     return 1.0 - kernel.psi_k_analytic * kernel.s_k / (dist.psi_f * dist.d_f)
 
 
@@ -333,19 +325,15 @@ def efficiency_curve(dist: TargetDistribution, kernel: Kernel, n_values) -> Effi
     )
 
 
-def _bound_ratio(num: float, den: float) -> float:
-    return 0.0 if math.isinf(den) else num / den
-
-
 def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel,
                              n_list) -> SandwichReport:
     """Verify the optimal-bandwidth sandwich along a sample-size sweep.
 
     Every finite-n optimum on dist's window must sit above the limit
-    s_k/d_f (up to the refinement tolerance); when s_k > 0 and d_f <
-    inf, the largest-n optimum must lie within _LIMIT_TOL = 0.2 of that
-    limit and below the complementary bound min{s_k/c_f, t_k/d_f} +
-    _LIMIT_TOL.  Violations are itemized in the report messages.
+    s_k/d_f less 1e-6 times the target's scale; when s_k > 0 and d_f <
+    inf, the largest-n optimum must lie within 0.2 scales of that limit
+    and below the complementary bound min{s_k/c_f, t_k/d_f} plus 0.2
+    scales.  Violations are itemized in the report messages.
     """
     results = _search(dist, kernel, sorted(n_list))
     if not results:
@@ -353,25 +341,26 @@ def bandwidth_sandwich_check(dist: TargetDistribution, kernel: Kernel,
     ns = [res.n for res in results]
     hs = [res.h_opt for res in results]
 
-    lower = 0.0 if kernel.s_k == 0.0 or math.isinf(dist.d_f) else kernel.s_k / dist.d_f
-    upper = min(_bound_ratio(kernel.s_k, dist.c_f), _bound_ratio(kernel.t_k, dist.d_f))
+    lower = kernel.s_k / dist.d_f
+    upper = min(kernel.s_k / dist.c_f, kernel.t_k / dist.d_f)
+    limit_tol = _LIMIT_TOL * dist.scale
     messages: list[str] = []
     for n, h in zip(ns, hs):
-        if h < lower - _REFINE_TOL:
+        if h < lower - _REFINE_TOL * dist.scale:
             messages.append(
                 f"h_opt(n={n}) = {h:.9g} fell below the lower bound "
                 f"s_k/d_f = {lower:.9g}")
 
     if kernel.s_k > 0.0 and math.isfinite(dist.d_f):
         h_last = hs[-1]
-        if abs(h_last - lower) > _LIMIT_TOL:
+        if abs(h_last - lower) > limit_tol:
             messages.append(
-                f"h_opt(n={ns[-1]}) = {h_last:.9g} is not within {_LIMIT_TOL} "
+                f"h_opt(n={ns[-1]}) = {h_last:.9g} is not within {limit_tol:g} "
                 f"of the limit s_k/d_f = {lower:.9g}")
-        if h_last > upper + _LIMIT_TOL:
+        if h_last > upper + limit_tol:
             messages.append(
                 f"h_opt(n={ns[-1]}) = {h_last:.9g} exceeds the bound "
-                f"min(s_k/c_f, t_k/d_f) = {upper:.9g} by more than {_LIMIT_TOL}")
+                f"min(s_k/c_f, t_k/d_f) = {upper:.9g} by more than {limit_tol:g}")
 
     return SandwichReport(
         passed=not messages,

@@ -45,6 +45,7 @@ from .bandwidth import (
 from .charts import line_chart
 from .distributions import (
     TargetDistribution,
+    _check_seed,
     _check_size,
     make_jdlvp,
     make_normal,
@@ -406,8 +407,10 @@ def cmd_mc_validate(cfg: argparse.Namespace) -> int:
     if cfg.reps < 100:
         raise UsageError(
             f"mc-validate needs at least 100 replications, got {cfg.reps}")
-    if not (0 <= cfg.seed < 2 ** 64):
-        raise UsageError(f"seed must fit in 64 unsigned bits, got {cfg.seed}")
+    try:
+        _check_seed(cfg.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if bool(cfg.dist) != bool(cfg.kernel):
         raise UsageError("a custom validation run needs both --dist and --kernel")
 

@@ -53,10 +53,11 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _check_scale(value: float, what: str = "scale") -> float:
-    """value as a float, or ValueError if it lies outside [1e-60, 1e60]."""
+    """value as a float, or ValueError unless a real non-bool in [1e-60, 1e60]."""
     lo, hi = _SCALE_RANGE
-    if not lo <= value <= hi:
-        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}], got {value}")
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and lo <= value <= hi):
+        raise ValueError(f"{what} must lie in [{lo:g}, {hi:g}], got {value!r}")
     return float(value)
 
 
@@ -384,9 +385,11 @@ def rescale(dist: TargetDistribution, a: float) -> TargetDistribution:
     psi_{f_a} = a psi_f.  Rescaling is closed within each family, so the
     result is the family constructor at scale a times dist.scale (so
     rescale(make_normal(1), 3) is make_normal(3), and composition of
-    rescales is associative to the last bit); a product scale outside
-    [1e-60, 1e60] raises ValueError.
+    rescales is associative to the last bit); a bool or non-real a, or a
+    product scale outside [1e-60, 1e60], raises ValueError.
     """
+    if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        raise ValueError(f"rescale factor must be a real number, got {a!r}")
     # The constructor is looked up at call time, not from a table built
     # at import, so a wrapper installed on the module attribute applies.
     if dist.family == "jdlvp":

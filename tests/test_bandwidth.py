@@ -50,6 +50,8 @@ ALL_PAIRS = [
 SIX_PAIRS = [(dist, kernel) for dist in (JDLVP, NORMAL1)
              for kernel in (NORMAL_K, TRAP, SINC)]
 SWEEP_NS = (1, 10, 1000, 10**5, 10**7)
+# scales far from 1 on both sides, and 0.3, by which multiplying rounds
+SCALES = (1e-7, 1e-3, 0.3, 10.0, 1e3)
 FOURIER_PAIRS = [(JDLVP, NORMAL_K), (JDLVP, TRAP), (JDLVP, SINC), (NORMAL1, TRAP)]
 # the package's one module that binds the QUADPACK wrapper integrate
 QUADPACK_MODULES = [importlib.import_module("cdf_mise.numerics")]
@@ -205,10 +207,17 @@ class TestLimitBandwidth:
         assert limit_bandwidth(NORMAL1, NORMAL_K) == 0.0
         assert limit_bandwidth(NORMAL1, TRAP) == 0.0
         assert limit_bandwidth(JDLVP, NORMAL_K) == 0.0
+        assert limit_bandwidth(NORMAL1, SINC) == 0.0
 
     def test_rescaling_moves_the_limit(self):
         assert limit_bandwidth(rescale(JDLVP, 2.0), TRAP) == 1.0
         assert limit_bandwidth(rescale(JDLVP, 0.5), SINC) == 0.25
+
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("dist,kernel", SIX_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_limit_scales_with_the_target(self, dist, kernel, a):
+        assert limit_bandwidth(rescale(dist, a), kernel) == a * limit_bandwidth(dist, kernel)
 
     def test_rejects_unequal_flat_top(self):
         lopsided = dataclasses.replace(TRAP, s_k=0.5)
@@ -319,12 +328,20 @@ class TestAsymptoticRelativeEfficiency:
         assert asymptotic_relative_efficiency(NORMAL1, NORMAL_K) == 1.0
         assert asymptotic_relative_efficiency(NORMAL1, TRAP) == 1.0
         assert asymptotic_relative_efficiency(JDLVP, NORMAL_K) == 1.0
+        assert asymptotic_relative_efficiency(NORMAL1, SINC) == 1.0
 
     def test_scale_invariance(self):
         # rescaling moves s_k/d_f and psi_f together, leaving the ratio fixed
         assert asymptotic_relative_efficiency(
             rescale(JDLVP, 2.0), TRAP
         ) == pytest.approx(asymptotic_relative_efficiency(JDLVP, TRAP), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("dist,kernel", SIX_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_every_pair_is_scale_invariant(self, dist, kernel, a):
+        assert asymptotic_relative_efficiency(rescale(dist, a), kernel) == \
+            asymptotic_relative_efficiency(dist, kernel)
 
 
 class TestEfficiencyCurve:
@@ -651,3 +668,49 @@ class TestSandwichCheck:
         rep = bandwidth_sandwich_check(JDLVP, TRAP, [10, 100, 1000])
         assert not rep.passed
         assert any("n=1000" in m for m in rep.messages)
+
+
+COVARIANCE_NS = (10, 1000, 10**6)
+SANDWICH_NS = (10, 10**2, 10**3, 10**4, 10**5, 10**6)
+
+
+@functools.lru_cache(maxsize=None)
+def unit_search(dist, kernel):
+    return (optimal_bandwidths(dist, kernel, COVARIANCE_NS),
+            efficiency_curve(dist, kernel, COVARIANCE_NS))
+
+
+class TestScaleCovariance:
+    # Rescaling a target by a scales every optimum and its MISE by a and
+    # leaves every flag, efficiency, sandwich verdict and critical-point
+    # ratio as it was: each search tolerance is in units of the scale.
+
+    @pytest.mark.parametrize("a", SCALES)
+    @pytest.mark.parametrize("dist,kernel", SIX_PAIRS,
+                             ids=lambda o: getattr(o, "name", o))
+    def test_search_scales_with_the_target(self, dist, kernel, a):
+        unit, unit_curve = unit_search(dist, kernel)
+        scaled = rescale(dist, a)
+        for got, want in zip(optimal_bandwidths(scaled, kernel, COVARIANCE_NS), unit):
+            assert got.boundary_flag == want.boundary_flag, (got, want)
+            assert abs(got.h_opt / a - want.h_opt) <= want.refined_tolerance, (got, want)
+            assert got.mise_at_opt / a == pytest.approx(want.mise_at_opt, rel=1e-12, abs=0.0)
+        curve = efficiency_curve(scaled, kernel, COVARIANCE_NS)
+        assert curve.rel_eff == pytest.approx(unit_curve.rel_eff, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a", [0.05, 10.0])
+    @pytest.mark.parametrize("kernel", [TRAP, SINC], ids=lambda k: k.name)
+    def test_sandwich_verdict_is_scale_free(self, kernel, a):
+        unit = bandwidth_sandwich_check(JDLVP, kernel, SANDWICH_NS)
+        rep = bandwidth_sandwich_check(rescale(JDLVP, a), kernel, SANDWICH_NS)
+        assert rep.passed == unit.passed, rep.messages
+        assert (rep.lower, rep.upper) == (a * unit.lower, a * unit.upper)
+
+    @pytest.mark.parametrize("a", [1e-3, 1e6, 1e12])
+    @pytest.mark.parametrize("dist,n,bracket", [(JDLVP, 5, (0.1, 20.0)),
+                                                (NORMAL1, 100, (0.05, 4.0))],
+                             ids=["jdlvp", "normal"])
+    def test_sinc_roots_scale_with_the_target(self, dist, n, bracket, a):
+        unit = sinc_critical_bandwidths(dist, n, bracket)
+        roots = sinc_critical_bandwidths(rescale(dist, a), n, (a * bracket[0], a * bracket[1]))
+        assert roots == pytest.approx([a * h for h in unit], rel=1e-12, abs=0.0)

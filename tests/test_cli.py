@@ -555,6 +555,21 @@ class TestMcValidateCommand:
                               "--out", str(tmp_path)], capsys)
         assert rc == 1
 
+    @pytest.mark.parametrize("seed,code", [("18446744073709551615", 0),
+                                           ("18446744073709551616", 0), ("-1", 1)])
+    def test_seed_rule_is_the_library_rule(self, seed, code, capsys, tmp_path):
+        # any whole seed >= 0, as sample and monte_carlo_mise take it, with
+        # no 64-bit bound that seed + cell index could pass
+        rc, out, err = run_cli(["mc-validate", "--dist", "normal:sigma=1", "--kernel", "sinc",
+                                "--n", "10", "--h-grid", "0.25:0.25:1", "--reps", "100",
+                                "--seed", seed, "--out", str(tmp_path)], capsys)
+        assert rc == code
+        if code:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("cdf-mise: error: seed must be a whole number >= 0")
+        else:
+            assert err == "" and (tmp_path / "mc_validate.csv").exists()
+
     def test_dist_and_kernel_must_come_together(self, capsys, tmp_path):
         for extra in (["--dist", "jdlvp"], ["--kernel", "sinc"]):
             rc, _, err = run_cli(["mc-validate", "--reps", "100"] + extra +

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -465,3 +466,13 @@ class TestValidation:
                 build(bad)
         with pytest.raises(ValueError, match="must lie in"):
             rescale(make_jdlvp(1e-50), 1e-20)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, False, "2", None, 1 + 0j, [2.0]],
+                             ids=repr)
+    def test_scale_that_is_not_a_real_number_is_refused(self, bad):
+        # a bool is refused as _check_size refuses it, not taken as 1 or
+        # 0, and a non-number raises ValueError rather than TypeError
+        for build in (make_jdlvp, make_normal, lambda a: rescale(NORMAL1, a),
+                      lambda a: rescale(JDLVP, a)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                build(bad)

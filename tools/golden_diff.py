@@ -16,8 +16,8 @@ prints the repr of the ``psi_k`` and ``psi_f_fourier`` cross-checks.
 Prints one line per case with both
 wall times, and under a case whose CSV files differ, the largest
 relative change in each numeric column of each such file; bandwidth
-columns (h_opt*, bracket_*), whose tolerance is absolute, also get the
-largest absolute change.  Exits 1 if any case differs.
+columns (h_opt*, bracket_*), whose tolerance is a multiple of the
+target's scale, also get the largest absolute change.  Exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -155,6 +155,11 @@ CASES: list[tuple[str, list[str]]] = [
     ("optimal-bandwidth normal:sigma=0.3+normal",
      ["-c", _CLI, "optimal-bandwidth", "--dist", "normal:sigma=0.3", "--kernel", "normal",
       "--n", "10,1000"]),
+    # a scale far below 1, where the zoom's stop and the bound test are
+    # 1e-6 and h_max - 1e-6 times the scale
+    ("optimal-bandwidth jdlvp:scale=1e-7+trapezoidal",
+     ["-c", _CLI, "optimal-bandwidth", "--dist", "jdlvp:scale=1e-7", "--kernel", "trapezoidal",
+      "--n", "10,1000,100000"]),
 ] + [
     (f"mise-curve {dist}+{kernel}",
      ["-c", _CLI, "mise-curve", "--dist", dist, "--kernel", kernel])
@@ -168,6 +173,8 @@ CASES: list[tuple[str, list[str]]] = [
 ] + [
     ("efficiency-curve jdlvp:scale=0.5+sinc",
      ["-c", _CLI, "efficiency-curve", "--dist", "jdlvp:scale=0.5", "--kernel", "sinc"]),
+    ("efficiency-curve jdlvp:scale=10+sinc",
+     ["-c", _CLI, "efficiency-curve", "--dist", "jdlvp:scale=10", "--kernel", "sinc"]),
 ] + [
     ("mc-validate --reps 200 --seed 7",
      ["-c", _CLI, "mc-validate", "--reps", "200", "--seed", "7"]),
